@@ -2,14 +2,9 @@
 
 ``run_elimination`` dispatches to the Cython kernel when it was built and
 the instance fits its 64-vertex mask width, otherwise to the pure-Python
-twin.  Set ``EKDOM_PURE=1`` to force the pure kernel (parity tests and
-the benchmark use this).  ``threads > 1`` always selects the pure
-round-synchronous variant; the sweeps and the round-synchronous variant
-reach the same fixed point, which is unique.
+twin.  Both run the same Gauss-Seidel sweeps and return identical results.
 """
 from __future__ import annotations
-
-import os
 
 from . import pure
 from .pure import DEFAULT_BUDGET
@@ -20,22 +15,11 @@ except ImportError:  # extension not built; pure fallback
     _speedups = None
 
 
-def _forced_pure() -> bool:
-    return os.environ.get("EKDOM_PURE", "") not in ("", "0")
+def active_kernel(n: int = 0) -> str:
+    """Name of the kernel ``run_elimination`` uses on an n-vertex graph."""
+    return "compiled" if _speedups is not None and n <= 64 else "pure"
 
 
-def active_kernel(n: int = 0, threads: int = 1) -> str:
-    if threads > 1:
-        return "pure-jacobi"
-    if _speedups is not None and not _forced_pure() and n <= 64:
-        return "compiled"
-    return "pure"
-
-
-def run_elimination(n, k, dist, states, order="forward",
-                    budget=DEFAULT_BUDGET, threads=1):
-    if threads > 1:
-        return pure.run_elimination_jacobi(n, k, dist, states, budget, threads)
-    if _speedups is not None and not _forced_pure() and n <= 64:
-        return _speedups.run_elimination(n, k, dist, states, order, budget)
-    return pure.run_elimination(n, k, dist, states, order, budget)
+def run_elimination(n, k, dist, states, order="forward", budget=DEFAULT_BUDGET):
+    kernel = _speedups if active_kernel(n) == "compiled" else pure
+    return kernel.run_elimination(n, k, dist, states, order, budget)

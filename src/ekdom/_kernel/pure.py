@@ -18,9 +18,10 @@ configuration i answer attack v with some surviving j" is amortised:
   failed the static movement test, so the cursor never moves backwards.
 
 Movement feasibility between two configurations is a perfect matching on
-the q x q "guard can walk there" grid, preceded by two bitmask
-rejections: every guard needs some reachable target, and every target
-needs some guard that reaches it.  Pair verdicts are static and memoised.
+the q x q "guard can walk there" grid, decided by ``configs._match``.
+Pair verdicts are static and memoised.  The input configurations must all
+dominate the graph (as ``enumerate_dominating_configs`` yields them): a
+lone guard then reaches every vertex, so at q = 1 every move is feasible.
 
 Both kernels return ``(alive, rounds, checks, exceeded)`` where ``alive``
 is a bytearray of 0/1 flags over the input configurations, ``rounds``
@@ -30,68 +31,26 @@ check budget ran out (in which case ``alive`` is meaningless).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from ..configs import _match
 
 DEFAULT_BUDGET = 5_000_000
 
 
-def _prepare(n: int, k: int, dist: list[int], states: list[tuple]):
-    """Shared precomputation: ball masks, per-state masks, candidate lists."""
-    balls = []
-    for u in range(n):
-        m = 0
-        base = u * n
-        for v in range(n):
-            if dist[base + v] <= k:
-                m |= 1 << v
-        balls.append(m)
-    support = []
-    reach = []
-    cand: list[list[int]] = [[] for _ in range(n)]
-    for i, st in enumerate(states):
-        sm = 0
-        rm = 0
-        for u in set(st):
-            sm |= 1 << u
-            rm |= balls[u]
-            cand[u].append(i)
-        support.append(sm)
-        reach.append(rm)
-    return support, reach, cand
-
-
-def _matcher(n: int, k: int, dist: list[int], states: list[tuple],
-             support: list[int], reach: list[int]):
+def _matcher(n: int, k: int, dist: list[int], states: list[tuple]):
     """Build the memoised pairwise movement test."""
     q = len(states[0])
-    memo: dict[int, bool] = {}
     S = len(states)
+    rows = [dist[u * n:(u + 1) * n] for u in range(n)]
+    memo: dict[int, bool] = {}
 
     def feasible(i: int, j: int) -> bool:
-        if support[j] & ~reach[i] or support[i] & ~reach[j]:
-            return False
         if i == j or q == 1:
             return True
         key = i * S + j
         hit = memo.get(key)
-        if hit is not None:
-            return hit
-        a, b = states[i], states[j]
-        owner = [-1] * q
-
-        def augment(p: int, seen: list[bool]) -> bool:
-            base = a[p] * n
-            for c in range(q):
-                if not seen[c] and dist[base + b[c]] <= k:
-                    seen[c] = True
-                    if owner[c] < 0 or augment(owner[c], seen):
-                        owner[c] = p
-                        return True
-            return False
-
-        ok = all(augment(p, [False] * q) for p in range(q))
-        memo[key] = ok
-        return ok
+        if hit is None:
+            hit = memo[key] = _match(rows, states[i], states[j], k) is not None
+        return hit
 
     return feasible
 
@@ -102,8 +61,15 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
     S = len(states)
     if S == 0:
         return bytearray(), 0, 0, False
-    support, reach, cand = _prepare(n, k, dist, states)
-    feasible = _matcher(n, k, dist, states, support, reach)
+    support = []
+    cand: list[list[int]] = [[] for _ in range(n)]
+    for i, st in enumerate(states):
+        sm = 0
+        for u in set(st):
+            sm |= 1 << u
+            cand[u].append(i)
+        support.append(sm)
+    feasible = _matcher(n, k, dist, states)
     alive = bytearray([1]) * S
     pos = [[0] * n for _ in range(S)]
     wit = [[-1] * n for _ in range(S)]
@@ -150,75 +116,3 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
                     changed = True
                     break
     return alive, rounds, checks, False
-
-
-def run_elimination_jacobi(n: int, k: int, dist: list[int], states: list[tuple],
-                           budget: int = DEFAULT_BUDGET, threads: int = 1):
-    """Round-synchronous variant: every pass checks against the previous
-    pass's survivor snapshot, so per-state work can run in parallel.
-
-    Reaches the same fixed point as the Gauss-Seidel sweeps (it is unique),
-    possibly in more rounds.
-    """
-    S = len(states)
-    if S == 0:
-        return bytearray(), 0, 0, False
-    support, reach, cand = _prepare(n, k, dist, states)
-    feasible = _matcher(n, k, dist, states, support, reach)
-    alive = bytearray([1]) * S
-    pos = [[0] * n for _ in range(S)]
-    wit = [[-1] * n for _ in range(S)]
-    checks = 0
-    rounds = 0
-
-    def survives(i: int, snapshot: bytearray) -> tuple[int, bool]:
-        # Returns (checks spent, survived); touches only row i of pos/wit.
-        spent = 0
-        sup_i = support[i]
-        pos_i = pos[i]
-        wit_i = wit[i]
-        for v in range(n):
-            if sup_i >> v & 1:
-                continue
-            spent += 1
-            w = wit_i[v]
-            if w >= 0 and snapshot[w]:
-                continue
-            cv = cand[v]
-            top = len(cv)
-            p = pos_i[v]
-            while p < top:
-                j = cv[p]
-                if snapshot[j] and feasible(i, j):
-                    break
-                p += 1
-            pos_i[v] = p
-            if p < top:
-                wit_i[v] = cv[p]
-            else:
-                return spent, False
-        return spent, True
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while True:
-            rounds += 1
-            snapshot = bytes(alive)
-            live = [i for i in range(S) if snapshot[i]]
-            if pool is not None:
-                results = list(pool.map(lambda i: (i, *survives(i, snapshot)), live))
-            else:
-                results = [(i, *survives(i, snapshot)) for i in live]
-            changed = False
-            for i, spent, ok in results:
-                checks += spent
-                if not ok:
-                    alive[i] = 0
-                    changed = True
-            if not changed:
-                return alive, rounds, checks, False  # fixed point confirmed
-            if checks > budget:
-                return alive, rounds, checks, True
-    finally:
-        if pool is not None:
-            pool.shutdown()

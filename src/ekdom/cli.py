@@ -1,7 +1,8 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 parse/usage error, 2 budget exceeded (bounds are
-still printed), 3 verification failed.
+still printed), 3 certificate rejected (malformed or invalid) or
+power-check mismatch.
 """
 from __future__ import annotations
 
@@ -35,16 +36,31 @@ def _load_graph(path: str) -> Graph:
         return parse_graph(fh.read())
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with EXIT_PARSE instead of argparse's 2 (EXIT_BUDGET)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, budget: bool = True) -> None:
     p.add_argument("-k", type=int, required=True, help="guard movement radius")
     p.add_argument("file", help="edge-list or DOT-subset file ('-' for stdin)")
     if budget:
-        p.add_argument("--max-states", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--max-states", type=_non_negative_int, default=DEFAULT_BUDGET,
                        help="(configuration, attack) check budget per guard count")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="ekdom",
         description="Exact eternal distance-k domination: numbers, bounds, certificates.")
     sub = top.add_subparsers(dest="command", required=True)
@@ -59,8 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certificate", metavar="OUT.json", default=None,
                    help="write the defense certificate here")
     p.add_argument("--order", choices=["forward", "reverse"], default="forward")
-    p.add_argument("--threads", type=int, default=1,
-                   help="round-parallel elimination workers")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="check a certificate against a graph")
@@ -105,14 +119,14 @@ def _cmd_gamma(args) -> int:
 def _cmd_eternal(args) -> int:
     g = _load_graph(args.file)
     report = eternal_number(g, args.k, q_max=args.qmax, budget=args.max_states,
-                            order=args.order, threads=args.threads)
+                            order=args.order)
     payload = {
         "k": args.k,
         "gamma_eternal": report.gamma_eternal,
         "bounds": [report.lower_bound, report.upper_bound],
         "gamma_k": report.gamma_k_value,
         "gamma_half_k": report.gamma_half_value,
-        "kernel": _kernel.active_kernel(g.n, args.threads),
+        "kernel": _kernel.active_kernel(g.n),
         "per_q": [{"q": s.q, "configs": s.num_configs, "rounds": s.rounds,
                    "checks": s.checks, "survivors": s.survivors}
                   for s in report.per_q],

@@ -106,10 +106,9 @@ def clear_cache() -> None:
     _FIXED_POINT_CACHE.clear()
 
 
-def _solve_q(g: Graph, k: int, q: int, budget: int, order: str,
-             threads: int = 1) -> tuple[frozenset, QStats]:
-    effective = "jacobi" if threads > 1 else order
-    key = (g, k, q, effective)
+def _solve_q(g: Graph, k: int, q: int, budget: int,
+             order: str) -> tuple[frozenset, QStats]:
+    key = (g, k, q, order)
     hit = _FIXED_POINT_CACHE.get(key)
     if hit is not None:
         survivors, stats, had_budget = hit
@@ -118,8 +117,7 @@ def _solve_q(g: Graph, k: int, q: int, budget: int, order: str,
     dist = all_pairs_distances(g)
     states = enumerate_dominating_configs(dist, k, q)
     alive, rounds, checks, exceeded = _kernel.run_elimination(
-        g.n, k, _flat_distances(g), states, order=order, budget=budget,
-        threads=threads)
+        g.n, k, _flat_distances(g), states, order=order, budget=budget)
     if exceeded:
         survivors: frozenset = frozenset()
     else:
@@ -153,8 +151,7 @@ def _check_feasible(n: int, q: int, budget: int) -> None:
 
 def eternal_number(g: Graph, k: int, q_min: int | None = None,
                    q_max: int | None = None, budget: int = DEFAULT_BUDGET,
-                   order: str = "forward", threads: int = 1,
-                   want_certificate: bool = True,
+                   order: str = "forward", want_certificate: bool = True,
                    certificate_cap: int = 20_000) -> SolveReport:
     """Exact eternal distance-k domination number with certificate.
 
@@ -168,7 +165,7 @@ def eternal_number(g: Graph, k: int, q_min: int | None = None,
     if g.n == 0:
         raise ValueError("empty graph")
     if not is_connected(g):
-        return _solve_components(g, k, budget, order, threads)
+        return _solve_components(g, k, budget, order)
 
     gk = gamma_k(g, k).gamma
     gh = gamma_k(g, k // 2).gamma
@@ -186,7 +183,7 @@ def eternal_number(g: Graph, k: int, q_min: int | None = None,
         except BudgetExceededError:
             exceeded = True
             break
-        survivors, stats = _solve_q(g, k, q, budget, order, threads)
+        survivors, stats = _solve_q(g, k, q, budget, order)
         per_q.append(stats)
         if stats.exceeded:
             exceeded = True
@@ -204,13 +201,12 @@ def eternal_number(g: Graph, k: int, q_min: int | None = None,
     return SolveReport(k, None, lower, gh, gk, gh, per_q, None, exceeded)
 
 
-def _solve_components(g: Graph, k: int, budget: int, order: str,
-                      threads: int) -> SolveReport:
+def _solve_components(g: Graph, k: int, budget: int, order: str) -> SolveReport:
     reports = []
     for comp in components(g):
         sub, _ = induced_subgraph(g, comp)
         reports.append(eternal_number(sub, k, budget=budget, order=order,
-                                      threads=threads, want_certificate=False))
+                                      want_certificate=False))
     gamma = sum(r.gamma_eternal for r in reports) if all(r.resolved for r in reports) else None
     return SolveReport(
         k=k,
@@ -377,15 +373,26 @@ def certificate_to_json(cert: EternalCertificate, g: Graph) -> dict:
 
 
 def certificate_from_json(doc: dict, g: Graph) -> EternalCertificate:
-    """Inverse of certificate_to_json; raises ValueError on malformed input."""
+    """Inverse of certificate_to_json; raises ValueError on malformed input.
+
+    A document that is not an object, has a field of the wrong type, or
+    answers the same (state, attack) pair twice is malformed.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("certificate document must be a JSON object")
     try:
         family = tuple(tuple(sorted(g.id_of(u) for u in member))
                        for member in doc["family"])
         response = {}
         for entry in doc["response"]:
             moves = tuple((g.id_of(a), g.id_of(b)) for a, b in entry["moves"])
-            response[(int(entry["state"]), g.id_of(entry["attack"]))] = (
-                int(entry["next"]), moves)
+            key = (int(entry["state"]), g.id_of(entry["attack"]))
+            if key in response:
+                raise ValueError(f"duplicate response for state {key[0]} "
+                                 f"attack {entry['attack']}")
+            response[key] = (int(entry["next"]), moves)
         return EternalCertificate(int(doc["k"]), int(doc["q"]), family, response)
     except KeyError as exc:
         raise ValueError(f"certificate document missing field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"certificate document has a field of the wrong type: {exc}") from exc

@@ -121,11 +121,39 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == 1 and "line 1" in err
 
 
-def test_eternal_threads_flag(tmp_path, capsys):
-    graph_file = tmp_path / "p7.edges"
-    _, out, _ = run(capsys, "gen", "path", "7")
+def _write_p5_certificate(tmp_path, capsys):
+    graph_file = tmp_path / "p5.edges"
+    cert_file = tmp_path / "cert.json"
+    _, out, _ = run(capsys, "gen", "path", "5")
     graph_file.write_text(out)
-    code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file),
-                       "--threads", "2", "--json")
-    assert code == 0 and json.loads(out)["gamma_eternal"] == 3
-    assert json.loads(out)["kernel"] == "pure-jacobi"
+    code, _, _ = run(capsys, "eternal", "-k", "2", str(graph_file),
+                     "--certificate", str(cert_file))
+    assert code == 0
+    return graph_file, cert_file, json.loads(cert_file.read_text())
+
+
+@pytest.mark.parametrize("mutate,reason", [
+    (lambda doc: doc["family"], "JSON object"),
+    (lambda doc: dict(doc, family=7), "wrong type"),
+    (lambda doc: dict(doc, response=[dict(doc["response"][0], moves=5)]), "wrong type"),
+    (lambda doc: dict(doc, response=doc["response"] + doc["response"][:1]),
+     "duplicate response"),
+], ids=["top-level-list", "family-not-list", "moves-not-list", "duplicate-response"])
+def test_verify_rejects_malformed_certificate(tmp_path, capsys, mutate, reason):
+    graph_file, cert_file, doc = _write_p5_certificate(tmp_path, capsys)
+    cert_file.write_text(json.dumps(mutate(doc)))
+    code, out, _ = run(capsys, "verify", str(cert_file), str(graph_file))
+    assert code == 3 and "rejected" in out and reason in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["eternal", "g.edges"],
+    ["eternal", "-k", "x", "g.edges"],
+    ["eternal", "-k", "2", "g.edges", "--max-states", "-1"],
+    ["bounds", "-k", "2", "g.edges", "--max-states", "-5"],
+], ids=["missing-k", "k-not-int", "negative-budget", "negative-budget-bounds"])
+def test_usage_errors_exit_with_parse_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error" in capsys.readouterr().err

@@ -124,13 +124,6 @@ def test_elimination_order_does_not_change_the_fixed_point():
             eternal_survivors(g, 2, q, order="reverse")
 
 
-def test_round_parallel_mode_matches_sweeps():
-    g = path_graph(7)
-    plain = eternal_number(g, 2, want_certificate=False)
-    jacobi = eternal_number(g, 2, threads=2, want_certificate=False)
-    assert plain.gamma_eternal == jacobi.gamma_eternal == 3
-
-
 def test_certificate_round_trip_and_mutations():
     p5 = path_graph(5)
     report = eternal_number(p5, 2)
