@@ -17,9 +17,9 @@ from ekdom.graph import all_pairs_distances
 from ekdom.mary import build_perfect_mary
 
 try:
-    from ekdom._kernel import _speedups
+    from ekdom._kernel import _ckernel
 except ImportError:
-    _speedups = None
+    _ckernel = None
 
 
 def instances():
@@ -53,7 +53,7 @@ def main() -> int:
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    if _speedups is None:
+    if _ckernel is None:
         print("compiled kernel not built; run: python3 setup.py build_ext --inplace")
         return 1
 
@@ -64,7 +64,7 @@ def main() -> int:
     for name, n, k, flat, states in instances():
         t_py, r_py = time_one(pure.run_elimination, args.repeat,
                               n, k, flat, states, "forward", budget)
-        t_c, r_c = time_one(_speedups.run_elimination, args.repeat,
+        t_c, r_c = time_one(_ckernel.run_elimination, args.repeat,
                             n, k, flat, states, "forward", budget)
         assert bytes(r_py[0]) == bytes(r_c[0]) and r_py[1:] == r_c[1:], name
         print(f"{name:<22}{len(states):>9}{t_py:>11.4f}s{t_c:>11.4f}s"

@@ -1,8 +1,8 @@
-"""Elimination-kernel selection: compiled extension when available.
+"""Elimination-kernel selection: compiled extension when it was built.
 
-``run_elimination`` dispatches to the Cython kernel when it was built and
-the instance fits its 64-vertex mask width, otherwise to the pure-Python
-twin.  Both run the same Gauss-Seidel sweeps and return identical results.
+``run_elimination`` dispatches to the C extension ``_ckernel`` when it
+imported, otherwise to the pure-Python twin.  Both run the same
+Gauss-Seidel sweeps on graphs of any size and return identical results.
 """
 from __future__ import annotations
 
@@ -10,16 +10,16 @@ from . import pure
 from .pure import DEFAULT_BUDGET
 
 try:
-    from . import _speedups
+    from . import _ckernel
 except ImportError:  # extension not built; pure fallback
-    _speedups = None
+    _ckernel = None
 
 
-def active_kernel(n: int = 0) -> str:
-    """Name of the kernel ``run_elimination`` uses on an n-vertex graph."""
-    return "compiled" if _speedups is not None and n <= 64 else "pure"
+def active_kernel() -> str:
+    """Name of the kernel ``run_elimination`` uses."""
+    return "compiled" if _ckernel is not None else "pure"
 
 
 def run_elimination(n, k, dist, states, order="forward", budget=DEFAULT_BUDGET):
-    kernel = _speedups if active_kernel(n) == "compiled" else pure
+    kernel = _ckernel if _ckernel is not None else pure
     return kernel.run_elimination(n, k, dist, states, order, budget)

@@ -1,4 +1,4 @@
-"""Pure-Python elimination kernel (reference twin of the C extension).
+"""Pure-Python elimination kernel (reference twin of ``_ckernel.c``).
 
 Given all size-q dominating configurations of a graph, keep deleting every
 configuration that cannot answer some attacked vertex with a surviving
@@ -22,6 +22,11 @@ the q x q "guard can walk there" grid, decided by ``configs._match``.
 Pair verdicts are static and memoised.  The input configurations must all
 dominate the graph (as ``enumerate_dominating_configs`` yields them): a
 lone guard then reaches every vertex, so at q = 1 every move is feasible.
+
+The compiled twin runs the same sweep, cursors, budget test and matching
+on C arrays, so the two agree byte for byte; this module is the reference
+the parity tests compare it against and the kernel in use wherever the
+extension was not built.
 
 Both kernels return ``(alive, rounds, checks, exceeded)`` where ``alive``
 is a bytearray of 0/1 flags over the input configurations, ``rounds``
@@ -58,6 +63,8 @@ def _matcher(n: int, k: int, dist: list[int], states: list[tuple]):
 def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
                     order: str = "forward", budget: int = DEFAULT_BUDGET):
     """Gauss-Seidel elimination: deletions take effect within the pass."""
+    if order not in ("forward", "reverse"):
+        raise ValueError(f"unknown order {order!r}")
     S = len(states)
     if S == 0:
         return bytearray(), 0, 0, False
@@ -73,12 +80,7 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
     alive = bytearray([1]) * S
     pos = [[0] * n for _ in range(S)]
     wit = [[-1] * n for _ in range(S)]
-    if order == "forward":
-        sweep = range(S)
-    elif order == "reverse":
-        sweep = range(S - 1, -1, -1)
-    else:
-        raise ValueError(f"unknown order {order!r}")
+    sweep = range(S) if order == "forward" else range(S - 1, -1, -1)
     checks = 0
     rounds = 0
     changed = True

@@ -51,6 +51,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, budget: bool = True) -> None:
     p.add_argument("-k", type=int, required=True, help="guard movement radius")
     p.add_argument("file", help="edge-list or DOT-subset file ('-' for stdin)")
@@ -71,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eternal", help="eternal distance-k domination number")
     _add_common(p)
-    p.add_argument("--qmax", type=int, default=None, help="stop after this guard count")
+    p.add_argument("--qmax", type=_positive_int, default=None,
+                   help="stop after this guard count")
     p.add_argument("--certificate", metavar="OUT.json", default=None,
                    help="write the defense certificate here")
     p.add_argument("--order", choices=["forward", "reverse"], default="forward")
@@ -126,7 +134,7 @@ def _cmd_eternal(args) -> int:
         "bounds": [report.lower_bound, report.upper_bound],
         "gamma_k": report.gamma_k_value,
         "gamma_half_k": report.gamma_half_value,
-        "kernel": _kernel.active_kernel(g.n),
+        "kernel": _kernel.active_kernel(),
         "per_q": [{"q": s.q, "configs": s.num_configs, "rounds": s.rounds,
                    "checks": s.checks, "survivors": s.survivors}
                   for s in report.per_q],
@@ -143,7 +151,8 @@ def _cmd_eternal(args) -> int:
             print(f"  certificate: family of {len(c.family)}, "
                   f"{len(c.response)} responses")
     else:
-        print(f"unresolved: eternal number in [{report.lower_bound}, {report.upper_bound}]")
+        reason = "unresolved" if report.budget_exceeded else f"stopped at --qmax {args.qmax}"
+        print(f"{reason}: eternal number in [{report.lower_bound}, {report.upper_bound}]")
     if args.certificate:
         if report.certificate is not None:
             with open(args.certificate, "w", encoding="utf-8") as fh:
@@ -152,7 +161,7 @@ def _cmd_eternal(args) -> int:
         else:
             print("  no certificate available (unresolved, disconnected, or "
                   "family larger than the cap)", file=sys.stderr)
-    return EXIT_OK if report.resolved else EXIT_BUDGET
+    return EXIT_BUDGET if report.budget_exceeded else EXIT_OK
 
 
 def _cmd_verify(args) -> int:

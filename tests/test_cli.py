@@ -78,6 +78,10 @@ def test_eternal_json_and_budget_exit(tmp_path, capsys):
                        "--max-states", "30")
     assert code == 2 and "unresolved" in out
 
+    # A --qmax cap is not a budget trip.
+    code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file), "--qmax", "2")
+    assert code == 0 and "stopped at --qmax 2: eternal number in [3, 3]" in out
+
 
 def test_gamma_and_bounds_and_power_check(tmp_path, capsys):
     graph_file = tmp_path / "c10.edges"
@@ -151,7 +155,8 @@ def test_verify_rejects_malformed_certificate(tmp_path, capsys, mutate, reason):
     ["eternal", "-k", "x", "g.edges"],
     ["eternal", "-k", "2", "g.edges", "--max-states", "-1"],
     ["bounds", "-k", "2", "g.edges", "--max-states", "-5"],
-], ids=["missing-k", "k-not-int", "negative-budget", "negative-budget-bounds"])
+    ["eternal", "-k", "2", "g.edges", "--qmax", "0"],
+], ids=["missing-k", "k-not-int", "negative-budget", "negative-budget-bounds", "qmax-zero"])
 def test_usage_errors_exit_with_parse_code(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

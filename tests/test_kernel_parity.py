@@ -1,8 +1,8 @@
 """The compiled and pure kernels must agree byte for byte.
 
-When the extension is not built (no Cython), the committed generated C is
-compiled into a temporary directory and loaded from there, outside the
-package, so the comparison still runs wherever a C compiler exists.
+When the extension is not built, ``_ckernel.c`` is compiled into a
+temporary directory and loaded from there, outside the package, so the
+comparison still runs wherever a C compiler exists.
 """
 import importlib.util
 import random
@@ -12,39 +12,42 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ekdom._kernel import pure
 from ekdom.closed_forms import cycle_graph, path_graph
 from ekdom.configs import enumerate_dominating_configs
 from ekdom.graph import all_pairs_distances
+from ekdom.mary import build_perfect_mary
 
 from helpers import DEFAULT_SEED, random_connected_graph
 
 try:
-    from ekdom._kernel import _speedups
+    from ekdom._kernel import _ckernel
 except ImportError:
-    _speedups = None
+    _ckernel = None
 
-GENERATED_C = Path(pure.__file__).with_name("_speedups.c")
+KERNEL_C = Path(pure.__file__).with_name("_ckernel.c")
 
 
 @pytest.fixture(scope="module")
 def compiled(tmp_path_factory):
-    if _speedups is not None:
-        return _speedups
+    if _ckernel is not None:
+        return _ckernel
     cc = sysconfig.get_config_var("CC")
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    if not cc or not suffix or not GENERATED_C.is_file():
-        pytest.skip("no C compiler configured or no generated C to build")
-    out = tmp_path_factory.mktemp("speedups") / f"_speedups{suffix}"
+    if not cc or not suffix:
+        pytest.skip("no C compiler configured")
+    out = tmp_path_factory.mktemp("ckernel") / f"_ckernel{suffix}"
     cmd = shlex.split(cc) + ["-O2", "-shared", "-fPIC",
                              "-I", sysconfig.get_paths()["include"],
-                             str(GENERATED_C), "-o", str(out)]
+                             str(KERNEL_C), "-o", str(out)]
     try:
         subprocess.run(cmd, check=True, capture_output=True, timeout=300)
     except (OSError, subprocess.SubprocessError) as exc:
-        pytest.skip(f"cannot compile the generated kernel: {exc}")
-    spec = importlib.util.spec_from_file_location("_speedups", out)
+        pytest.skip(f"cannot compile the C kernel: {exc}")
+    spec = importlib.util.spec_from_file_location("_ckernel", out)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -65,31 +68,70 @@ def _corpus():
         for k in (1, 2):
             for q in (1, 2, 3):
                 yield _instance(g, k, q)
+    # More than 64 vertices: past one machine word of vertex flags.
+    tree = build_perfect_mary(4, 3)
+    for g, k, q in [(path_graph(70), 20, 2), (path_graph(70), 12, 3),
+                    (cycle_graph(66), 11, 3), (tree, 2, 2), (tree, 3, 1), (tree, 4, 2)]:
+        yield _instance(g, k, q)
+
+
+def _assert_agree(compiled, n, k, flat, states, order, budget):
+    got_c = compiled.run_elimination(n, k, flat, states, order, budget)
+    got_py = pure.run_elimination(n, k, flat, states, order, budget)
+    assert type(got_c[0]) is bytearray and bytes(got_c[0]) == bytes(got_py[0])
+    assert got_c[1:] == got_py[1:]
+    return got_c
 
 
 def test_kernels_agree_exactly(compiled):
     for n, k, flat, states in _corpus():
         for order in ("forward", "reverse"):
-            got_c = compiled.run_elimination(n, k, flat, states, order, 5_000_000)
-            got_py = pure.run_elimination(n, k, flat, states, order, 5_000_000)
-            assert bytes(got_c[0]) == bytes(got_py[0])
-            assert got_c[1:] == got_py[1:]
+            for budget in (5_000_000, 100):
+                _assert_agree(compiled, n, k, flat, states, order, budget)
 
 
 def test_kernels_agree_when_budget_trips(compiled):
     n, k, flat, states = _instance(path_graph(10), 2, 4)
-    got_c = compiled.run_elimination(n, k, flat, states, "forward", 100)
-    got_py = pure.run_elimination(n, k, flat, states, "forward", 100)
-    assert got_c[3] is True and got_py[3] is True
-    assert got_c[2] == got_py[2]
+    got = _assert_agree(compiled, n, k, flat, states, "forward", 100)
+    assert got[3] is True
 
 
-def test_selection_layer_falls_back_past_the_mask_width():
-    # 70 vertices exceed the compiled kernel's 64-bit masks; the selection
-    # layer must route to the pure kernel and still answer correctly.
-    from ekdom import _kernel
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(n=st.integers(2, 10), extra=st.floats(0.0, 0.5), rng=st.randoms(use_true_random=False),
+       k=st.integers(1, 3), q=st.integers(1, 3), order=st.sampled_from(["forward", "reverse"]),
+       budget=st.one_of(st.integers(0, 200), st.just(5_000_000)))
+def test_kernels_agree_on_random_graphs(compiled, n, extra, rng, k, q, order, budget):
+    g = random_connected_graph(n, extra, rng)
+    _assert_agree(compiled, *_instance(g, k, q), order, budget)
+
+
+@pytest.mark.parametrize("kernel", ["pure", "compiled"])
+def test_unknown_order_is_rejected(request, kernel):
+    module = pure if kernel == "pure" else request.getfixturevalue("compiled")
+    n, k, flat, states = _instance(path_graph(5), 1, 2)
+    with pytest.raises(ValueError, match="unknown order"):
+        module.run_elimination(n, k, flat, states, "sideways", 100)
+
+
+def test_compiled_kernel_rejects_malformed_input(compiled):
+    n, k, flat, states = _instance(path_graph(5), 1, 2)
+    bad = [
+        (ValueError, flat[:-1], states),                 # dist not n*n
+        (ValueError, flat, states + [(0, 1, 2)]),        # states differ in size
+        (ValueError, flat, [(0, n)]),                    # vertex out of range
+        (ValueError, flat, [(3, 1)]),                    # not sorted
+        (TypeError, flat, [(0, 1.5)]),                   # not an int
+        (TypeError, flat[:-1] + [None], states),
+    ]
+    for error, dist, sts in bad:
+        with pytest.raises(error):
+            compiled.run_elimination(n, k, dist, sts)
+
+
+def test_selection_layer_solves_graphs_past_64_vertices():
+    # 70 vertices do not fit one machine word of vertex flags; whichever
+    # kernel is active must still answer correctly.
     from ekdom.solver import is_eternal_set
     wide = path_graph(70)
-    assert _kernel.active_kernel(wide.n) == "pure"
     assert is_eternal_set(wide, 69, [0])   # diameter 69: one guard reaches all
     assert not is_eternal_set(wide, 3, [35])
