@@ -39,17 +39,37 @@ def iter_multisets(n: int, q: int) -> Iterator[Config]:
     yield from rec(0, 0)
 
 
-def enumerate_dominating_configs(dist: DistMatrix, k: int, q: int) -> list[Config]:
+class _LimitReached(Exception):
+    """Raised inside the enumeration once it holds more than ``limit`` states."""
+
+
+def enumerate_dominating_configs(dist: DistMatrix, k: int, q: int,
+                                 limit: int | None = None) -> list[Config]:
     """Size-q multisets whose support distance-k dominates, lexicographically.
 
-    The count is bounded by C(n+q-1, q); callers budget on that bound
-    before asking.
+    Guards are placed in non-decreasing order, so every guard still to
+    come sits at some vertex >= v.  Two suffix tables over the guards
+    v..n-1 prune the walk: ``reach[v]``, the union of their balls, must
+    complete the cover, and ``widest[v]``, their largest ball, times the
+    free slots must be at least the number of uncovered vertices.  Both
+    tests only get stricter as v grows, so the first failure ends the
+    loop, and the output is the same list in the same order as the
+    unpruned walk over all C(n+q-1, q) multisets.
+
+    With ``limit``, the walk stops as soon as it holds ``limit + 1``
+    states and returns those, so a caller that budgets on the number of
+    dominating configurations never materialises more than it can afford.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
     n = len(dist)
     balls = ball_masks(dist, k)
     full = (1 << n) - 1
+    reach = [0] * (n + 1)
+    widest = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        reach[v] = reach[v + 1] | balls[v]
+        widest[v] = max(widest[v + 1], balls[v].bit_count())
     out: list[Config] = []
     state = [0] * q
 
@@ -57,13 +77,22 @@ def enumerate_dominating_configs(dist: DistMatrix, k: int, q: int) -> list[Confi
         if pos == q:
             if covered == full:
                 out.append(tuple(state))
+                if limit is not None and len(out) > limit:
+                    raise _LimitReached
             return
+        need = (full & ~covered).bit_count()
+        slots = q - pos
         for v in range(lo, n):
+            if covered | reach[v] != full or need > slots * widest[v]:
+                break
             state[pos] = v
             rec(pos + 1, v, covered | balls[v])
 
     if n:
-        rec(0, 0, 0)
+        try:
+            rec(0, 0, 0)
+        except _LimitReached:
+            pass
     return out
 
 

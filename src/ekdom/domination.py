@@ -8,6 +8,16 @@ The search enumerates candidate sets by increasing cardinality (so the
 first witness found is minimum), branching on the guards that can cover
 the lowest uncovered vertex.  A greedy cover provides the upper bound that
 terminates the iteration deepening.
+
+Two lower bounds prune a branch whose free guard slots cannot finish the
+cover: the counting bound (uncovered vertices exceed slots times the
+largest ball) and the disjoint-demand bound.  For the latter, u covers t
+iff t lies in ball(u) iff u lies in ball(t), so ball(t) is the set of
+coverers of t; scanning the uncovered vertices in ascending order and
+counting each whose ball misses the balls already counted yields vertices
+that no single guard can serve two of.  Both bounds only cut branches
+that hold no solution, so the search still visits the solutions in the
+same order and returns the same witness.
 """
 from __future__ import annotations
 
@@ -96,9 +106,21 @@ def _gamma_k_cached(g: Graph, k: int) -> DominationResult:
         if covered == full:
             return tuple(sorted(chosen))
         slots = size - len(chosen)
-        if slots == 0 or (full & ~covered).bit_count() > slots * max_ball:
-            return None
         uncovered = full & ~covered
+        if slots == 0 or uncovered.bit_count() > slots * max_ball:
+            return None
+        # Disjoint-demand bound: uncovered vertices whose coverer sets
+        # (their own balls) are pairwise disjoint each need a new guard.
+        demand, claimed, rest = 0, 0, uncovered
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ball = balls[low.bit_length() - 1]
+            if not ball & claimed:
+                claimed |= ball
+                demand += 1
+                if demand > slots:
+                    return None
         target = (uncovered & -uncovered).bit_length() - 1  # lowest uncovered vertex
         for u in coverers[target]:
             if u in chosen:

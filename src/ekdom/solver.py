@@ -16,17 +16,19 @@ object from scratch using only distances and multiset arithmetic, with no
 access to solver internals, so solver and verifier form independent
 routes to the same claim.
 
-State budget: enumerating and eliminating is capped by a configurable
-number of (configuration, attack) checks per guard count (default five
-million).  When the cap trips, ``eternal_number`` degrades gracefully to
-the bracketing bounds established so far.
+State budget: each guard count gets a configurable number of
+(configuration, attack) checks (default five million).  A guard count
+whose dominating configurations times attacked vertices already exceed
+it is refused as soon as the enumeration passes that many states;
+otherwise the elimination counts its checks against it.  When the cap
+trips, ``eternal_number`` degrades gracefully to the bracketing bounds
+established so far.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Iterable
 
 from . import _kernel
@@ -112,17 +114,23 @@ def _solve_q(g: Graph, k: int, q: int, budget: int,
     hit = _FIXED_POINT_CACHE.get(key)
     if hit is not None:
         survivors, stats, had_budget = hit
-        if not stats.exceeded or had_budget >= budget:
+        # Reuse only what a fresh run under this budget would return.
+        fits = not stats.exceeded and max(stats.checks, stats.num_configs * g.n) <= budget
+        if had_budget == budget or fits:
             return survivors, stats
     dist = all_pairs_distances(g)
-    states = enumerate_dominating_configs(dist, k, q)
-    alive, rounds, checks, exceeded = _kernel.run_elimination(
-        g.n, k, _flat_distances(g), states, order=order, budget=budget)
-    if exceeded:
+    states = enumerate_dominating_configs(dist, k, q, limit=budget // max(g.n, 1))
+    if len(states) * g.n > budget:
+        # Refused before elimination; the enumeration stopped at its limit,
+        # so num_configs is a lower bound on the true count.
         survivors: frozenset = frozenset()
+        stats = QStats(q, len(states), 0, 0, 0, True)
     else:
-        survivors = frozenset(states[i] for i in range(len(states)) if alive[i])
-    stats = QStats(q, len(states), rounds, checks, len(survivors), exceeded)
+        alive, rounds, checks, exceeded = _kernel.run_elimination(
+            g.n, k, _flat_distances(g), states, order=order, budget=budget)
+        survivors = frozenset() if exceeded else frozenset(
+            states[i] for i in range(len(states)) if alive[i])
+        stats = QStats(q, len(states), rounds, checks, len(survivors), exceeded)
     _FIXED_POINT_CACHE[key] = (survivors, stats, budget)
     return survivors, stats
 
@@ -135,18 +143,19 @@ def eternal_survivors(g: Graph, k: int, q: int, budget: int = DEFAULT_BUDGET,
     """
     if not is_connected(g):
         raise ValueError("survivor sets are defined per connected graph")
-    _check_feasible(g.n, q, budget)
     survivors, stats = _solve_q(g, k, q, budget, order)
     if stats.exceeded:
-        raise BudgetExceededError(
-            f"q={q}: {stats.checks} checks exceeded budget {budget}")
+        raise _over_budget(g, stats, budget)
     return survivors
 
 
-def _check_feasible(n: int, q: int, budget: int) -> None:
-    if comb(n + q - 1, q) * max(n, 1) > budget:
-        raise BudgetExceededError(
-            f"state space C({n + q - 1},{q}) x {n} attacks exceeds budget {budget}")
+def _over_budget(g: Graph, stats: QStats, budget: int) -> BudgetExceededError:
+    if stats.checks:
+        return BudgetExceededError(
+            f"q={stats.q}: {stats.checks} checks exceeded budget {budget}")
+    return BudgetExceededError(
+        f"q={stats.q}: more than {budget // g.n} dominating configurations "
+        f"x {g.n} attacks exceeds budget {budget}")
 
 
 def eternal_number(g: Graph, k: int, q_min: int | None = None,
@@ -165,7 +174,7 @@ def eternal_number(g: Graph, k: int, q_min: int | None = None,
     if g.n == 0:
         raise ValueError("empty graph")
     if not is_connected(g):
-        return _solve_components(g, k, budget, order)
+        return _solve_components(g, k, q_min, q_max, budget, order)
 
     gk = gamma_k(g, k).gamma
     gh = gamma_k(g, k // 2).gamma
@@ -178,11 +187,6 @@ def eternal_number(g: Graph, k: int, q_min: int | None = None,
     lower = gk  # only completed empty fixed points may lift this
     exceeded = False
     for q in range(q_lo, q_hi + 1):
-        try:
-            _check_feasible(g.n, q, budget)
-        except BudgetExceededError:
-            exceeded = True
-            break
         survivors, stats = _solve_q(g, k, q, budget, order)
         per_q.append(stats)
         if stats.exceeded:
@@ -201,19 +205,36 @@ def eternal_number(g: Graph, k: int, q_min: int | None = None,
     return SolveReport(k, None, lower, gh, gk, gh, per_q, None, exceeded)
 
 
-def _solve_components(g: Graph, k: int, budget: int, order: str) -> SolveReport:
+def _solve_components(g: Graph, k: int, q_min: int | None, q_max: int | None,
+                      budget: int, order: str) -> SolveReport:
+    """Sum the per-component numbers; guards never cross components.
+
+    Each component's number is at least its gamma_k, so under ``q_max``
+    a component may use at most q_max minus the other components' gamma_k.
+    A component stopped at that cap, or a sum above ``q_max``, leaves the
+    report unresolved without a budget trip.  Defended sizes are upward
+    closed, so ``q_min`` lifts the sum exactly as on connected input.
+    """
+    subs = [induced_subgraph(g, comp)[0] for comp in components(g)]
+    lows = [gamma_k(sub, k).gamma for sub in subs]
     reports = []
-    for comp in components(g):
-        sub, _ = induced_subgraph(g, comp)
-        reports.append(eternal_number(sub, k, budget=budget, order=order,
+    for sub, low in zip(subs, lows):
+        cap = None if q_max is None else q_max - (sum(lows) - low)
+        reports.append(eternal_number(sub, k, q_max=cap, budget=budget, order=order,
                                       want_certificate=False))
-    gamma = sum(r.gamma_eternal for r in reports) if all(r.resolved for r in reports) else None
+    gamma = None
+    lower = sum(r.lower_bound for r in reports)
+    upper = sum(r.upper_bound for r in reports)
+    if all(r.resolved for r in reports):
+        total = max(lower, q_min or 1)
+        if q_max is None or total <= q_max:
+            gamma = lower = upper = total
     return SolveReport(
         k=k,
         gamma_eternal=gamma,
-        lower_bound=sum(r.lower_bound for r in reports),
-        upper_bound=sum(r.upper_bound for r in reports),
-        gamma_k_value=sum(r.gamma_k_value for r in reports),
+        lower_bound=lower,
+        upper_bound=upper,
+        gamma_k_value=sum(lows),
         gamma_half_value=sum(r.gamma_half_value for r in reports),
         per_q=[],
         certificate=None,
@@ -239,10 +260,9 @@ def is_eternal_set(g: Graph, k: int, guards: Iterable[int],
     if not is_distance_k_dominating(dist, cfg, k):
         return False
     if is_connected(g):
-        _check_feasible(g.n, len(cfg), budget)
         survivors, stats = _solve_q(g, k, len(cfg), budget, "forward")
         if stats.exceeded:
-            raise BudgetExceededError(f"budget {budget} exceeded at q={len(cfg)}")
+            raise _over_budget(g, stats, budget)
         return cfg in survivors
     for comp in components(g):
         sub, idmap = induced_subgraph(g, comp)

@@ -74,17 +74,20 @@ def oracle_distances(g: Graph) -> list[list[int]]:
     return out
 
 
-def oracle_is_dominating(g: Graph, guards, k: int) -> bool:
-    dist = oracle_distances(g)
+def oracle_is_dominating(g: Graph, guards, k: int, dist=None) -> bool:
+    """Every vertex within k of a guard; ``dist`` defaults to oracle_distances(g)."""
+    if dist is None:
+        dist = oracle_distances(g)
     return all(any(dist[u][v] is not None and dist[u][v] <= k for u in set(guards))
                for v in range(g.n))
 
 
 def oracle_gamma(g: Graph, k: int) -> int:
     """Smallest dominating set size by exhaustive subset enumeration."""
+    dist = oracle_distances(g)
     for size in range(1, g.n + 1):
         for subset in combinations(range(g.n), size):
-            if oracle_is_dominating(g, subset, k):
+            if oracle_is_dominating(g, subset, k, dist):
                 return size
     raise AssertionError("even the full vertex set failed to dominate")
 
@@ -99,8 +102,9 @@ def oracle_transforms(g: Graph, src, dst, k: int) -> bool:
 
 def oracle_dominating_multisets(g: Graph, k: int, q: int) -> list[tuple]:
     from itertools import combinations_with_replacement
+    dist = oracle_distances(g)
     return [cfg for cfg in combinations_with_replacement(range(g.n), q)
-            if oracle_is_dominating(g, cfg, k)]
+            if oracle_is_dominating(g, cfg, k, dist)]
 
 
 # -- canonical forms, for exhaustive small-tree corpora -----------------------

@@ -83,6 +83,19 @@ def test_eternal_json_and_budget_exit(tmp_path, capsys):
     assert code == 0 and "stopped at --qmax 2: eternal number in [3, 3]" in out
 
 
+@pytest.mark.parametrize("qmax,text", [
+    ("1", "stopped at --qmax 1: eternal number in ["),
+    ("4", "stopped at --qmax 4: eternal number in [5, 5]"),
+    ("5", "eternal distance-1 domination number = 5"),
+], ids=["qmax-1", "qmax-4", "qmax-5"])
+def test_eternal_qmax_on_disconnected_graph(tmp_path, capsys, qmax, text):
+    # P5 + P3 at k = 1 needs 3 + 2 guards; a --qmax stop is not a budget trip.
+    graph_file = tmp_path / "p5p3.edges"
+    graph_file.write_text("a b\nb c\nc d\nd e\nx y\ny z\n")
+    code, out, _ = run(capsys, "eternal", "-k", "1", str(graph_file), "--qmax", qmax)
+    assert code == 0 and text in out
+
+
 def test_gamma_and_bounds_and_power_check(tmp_path, capsys):
     graph_file = tmp_path / "c10.edges"
     _, out, _ = run(capsys, "gen", "cycle", "10")

@@ -9,6 +9,7 @@ from ekdom.configs import enumerate_dominating_configs, transforms
 from ekdom.domination import gamma_k
 from ekdom.graph import (Graph, all_pairs_distances, delete_edge, diameter,
                          is_connected)
+from ekdom.mary import build_perfect_mary, mary_number_recursive
 from ekdom.reductions import eternal_one_tree
 from ekdom.solver import (BudgetExceededError, certificate_from_json,
                           certificate_to_json, eternal_number,
@@ -173,6 +174,34 @@ def test_disconnected_graphs_sum_components():
     assert len(report.component_reports) == 2
     assert not is_eternal_set(g, 2, [1, 4])      # second component underguarded
     assert is_eternal_set(g, 2, [1, 4, 6])
+
+
+def test_disconnected_graphs_honour_the_q_range():
+    # P5 + P3 at k = 1: 3 + 2 guards.
+    g = Graph.build(8, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)])
+    assert eternal_number(g, 1).gamma_eternal == 5
+    for q_max in (1, 4):
+        report = eternal_number(g, 1, q_max=q_max)
+        assert not report.resolved and not report.budget_exceeded
+        assert report.lower_bound <= 5 <= report.upper_bound
+    # Each component is capped at q_max minus the other's gamma_k (2 and 1),
+    # so under q_max = 1 neither runs a fixed point.
+    assert all(not r.per_q for r in eternal_number(g, 1, q_max=1).component_reports)
+    assert eternal_number(g, 1, q_max=5).gamma_eternal == 5
+    # Defended sizes are upward closed: q_min lifts the answer.
+    report = eternal_number(g, 1, q_min=7)
+    assert (report.gamma_eternal, report.lower_bound, report.upper_bound) == (7, 7, 7)
+    assert not eternal_number(g, 1, q_min=7, q_max=6).resolved
+
+
+def test_budget_counts_dominating_configurations():
+    # C(31+5, 6) * 31 multiset checks would exceed the default budget, but
+    # only 1,958 six-guard configurations dominate at k = 2.
+    g = build_perfect_mary(2, 4)
+    report = eternal_number(g, 2)
+    assert report.gamma_eternal == 6 == mary_number_recursive(2, 4, 2)
+    assert [s.num_configs for s in report.per_q] == [1, 67, 1958]
+    assert verify_certificate(g, report.certificate)[0]
 
 
 def test_budget_degrades_to_bounds():
