@@ -248,17 +248,25 @@ def _exact_decomposition(g: Graph, k: int) -> tuple[int, Decomposition]:
     return count, Decomposition(k, parts)
 
 
-def decomposition_upper_bound(g: Graph, k: int, mode: str | None = None) -> int:
-    """min(2 * parts-at-radius-k, parts-at-radius-floor(k/2)).
+def decomposition_bound(g: Graph, k: int, mode: str | None = None
+                        ) -> tuple[int, Decomposition]:
+    """min(2 * parts-at-radius-k, parts-at-radius-floor(k/2)), with the
+    radius-k decomposition that witnesses the first term.
 
     Two guards defend any radius-k rooted tree (attacked vertex gets the
     root guard, the other guard refills the root); one guard suffices at
-    radius floor(k/2).
+    radius floor(k/2).  Without a mode, partitions are searched exactly
+    up to 12 vertices and carved greedily beyond.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if mode is None:
         mode = "exact" if g.n <= 12 else "greedy"
-    full, _ = depth_rooted_decomposition_number(g, k, mode)
+    full, witness = depth_rooted_decomposition_number(g, k, mode)
     half, _ = depth_rooted_decomposition_number(g, k // 2, mode)
-    return min(2 * full, half)
+    return min(2 * full, half), witness
+
+
+def decomposition_upper_bound(g: Graph, k: int, mode: str | None = None) -> int:
+    """``decomposition_bound`` without its witness."""
+    return decomposition_bound(g, k, mode)[0]

@@ -11,9 +11,8 @@ import json
 import sys
 
 from . import _kernel
-from .bounds import (decomposition_upper_bound,
-                     depth_rooted_decomposition_number,
-                     power_equivalence_check, spanning_tree_upper_bound)
+from .bounds import (decomposition_bound, power_equivalence_check,
+                     spanning_tree_upper_bound)
 from .closed_forms import (build_p_n_ell, build_subdivided_star, cycle_graph,
                            cycle_number, path_graph, path_number, spider_graph)
 from .domination import gamma_k
@@ -225,14 +224,11 @@ def _cmd_power_check(args) -> int:
 
 def _cmd_bounds(args) -> int:
     g = _load_graph(args.file)
-    low = gamma_k(g, args.k).gamma
-    high = gamma_k(g, args.k // 2).gamma
     report = eternal_number(g, args.k, budget=args.max_states,
                             want_certificate=False)
+    low, high = report.gamma_k_value, report.gamma_half_value
     spanning = spanning_tree_upper_bound(g, args.k, budget=args.max_states)
-    decomposition = decomposition_upper_bound(g, args.k)
-    mode = "exact" if g.n <= 12 else "greedy"
-    _, witness = depth_rooted_decomposition_number(g, args.k, mode)
+    decomposition, witness = decomposition_bound(g, args.k)
     payload = {
         "gamma_k": low,
         "gamma_half_k": high,

@@ -113,9 +113,7 @@ def hamiltonian_upper_bound(n: int, k: int) -> int:
     Guards patrol a Hamilton cycle, so the cycle value bounds the graph.
     Hamiltonicity is the caller's assertion; it is not checked here.
     """
-    if n < 3 or k < 1:
-        raise ValueError("need n >= 3 and k >= 1")
-    return _ceil_div(n, 2 * k + 1)
+    return cycle_number(n, k)
 
 
 def diameter_rule(g: Graph, k: int) -> int | None:

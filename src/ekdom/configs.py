@@ -9,7 +9,7 @@ tiny at desk scale).
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .domination import ball_masks
 from .graph import DistMatrix
@@ -22,21 +22,6 @@ def canonical(positions: Iterable[int]) -> Config:
     if not cfg:
         raise ValueError("a configuration needs at least one guard")
     return cfg
-
-
-def iter_multisets(n: int, q: int) -> Iterator[Config]:
-    """All non-decreasing q-tuples over 0..n-1, in lexicographic order."""
-    state = [0] * q
-
-    def rec(pos: int, lo: int) -> Iterator[Config]:
-        if pos == q:
-            yield tuple(state)
-            return
-        for v in range(lo, n):
-            state[pos] = v
-            yield from rec(pos + 1, v)
-
-    yield from rec(0, 0)
 
 
 class _LimitReached(Exception):

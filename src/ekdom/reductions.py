@@ -23,6 +23,11 @@ distance two from some leaf, deleting those leaves together with the
 qualifying neighbors changes the number by zero or one, and both outcomes
 really occur; the slack is resolved by the game engine where feasible.
 
+The rules walk nothing themselves: a tree has unique paths, so a
+connected subtree has the same distances as the whole tree, and every
+branch, path, eccentricity and diameter is read off the cached
+``all_pairs_distances(t)``.
+
 ``reduce_tree`` composes these greedily (cheapest tests first, smallest
 anchor vertex on ties) and converts the surviving core into two-sided
 bounds through the static domination sandwich.
@@ -35,7 +40,6 @@ used as an independent oracle for the engine at k = 1.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -90,35 +94,9 @@ def _require_tree(t: Graph) -> None:
         raise ValueError("reductions are defined on trees")
 
 
-def _branch(t: Graph, x: int, child: int) -> set[int]:
-    """Vertices whose path to x passes through the child branch."""
-    seen = {x, child}
-    queue = deque([child])
-    while queue:
-        u = queue.popleft()
-        for w in t.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    seen.discard(x)
-    return seen
-
-
-def _tree_path(t: Graph, a: int, b: int) -> list[int]:
-    parent = {a: a}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        if u == b:
-            break
-        for w in t.adj[u]:
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    return path[::-1]
+def _branch(dist, x: int, c: int) -> set[int]:
+    """Vertices whose path to x runs through its neighbor c."""
+    return {w for w in range(len(dist)) if dist[c][w] < dist[x][w]}
 
 
 def _cut(t: Graph, removed: Iterable[int]) -> Graph:
@@ -194,14 +172,15 @@ def apply_kpath_reduction(t: Graph, k: int) -> tuple[Graph, ReductionStep] | Non
             y = path[-1]
             if len(path) - 1 <= k:
                 sites.append((x, y, path))
+    dist = all_pairs_distances(t)
     for x, y, path in sorted(sites, key=lambda s: (s[0], s[1])):
-        side_x = _branch(t, path[1], x)    # x's side once its path edge is cut
-        side_y = _branch(t, path[-2], y)   # likewise for y
-        if _ecc_within(t, side_x, x) != k:
+        side_x = _branch(dist, path[1], x)    # x's side once its path edge is cut
+        side_y = _branch(dist, path[-2], y)   # likewise for y
+        if max(dist[x][w] for w in side_x) != k:
             continue
-        if _diam_within(t, side_x) != 2 * k:
+        if max(dist[u][w] for u in side_x for w in side_x) != 2 * k:
             continue
-        if _ecc_within(t, side_y, y) < k:
+        if max(dist[y][w] for w in side_y) < k:
             continue
         removed = side_x - {x}
         step = _step(t, "kpath", removed, [("x", x), ("y", y)], 1, 1)
@@ -209,80 +188,42 @@ def apply_kpath_reduction(t: Graph, k: int) -> tuple[Graph, ReductionStep] | Non
     return None
 
 
-def _ecc_within(t: Graph, vertices: set[int], src: int) -> int:
-    depth = {src: 0}
-    queue = deque([src])
-    far = 0
-    while queue:
-        u = queue.popleft()
-        for w in t.adj[u]:
-            if w in vertices and w not in depth:
-                depth[w] = depth[u] + 1
-                far = max(far, depth[w])
-                queue.append(w)
-    return far
-
-
-def _diam_within(t: Graph, vertices: set[int]) -> int:
-    best = 0
-    for src in vertices:  # trees are tiny here; double sweep not worth it
-        best = max(best, _ecc_within(t, vertices, src))
-    return best
-
-
-def _branch_sites(t: Graph, x: int, radius: int) -> tuple[list[int], dict[int, set[int]]]:
-    """Children of x whose whole branch fits within the radius."""
+def _collapse(t: Graph, kind: str, radius: int,
+              roles: tuple[str, ...]) -> tuple[Graph, ReductionStep] | None:
+    """Keep one thread per tip role in the first branches at a vertex that
+    reach exactly the radius; delete the rest of the branches within it."""
+    _require_tree(t)
+    if radius < 1:
+        return None
     dist = all_pairs_distances(t)
-    branches = {c: _branch(t, x, c) for c in t.adj[x]}
-    eligible = [c for c, verts in branches.items()
-                if max(dist[x][w] for w in verts) <= radius]
-    return eligible, branches
+    for x in range(t.n):
+        branches = {c: _branch(dist, x, c) for c in t.adj[x]}
+        eligible = [c for c, verts in branches.items()
+                    if max(dist[x][w] for w in verts) <= radius]
+        deep = [c for c in sorted(eligible)
+                if any(dist[x][w] == radius for w in branches[c])]
+        if len(deep) < len(roles):
+            continue
+        tips = [min(w for w in branches[c] if dist[x][w] == radius)
+                for c in deep[:len(roles)]]
+        keep = {w for w in range(t.n)  # the paths from x to the tips
+                if any(dist[x][w] + dist[w][tip] == dist[x][tip] for tip in tips)}
+        removed = set().union(*(branches[c] for c in eligible)) - keep
+        if not removed:
+            continue
+        step = _step(t, kind, removed, [("x", x), *zip(roles, tips)], 0, 0)
+        return _cut(t, removed), step
+    return None
 
 
 def apply_halfbranch_trim(t: Graph, k: int) -> tuple[Graph, ReductionStep] | None:
     """Collapse all radius-floor(k/2) branches at a vertex onto one thread."""
-    _require_tree(t)
-    h = k // 2
-    if h == 0:
-        return None
-    dist = all_pairs_distances(t)
-    for x in range(t.n):
-        eligible, branches = _branch_sites(t, x, h)
-        deep = [c for c in sorted(eligible)
-                if any(dist[x][w] == h for w in branches[c])]
-        if not deep:
-            continue
-        v1 = deep[0]
-        tip = min(w for w in branches[v1] if dist[x][w] == h)
-        keep = set(_tree_path(t, x, tip))
-        removed = set().union(*(branches[c] for c in eligible)) - keep
-        if not removed:
-            continue
-        step = _step(t, "halfbranch", removed,
-                     [("x", x), ("kept_tip", tip)], 0, 0)
-        return _cut(t, removed), step
-    return None
+    return _collapse(t, "halfbranch", k // 2, ("kept_tip",))
 
 
 def apply_doublebranch_trim(t: Graph, k: int) -> tuple[Graph, ReductionStep] | None:
     """Collapse all radius-k branches at a vertex onto two depth-k threads."""
-    _require_tree(t)
-    dist = all_pairs_distances(t)
-    for x in range(t.n):
-        eligible, branches = _branch_sites(t, x, k)
-        deep = [c for c in sorted(eligible)
-                if any(dist[x][w] == k for w in branches[c])]
-        if len(deep) < 2:
-            continue
-        tips = [min(w for w in branches[c] if dist[x][w] == k) for c in deep[:2]]
-        keep = set(_tree_path(t, x, tips[0])) | set(_tree_path(t, x, tips[1]))
-        removed = set().union(*(branches[c] for c in eligible)) - keep
-        if not removed:
-            continue
-        step = _step(t, "doublebranch", removed,
-                     [("x", x), ("tip1", tips[0]), ("tip2", tips[1])], 0, 0)
-        return _cut(t, removed), step
-    return None
+    return _collapse(t, "doublebranch", k, ("tip1", "tip2"))
 
 
 # -- the k = 2 interval rule -------------------------------------------------
@@ -346,13 +287,12 @@ def k2_reduce(t: Graph, x: int) -> tuple[Graph, ReductionStep]:
     return reduced, step
 
 
-def _first_k2_site(t: Graph) -> int | None:
+def _first_k2_hit(t: Graph) -> tuple[Graph, ReductionStep] | None:
     for x in range(t.n):
         try:
-            k2_reduce(t, x)
+            return k2_reduce(t, x)
         except ValueError:
             continue
-        return x
     return None
 
 
@@ -384,9 +324,7 @@ def reduce_tree(t: Graph, k: int) -> ReductionTrace:
             if hit is not None:
                 break
         if hit is None and k == 2 and cur.n > 1:
-            x = _first_k2_site(cur)
-            if x is not None:
-                hit = k2_reduce(cur, x)
+            hit = _first_k2_hit(cur)
         if hit is None:
             break
         cur, step = hit

@@ -37,6 +37,7 @@ from .domination import gamma_k, is_distance_k_dominating
 from .graph import Graph, all_pairs_distances, induced_subgraph, is_connected, components
 
 DEFAULT_BUDGET = _kernel.DEFAULT_BUDGET
+CERTIFICATE_CAP = 20_000  # larger defense families yield no certificate
 
 
 class BudgetExceededError(RuntimeError):
@@ -100,24 +101,9 @@ def _flat_distances(g: Graph) -> list:
     return [d for row in all_pairs_distances(g) for d in row]
 
 
-# (graph, k, q, order) -> (frozenset of survivors, QStats, budget used)
-_FIXED_POINT_CACHE: dict = {}
-
-
-def clear_cache() -> None:
-    _FIXED_POINT_CACHE.clear()
-
-
+@lru_cache(maxsize=None)
 def _solve_q(g: Graph, k: int, q: int, budget: int,
              order: str) -> tuple[frozenset, QStats]:
-    key = (g, k, q, order)
-    hit = _FIXED_POINT_CACHE.get(key)
-    if hit is not None:
-        survivors, stats, had_budget = hit
-        # Reuse only what a fresh run under this budget would return.
-        fits = not stats.exceeded and max(stats.checks, stats.num_configs * g.n) <= budget
-        if had_budget == budget or fits:
-            return survivors, stats
     dist = all_pairs_distances(g)
     states = enumerate_dominating_configs(dist, k, q, limit=budget // max(g.n, 1))
     if len(states) * g.n > budget:
@@ -131,7 +117,6 @@ def _solve_q(g: Graph, k: int, q: int, budget: int,
         survivors = frozenset() if exceeded else frozenset(
             states[i] for i in range(len(states)) if alive[i])
         stats = QStats(q, len(states), rounds, checks, len(survivors), exceeded)
-    _FIXED_POINT_CACHE[key] = (survivors, stats, budget)
     return survivors, stats
 
 
@@ -160,8 +145,8 @@ def _over_budget(g: Graph, stats: QStats, budget: int) -> BudgetExceededError:
 
 def eternal_number(g: Graph, k: int, q_min: int | None = None,
                    q_max: int | None = None, budget: int = DEFAULT_BUDGET,
-                   order: str = "forward", want_certificate: bool = True,
-                   certificate_cap: int = 20_000) -> SolveReport:
+                   order: str = "forward", want_certificate: bool = True
+                   ) -> SolveReport:
     """Exact eternal distance-k domination number with certificate.
 
     Guard counts are tried upward from max(static domination number,
@@ -195,7 +180,7 @@ def eternal_number(g: Graph, k: int, q_min: int | None = None,
         if survivors:
             cert = None
             if want_certificate:
-                cert = _build_certificate(g, k, q, survivors, certificate_cap)
+                cert = _build_certificate(g, k, q, survivors)
             return SolveReport(k, q, q, q, gk, gh, per_q, cert, False)
         lower = q + 1
     if not exceeded and q_max is None:
@@ -278,15 +263,15 @@ def is_eternal_set(g: Graph, k: int, guards: Iterable[int],
 # Certificates.
 # ---------------------------------------------------------------------------
 
-def _build_certificate(g: Graph, k: int, q: int, survivors: frozenset,
-                       cap: int) -> EternalCertificate | None:
+def _build_certificate(g: Graph, k: int, q: int,
+                       survivors: frozenset) -> EternalCertificate | None:
     """Close the lexicographically least survivor under best responses.
 
     The response to (member, attack) is the lexicographically smallest
     survivor containing the attack and reachable in one step; closing
     under that choice yields a family that is closed by construction and
     usually far smaller than the full survivor set.  Returns None when
-    the closure exceeds ``cap`` members.
+    the closure exceeds ``CERTIFICATE_CAP`` members.
     """
     dist = all_pairs_distances(g)
     ordered = sorted(survivors)
@@ -303,7 +288,7 @@ def _build_certificate(g: Graph, k: int, q: int, survivors: frozenset,
         if cur in family:
             continue
         family[cur] = None
-        if len(family) > cap:
+        if len(family) > CERTIFICATE_CAP:
             return None
         for v in range(g.n):
             for nxt in buckets[v]:
