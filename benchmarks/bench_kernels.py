@@ -63,9 +63,9 @@ def main() -> int:
     budget = 50_000_000
     for name, n, k, flat, states in instances():
         t_py, r_py = time_one(pure.run_elimination, args.repeat,
-                              n, k, flat, states, "forward", budget)
+                              n, k, flat, states, budget)
         t_c, r_c = time_one(_ckernel.run_elimination, args.repeat,
-                            n, k, flat, states, "forward", budget)
+                            n, k, flat, states, budget)
         assert bytes(r_py[0]) == bytes(r_c[0]) and r_py[1:] == r_c[1:], name
         print(f"{name:<22}{len(states):>9}{t_py:>11.4f}s{t_c:>11.4f}s"
               f"{t_py / t_c:>8.1f}x")

@@ -2,7 +2,8 @@
 
 ``run_elimination`` dispatches to the C extension ``_ckernel`` when it
 imported, otherwise to the pure-Python twin.  Both run the same
-Gauss-Seidel sweeps on graphs of any size and return identical results.
+Gauss-Seidel sweeps, in the order of ``states``, on graphs of any size and
+return identical results.
 """
 from __future__ import annotations
 
@@ -20,6 +21,6 @@ def active_kernel() -> str:
     return "compiled" if _ckernel is not None else "pure"
 
 
-def run_elimination(n, k, dist, states, order="forward", budget=DEFAULT_BUDGET):
+def run_elimination(n, k, dist, states, budget=DEFAULT_BUDGET):
     kernel = _ckernel if _ckernel is not None else pure
-    return kernel.run_elimination(n, k, dist, states, order, budget)
+    return kernel.run_elimination(n, k, dist, states, budget=budget)

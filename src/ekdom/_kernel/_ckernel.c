@@ -1,12 +1,13 @@
 /* Compiled twin of ekdom._kernel.pure.run_elimination.
 
-   Same contract and the same Gauss-Seidel sweep as the pure kernel:
-   candidate lists per distinct guard post in ascending state order, the
-   pos/wit cursors, one budget test per check and augmenting-path matching
-   with the i == j or q == 1 shortcut.  The two therefore return
-   byte-for-byte equal (alive, rounds, checks, exceeded); see pure.py for
-   the algorithm notes.  Whether a vertex is occupied is read off the
-   sorted state by a merge walk, so the number of vertices is unbounded.
+   Same contract and the same Gauss-Seidel sweep, in input order, as the
+   pure kernel: candidate lists per distinct guard post in ascending state
+   order, the pos/wit cursors, one budget test per check and
+   augmenting-path matching with the i == j or q == 1 shortcut.  The two
+   therefore return byte-for-byte equal (alive, rounds, checks, exceeded);
+   see pure.py for the algorithm notes.  Whether a vertex is occupied is
+   read off the sorted state by a merge walk, so the number of vertices is
+   unbounded.
 
        python3 setup.py build_ext --inplace
 */
@@ -97,29 +98,23 @@ done:
 static PyObject *
 run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "k", "dist", "states", "order", "budget", NULL};
+    static char *kwlist[] = {"n", "k", "dist", "states", "budget", NULL};
     Py_ssize_t n, S = 0, q = 0, nd, i, s, v;
     long k;
     long long budget = 5000000, checks = 0;
-    PyObject *dist_obj, *states_obj, *order = NULL;
+    PyObject *dist_obj, *states_obj;
     PyObject *dseq = NULL, *sseq = NULL, *result = NULL;
     long *dist = NULL;
     int *st = NULL, *cand = NULL, *pos = NULL, *wit = NULL, *owner = NULL;
     Py_ssize_t *off = NULL;
     unsigned char *alive = NULL, *seen = NULL;
     Matching m;
-    int forward = 1, changed = 1, exceeded = 0;
+    int changed = 1, exceeded = 0;
     Py_ssize_t rounds = 0;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nlOO|OL:run_elimination", kwlist,
-                                     &n, &k, &dist_obj, &states_obj, &order, &budget))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nlOO|L:run_elimination", kwlist,
+                                     &n, &k, &dist_obj, &states_obj, &budget))
         return NULL;
-    if (order != NULL) {
-        if (PyUnicode_Check(order) && PyUnicode_CompareWithASCIIString(order, "reverse") == 0)
-            forward = 0;
-        else if (!PyUnicode_Check(order) || PyUnicode_CompareWithASCIIString(order, "forward") != 0)
-            return PyErr_Format(PyExc_ValueError, "unknown order %R", order);
-    }
     if ((dseq = PySequence_Fast(dist_obj, "dist must be a sequence")) == NULL
             || (sseq = PySequence_Fast(states_obj, "states must be a sequence")) == NULL)
         goto done;
@@ -184,8 +179,7 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
     while (S > 0 && changed && !exceeded) {
         changed = 0;
         rounds++;
-        for (s = 0; s < S && !exceeded; s++) {
-            i = forward ? s : S - 1 - s;
+        for (i = 0; i < S && !exceeded; i++) {
             if (!alive[i])
                 continue;
             const int *post = st + (size_t)i * q;
@@ -238,7 +232,7 @@ done:
 static PyMethodDef methods[] = {
     {"run_elimination", (PyCFunction)(void (*)(void))run_elimination,
      METH_VARARGS | METH_KEYWORDS,
-     "run_elimination($module, /, n, k, dist, states, order='forward', budget=5000000)\n"
+     "run_elimination($module, /, n, k, dist, states, budget=5000000)\n"
      "--\n\n"
      "Greatest-fixed-point elimination; returns (alive, rounds, checks, exceeded)."},
     {NULL, NULL, 0, NULL}

@@ -17,6 +17,11 @@ configuration i answer attack v with some surviving j" is amortised:
   (``pos``).  Everything behind the cursor is either dead forever or
   failed the static movement test, so the cursor never moves backwards.
 
+Each pass visits the configurations in input order.  The greatest fixed
+point is unique, so the visiting order changes only ``rounds`` and
+``checks``, never the survivors; to sweep in another order, permute
+``states`` (``states[::-1]`` runs the reverse sweep).
+
 Movement feasibility between two configurations is a perfect matching on
 the q x q "guard can walk there" grid, decided by ``configs._match``.
 Pair verdicts are static and memoised.  The input configurations must all
@@ -61,10 +66,8 @@ def _matcher(n: int, k: int, dist: list[int], states: list[tuple]):
 
 
 def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
-                    order: str = "forward", budget: int = DEFAULT_BUDGET):
+                    budget: int = DEFAULT_BUDGET):
     """Gauss-Seidel elimination: deletions take effect within the pass."""
-    if order not in ("forward", "reverse"):
-        raise ValueError(f"unknown order {order!r}")
     S = len(states)
     if S == 0:
         return bytearray(), 0, 0, False
@@ -80,14 +83,13 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
     alive = bytearray([1]) * S
     pos = [[0] * n for _ in range(S)]
     wit = [[-1] * n for _ in range(S)]
-    sweep = range(S) if order == "forward" else range(S - 1, -1, -1)
     checks = 0
     rounds = 0
     changed = True
     while changed:
         changed = False
         rounds += 1
-        for i in sweep:
+        for i in range(S):
             if not alive[i]:
                 continue
             sup_i = support[i]

@@ -17,10 +17,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import comb
 
-from .graph import Graph, graph_power, is_connected, is_tree
+from .graph import DisconnectedGraphError, Graph, graph_power, is_connected, is_tree
 from .reductions import reduce_tree
 from .solver import (DEFAULT_BUDGET, BudgetExceededError, eternal_number,
                      eternal_survivors)
@@ -29,8 +27,7 @@ from .solver import (DEFAULT_BUDGET, BudgetExceededError, eternal_number,
 @dataclass(frozen=True)
 class DecompositionPart:
     root: int
-    vertices: tuple[int, ...]
-    tree_edges: tuple[tuple[int, int], ...]  # BFS witness, depth <= k from root
+    vertices: tuple[int, ...]  # all within k of root inside the part
 
 
 @dataclass(frozen=True)
@@ -57,6 +54,8 @@ class PowerEquivalenceReport:
 def power_equivalence_check(g: Graph, k: int,
                             budget: int = DEFAULT_BUDGET) -> PowerEquivalenceReport:
     """Solve (G, k) and (G^k, 1) and compare numbers and survivor sets."""
+    if not is_connected(g):
+        raise DisconnectedGraphError("survivor sets are defined per connected graph")
     direct = eternal_number(g, k, budget=budget, want_certificate=False)
     power = eternal_number(graph_power(g, k), 1, budget=budget,
                            want_certificate=False)
@@ -95,17 +94,6 @@ def bfs_spanning_tree(g: Graph, root: int) -> Graph:
     return Graph.build(g.n, edges, g.labels)
 
 
-def _all_spanning_trees(g: Graph, cap: int = 250_000):
-    edges = list(g.edges())
-    if comb(len(edges), g.n - 1) > cap:
-        raise BudgetExceededError(
-            f"{comb(len(edges), g.n - 1)} edge subsets exceed the enumeration cap")
-    for subset in combinations(edges, g.n - 1):
-        t = Graph.build(g.n, subset, g.labels)
-        if is_tree(t):
-            yield t
-
-
 def _tree_upper(t: Graph, k: int, budget: int) -> int:
     report = eternal_number(t, k, budget=budget, want_certificate=False)
     if report.resolved:
@@ -113,25 +101,18 @@ def _tree_upper(t: Graph, k: int, budget: int) -> int:
     return reduce_tree(t, k).upper_bound
 
 
-def spanning_tree_upper_bound(g: Graph, k: int, budget: int = DEFAULT_BUDGET,
-                              exhaustive: bool = False) -> int:
-    """Least eternal number over a family of spanning trees of G.
+def spanning_tree_upper_bound(g: Graph, k: int, budget: int = DEFAULT_BUDGET) -> int:
+    """Least eternal number over the BFS spanning trees of G, one per root.
 
-    Default family: the BFS tree from every root.  ``exhaustive=True``
-    enumerates all spanning trees instead (the count grows as n^(n-2);
-    use only on small graphs).  Trees outside the solver budget are
-    bounded through their reduction trace, so the result is always a
-    valid upper bound for the graph itself.
+    Trees outside the solver budget are bounded through their reduction
+    trace, so the result is always a valid upper bound for the graph
+    itself.
     """
     if not is_connected(g):
         raise ValueError("spanning trees need a connected graph")
     if is_tree(g):
         return _tree_upper(g, k, budget)
-    if exhaustive:
-        trees = _all_spanning_trees(g)
-    else:
-        trees = (bfs_spanning_tree(g, r) for r in range(g.n))
-    return min(_tree_upper(t, k, budget) for t in trees)
+    return min(_tree_upper(bfs_spanning_tree(g, r), k, budget) for r in range(g.n))
 
 
 # -- rooted-tree decompositions ----------------------------------------------
@@ -155,17 +136,8 @@ def _part_witness(g: Graph, mask: int, k: int) -> DecompositionPart | None:
     """A root whose BFS tree spans G[mask] with depth <= k, if any."""
     members = [v for v in range(g.n) if mask >> v & 1]
     for root in members:
-        depth = _limited_bfs(g, root, mask, k)
-        if len(depth) == len(members):
-            edges = []
-            for v in sorted(depth, key=depth.get):
-                if v == root:
-                    continue
-                for w in g.adj[v]:
-                    if w in depth and depth[w] == depth[v] - 1:
-                        edges.append((w, v))
-                        break
-            return DecompositionPart(root, tuple(members), tuple(edges))
+        if len(_limited_bfs(g, root, mask, k)) == len(members):
+            return DecompositionPart(root, tuple(members))
     return None
 
 
@@ -248,25 +220,23 @@ def _exact_decomposition(g: Graph, k: int) -> tuple[int, Decomposition]:
     return count, Decomposition(k, parts)
 
 
-def decomposition_bound(g: Graph, k: int, mode: str | None = None
-                        ) -> tuple[int, Decomposition]:
+def decomposition_bound(g: Graph, k: int) -> tuple[int, Decomposition]:
     """min(2 * parts-at-radius-k, parts-at-radius-floor(k/2)), with the
     radius-k decomposition that witnesses the first term.
 
     Two guards defend any radius-k rooted tree (attacked vertex gets the
     root guard, the other guard refills the root); one guard suffices at
-    radius floor(k/2).  Without a mode, partitions are searched exactly
-    up to 12 vertices and carved greedily beyond.
+    radius floor(k/2).  Partitions are searched exactly up to 12 vertices
+    and carved greedily beyond.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if mode is None:
-        mode = "exact" if g.n <= 12 else "greedy"
+    mode = "exact" if g.n <= 12 else "greedy"
     full, witness = depth_rooted_decomposition_number(g, k, mode)
     half, _ = depth_rooted_decomposition_number(g, k // 2, mode)
     return min(2 * full, half), witness
 
 
-def decomposition_upper_bound(g: Graph, k: int, mode: str | None = None) -> int:
+def decomposition_upper_bound(g: Graph, k: int) -> int:
     """``decomposition_bound`` without its witness."""
-    return decomposition_bound(g, k, mode)[0]
+    return decomposition_bound(g, k)[0]

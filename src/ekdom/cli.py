@@ -16,7 +16,8 @@ from .bounds import (decomposition_bound, power_equivalence_check,
 from .closed_forms import (build_p_n_ell, build_subdivided_star, cycle_graph,
                            cycle_number, path_graph, path_number, spider_graph)
 from .domination import gamma_k
-from .graph import Graph, ParseError, format_dot, format_edge_list, parse_graph
+from .graph import (DisconnectedGraphError, Graph, ParseError, format_dot,
+                    format_edge_list, is_connected, parse_graph)
 from .mary import build_perfect_mary, mary_number_piecewise, mary_number_recursive
 from .reductions import reduce_tree
 from .solver import (DEFAULT_BUDGET, BudgetExceededError, certificate_from_json,
@@ -81,7 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="stop after this guard count")
     p.add_argument("--certificate", metavar="OUT.json", default=None,
                    help="write the defense certificate here")
-    p.add_argument("--order", choices=["forward", "reverse"], default="forward")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="check a certificate against a graph")
@@ -125,8 +125,7 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_eternal(args) -> int:
     g = _load_graph(args.file)
-    report = eternal_number(g, args.k, q_max=args.qmax, budget=args.max_states,
-                            order=args.order)
+    report = eternal_number(g, args.k, q_max=args.qmax, budget=args.max_states)
     payload = {
         "k": args.k,
         "gamma_eternal": report.gamma_eternal,
@@ -155,7 +154,8 @@ def _cmd_eternal(args) -> int:
     if args.certificate:
         if report.certificate is not None:
             with open(args.certificate, "w", encoding="utf-8") as fh:
-                json.dump(certificate_to_json(report.certificate, g), fh, indent=1)
+                json.dump(certificate_to_json(report.certificate, g), fh,
+                          separators=(",", ":"))
             print(f"  certificate written to {args.certificate}")
         else:
             print("  no certificate available (unresolved, disconnected, or "
@@ -224,6 +224,8 @@ def _cmd_power_check(args) -> int:
 
 def _cmd_bounds(args) -> int:
     g = _load_graph(args.file)
+    if not is_connected(g):
+        raise DisconnectedGraphError("bounds need a connected graph")
     report = eternal_number(g, args.k, budget=args.max_states,
                             want_certificate=False)
     low, high = report.gamma_k_value, report.gamma_half_value

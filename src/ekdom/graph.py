@@ -16,7 +16,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 #: Distance reported between vertices in different components.
@@ -86,22 +86,18 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def label_of(self, u: int) -> str:
-        return self.labels[u]
+    @cached_property
+    def _label_index(self) -> dict:
+        index = {}
+        for i, name in enumerate(self.labels):
+            index.setdefault(name, i)
+        return index
 
     def id_of(self, label: str) -> int:
         try:
-            return _label_index(self)[label]
+            return self._label_index[label]
         except KeyError:
             raise ValueError(f"unknown vertex label {label!r}") from None
-
-
-@lru_cache(maxsize=None)
-def _label_index(g: Graph) -> dict:
-    index = {}
-    for i, name in enumerate(g.labels):
-        index.setdefault(name, i)
-    return index
 
 
 def _bfs_row(g: Graph, src: int) -> tuple[int, ...]:

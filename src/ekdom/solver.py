@@ -102,8 +102,7 @@ def _flat_distances(g: Graph) -> list:
 
 
 @lru_cache(maxsize=None)
-def _solve_q(g: Graph, k: int, q: int, budget: int,
-             order: str) -> tuple[frozenset, QStats]:
+def _solve_q(g: Graph, k: int, q: int, budget: int) -> tuple[frozenset, QStats]:
     dist = all_pairs_distances(g)
     states = enumerate_dominating_configs(dist, k, q, limit=budget // max(g.n, 1))
     if len(states) * g.n > budget:
@@ -113,40 +112,34 @@ def _solve_q(g: Graph, k: int, q: int, budget: int,
         stats = QStats(q, len(states), 0, 0, 0, True)
     else:
         alive, rounds, checks, exceeded = _kernel.run_elimination(
-            g.n, k, _flat_distances(g), states, order=order, budget=budget)
+            g.n, k, _flat_distances(g), states, budget=budget)
         survivors = frozenset() if exceeded else frozenset(
             states[i] for i in range(len(states)) if alive[i])
         stats = QStats(q, len(states), rounds, checks, len(survivors), exceeded)
     return survivors, stats
 
 
-def eternal_survivors(g: Graph, k: int, q: int, budget: int = DEFAULT_BUDGET,
-                      order: str = "forward") -> frozenset:
+def eternal_survivors(g: Graph, k: int, q: int, budget: int = DEFAULT_BUDGET) -> frozenset:
     """All size-q configurations that belong to some defense-closed family.
 
     Raises BudgetExceededError when the instance does not fit the budget.
     """
     if not is_connected(g):
         raise ValueError("survivor sets are defined per connected graph")
-    survivors, stats = _solve_q(g, k, q, budget, order)
+    survivors, stats = _solve_q(g, k, q, budget)
     if stats.exceeded:
-        raise _over_budget(g, stats, budget)
+        if stats.checks:
+            raise BudgetExceededError(
+                f"q={q}: {stats.checks} checks exceeded budget {budget}")
+        raise BudgetExceededError(
+            f"q={q}: more than {budget // g.n} dominating configurations "
+            f"x {g.n} attacks exceeds budget {budget}")
     return survivors
-
-
-def _over_budget(g: Graph, stats: QStats, budget: int) -> BudgetExceededError:
-    if stats.checks:
-        return BudgetExceededError(
-            f"q={stats.q}: {stats.checks} checks exceeded budget {budget}")
-    return BudgetExceededError(
-        f"q={stats.q}: more than {budget // g.n} dominating configurations "
-        f"x {g.n} attacks exceeds budget {budget}")
 
 
 def eternal_number(g: Graph, k: int, q_min: int | None = None,
                    q_max: int | None = None, budget: int = DEFAULT_BUDGET,
-                   order: str = "forward", want_certificate: bool = True
-                   ) -> SolveReport:
+                   want_certificate: bool = True) -> SolveReport:
     """Exact eternal distance-k domination number with certificate.
 
     Guard counts are tried upward from max(static domination number,
@@ -159,7 +152,7 @@ def eternal_number(g: Graph, k: int, q_min: int | None = None,
     if g.n == 0:
         raise ValueError("empty graph")
     if not is_connected(g):
-        return _solve_components(g, k, q_min, q_max, budget, order)
+        return _solve_components(g, k, q_min, q_max, budget)
 
     gk = gamma_k(g, k).gamma
     gh = gamma_k(g, k // 2).gamma
@@ -172,7 +165,7 @@ def eternal_number(g: Graph, k: int, q_min: int | None = None,
     lower = gk  # only completed empty fixed points may lift this
     exceeded = False
     for q in range(q_lo, q_hi + 1):
-        survivors, stats = _solve_q(g, k, q, budget, order)
+        survivors, stats = _solve_q(g, k, q, budget)
         per_q.append(stats)
         if stats.exceeded:
             exceeded = True
@@ -191,7 +184,7 @@ def eternal_number(g: Graph, k: int, q_min: int | None = None,
 
 
 def _solve_components(g: Graph, k: int, q_min: int | None, q_max: int | None,
-                      budget: int, order: str) -> SolveReport:
+                      budget: int) -> SolveReport:
     """Sum the per-component numbers; guards never cross components.
 
     Each component's number is at least its gamma_k, so under ``q_max``
@@ -205,7 +198,7 @@ def _solve_components(g: Graph, k: int, q_min: int | None, q_max: int | None,
     reports = []
     for sub, low in zip(subs, lows):
         cap = None if q_max is None else q_max - (sum(lows) - low)
-        reports.append(eternal_number(sub, k, q_max=cap, budget=budget, order=order,
+        reports.append(eternal_number(sub, k, q_max=cap, budget=budget,
                                       want_certificate=False))
     gamma = None
     lower = sum(r.lower_bound for r in reports)
@@ -245,10 +238,7 @@ def is_eternal_set(g: Graph, k: int, guards: Iterable[int],
     if not is_distance_k_dominating(dist, cfg, k):
         return False
     if is_connected(g):
-        survivors, stats = _solve_q(g, k, len(cfg), budget, "forward")
-        if stats.exceeded:
-            raise _over_budget(g, stats, budget)
-        return cfg in survivors
+        return cfg in eternal_survivors(g, k, len(cfg), budget)
     for comp in components(g):
         sub, idmap = induced_subgraph(g, comp)
         part = [idmap[v] for v in cfg if v in idmap]

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: answers are recomputed straight
 from definitions (textbook BFS, exhaustive subset or permutation
 enumeration), so the package never certifies itself in the tests that
-matter.
+matter.  The one exception, ``reverse_sweep_survivors``, drives the
+package's own kernel in the other sweep order.
 """
 from __future__ import annotations
 
@@ -12,7 +13,10 @@ import random
 from collections import deque
 from itertools import combinations, permutations, product
 
-from ekdom.graph import Graph
+from ekdom._kernel import run_elimination
+from ekdom.configs import enumerate_dominating_configs
+from ekdom.graph import Graph, all_pairs_distances
+from ekdom.solver import BudgetExceededError
 
 DEFAULT_SEED = 20240811
 
@@ -169,3 +173,17 @@ def all_trees_exactly(n: int) -> list[Graph]:
         trees = list(seen.values())
     _TREE_CACHE[n] = trees
     return trees
+
+
+def reverse_sweep_survivors(g: Graph, k: int, q: int) -> frozenset:
+    """Survivors of the elimination kernel run on the size-q dominating
+    configurations in reverse order, the schedule ``eternal_survivors``
+    does not use; raises BudgetExceededError when the kernel's budget trips.
+    """
+    dist = all_pairs_distances(g)
+    states = enumerate_dominating_configs(dist, k, q)[::-1]
+    alive, _, checks, exceeded = run_elimination(
+        g.n, k, [d for row in dist for d in row], states)
+    if exceeded:
+        raise BudgetExceededError(f"q={q}: {checks} checks exceeded the budget")
+    return frozenset(st for st, live in zip(states, alive) if live)

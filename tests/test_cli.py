@@ -113,6 +113,21 @@ def test_gamma_and_bounds_and_power_check(tmp_path, capsys):
     assert payload["eternal"] == 2 and payload["spanning_tree"] == 4
 
 
+@pytest.mark.parametrize("command", ["bounds", "power-check"])
+def test_bounds_and_power_check_refuse_disconnected_graphs(tmp_path, capsys,
+                                                           monkeypatch, command):
+    # P16 plus a separate edge: refused before any guard count is solved.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a disconnected graph")
+
+    monkeypatch.setattr("ekdom.cli.eternal_number", no_solve)
+    monkeypatch.setattr("ekdom.bounds.eternal_number", no_solve)
+    graph_file = tmp_path / "p16-k2.edges"
+    graph_file.write_text("".join(f"{i} {i + 1}\n" for i in range(15)) + "a b\n")
+    code, _, err = run(capsys, command, "-k", "2", str(graph_file))
+    assert code == 1 and "connected graph" in err
+
+
 def test_reduce_emits_trace_json(tmp_path, capsys):
     graph_file = tmp_path / "t.edges"
     _, out, _ = run(capsys, "gen", "spider", "2", "2", "2")
@@ -155,7 +170,10 @@ def _write_p5_certificate(tmp_path, capsys):
     (lambda doc: dict(doc, response=[dict(doc["response"][0], moves=5)]), "wrong type"),
     (lambda doc: dict(doc, response=doc["response"] + doc["response"][:1]),
      "duplicate response"),
-], ids=["top-level-list", "family-not-list", "moves-not-list", "duplicate-response"])
+    (lambda doc: dict(doc, response=[dict(doc["response"][0], attack="zz")]
+                      + doc["response"][1:]), "unknown vertex label 'zz'"),
+], ids=["top-level-list", "family-not-list", "moves-not-list", "duplicate-response",
+        "unknown-label"])
 def test_verify_rejects_malformed_certificate(tmp_path, capsys, mutate, reason):
     graph_file, cert_file, doc = _write_p5_certificate(tmp_path, capsys)
     cert_file.write_text(json.dumps(mutate(doc)))

@@ -75,9 +75,9 @@ def _corpus():
         yield _instance(g, k, q)
 
 
-def _assert_agree(compiled, n, k, flat, states, order, budget):
-    got_c = compiled.run_elimination(n, k, flat, states, order, budget)
-    got_py = pure.run_elimination(n, k, flat, states, order, budget)
+def _assert_agree(compiled, n, k, flat, states, budget):
+    got_c = compiled.run_elimination(n, k, flat, states, budget)
+    got_py = pure.run_elimination(n, k, flat, states, budget)
     assert type(got_c[0]) is bytearray and bytes(got_c[0]) == bytes(got_py[0])
     assert got_c[1:] == got_py[1:]
     return got_c
@@ -85,32 +85,25 @@ def _assert_agree(compiled, n, k, flat, states, order, budget):
 
 def test_kernels_agree_exactly(compiled):
     for n, k, flat, states in _corpus():
-        for order in ("forward", "reverse"):
+        for sweep in (states, states[::-1]):
             for budget in (5_000_000, 100):
-                _assert_agree(compiled, n, k, flat, states, order, budget)
+                _assert_agree(compiled, n, k, flat, sweep, budget)
 
 
 def test_kernels_agree_when_budget_trips(compiled):
     n, k, flat, states = _instance(path_graph(10), 2, 4)
-    got = _assert_agree(compiled, n, k, flat, states, "forward", 100)
+    got = _assert_agree(compiled, n, k, flat, states, 100)
     assert got[3] is True
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None)
 @given(n=st.integers(2, 10), extra=st.floats(0.0, 0.5), rng=st.randoms(use_true_random=False),
-       k=st.integers(1, 3), q=st.integers(1, 3), order=st.sampled_from(["forward", "reverse"]),
+       k=st.integers(1, 3), q=st.integers(1, 3), reverse=st.booleans(),
        budget=st.one_of(st.integers(0, 200), st.just(5_000_000)))
-def test_kernels_agree_on_random_graphs(compiled, n, extra, rng, k, q, order, budget):
+def test_kernels_agree_on_random_graphs(compiled, n, extra, rng, k, q, reverse, budget):
     g = random_connected_graph(n, extra, rng)
-    _assert_agree(compiled, *_instance(g, k, q), order, budget)
-
-
-@pytest.mark.parametrize("kernel", ["pure", "compiled"])
-def test_unknown_order_is_rejected(request, kernel):
-    module = pure if kernel == "pure" else request.getfixturevalue("compiled")
-    n, k, flat, states = _instance(path_graph(5), 1, 2)
-    with pytest.raises(ValueError, match="unknown order"):
-        module.run_elimination(n, k, flat, states, "sideways", 100)
+    n, k, flat, states = _instance(g, k, q)
+    _assert_agree(compiled, n, k, flat, states[::-1] if reverse else states, budget)
 
 
 def test_compiled_kernel_rejects_malformed_input(compiled):

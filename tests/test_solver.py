@@ -17,7 +17,7 @@ from ekdom.solver import (BudgetExceededError, certificate_from_json,
                           verify_certificate)
 
 from helpers import (DEFAULT_SEED, all_trees_exactly, random_connected_graph,
-                     random_tree)
+                     random_tree, reverse_sweep_survivors)
 
 
 def naive_survivors(g, k, q):
@@ -121,8 +121,7 @@ def test_elimination_order_does_not_change_the_fixed_point():
     for _ in range(8):
         g = random_connected_graph(rng.randint(3, 7), 0.3, rng)
         q = eternal_number(g, 2, want_certificate=False).gamma_eternal
-        assert eternal_survivors(g, 2, q, order="forward") == \
-            eternal_survivors(g, 2, q, order="reverse")
+        assert eternal_survivors(g, 2, q) == reverse_sweep_survivors(g, 2, q)
 
 
 def test_certificate_round_trip_and_mutations():
