@@ -1,7 +1,8 @@
 """Benchmark the compiled elimination kernel against the pure-Python twin.
 
 Runs the same greatest-fixed-point eliminations through both kernels,
-asserts the results are identical, and reports wall times.
+each filling a witness table, asserts the results and the tables are
+identical, and reports wall times.
 
     python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import time
+from array import array
 
 from ekdom._kernel import pure
 from ekdom.closed_forms import cycle_graph, path_graph
@@ -62,14 +64,17 @@ def main() -> int:
     print("-" * len(header))
     budget = 50_000_000
     for name, n, k, flat, states in instances():
+        wit_py = array("i", [0]) * (len(states) * n)
+        wit_c = array("i", [0]) * (len(states) * n)
         t_py, r_py = time_one(pure.run_elimination, args.repeat,
-                              n, k, flat, states, budget)
+                              n, k, flat, states, budget, wit_py)
         t_c, r_c = time_one(_ckernel.run_elimination, args.repeat,
-                            n, k, flat, states, budget)
+                            n, k, flat, states, budget, wit_c)
         assert bytes(r_py[0]) == bytes(r_c[0]) and r_py[1:] == r_c[1:], name
+        assert wit_py == wit_c, name
         print(f"{name:<22}{len(states):>9}{t_py:>11.4f}s{t_c:>11.4f}s"
               f"{t_py / t_c:>8.1f}x")
-    print("results identical across kernels on every instance")
+    print("results and witness tables identical across kernels on every instance")
     return 0
 
 

@@ -4,10 +4,16 @@
    pure kernel: candidate lists per distinct guard post in ascending state
    order, the pos/wit cursors, one budget test per check and
    augmenting-path matching with the i == j or q == 1 shortcut.  The two
-   therefore return byte-for-byte equal (alive, rounds, checks, exceeded);
-   see pure.py for the algorithm notes.  Whether a vertex is occupied is
-   read off the sorted state by a merge walk, so the number of vertices is
-   unbounded.
+   therefore return byte-for-byte equal (alive, rounds, checks, exceeded)
+   and leave equal witness tables; see pure.py for the algorithm notes and
+   the meaning of the table.  Whether a vertex is occupied is read off the
+   sorted state by a merge walk, so the number of vertices is unbounded.
+
+   A caller that wants the witness table passes ``wit``, a writable
+   array('i') of len(states) * n items; the sweep then keeps its cursors'
+   witnesses in that buffer instead of a private allocation, so the table
+   costs no copy and no extra memory.  Its size and item type are checked
+   before anything is written.
 
        python3 setup.py build_ext --inplace
 */
@@ -98,12 +104,13 @@ done:
 static PyObject *
 run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "k", "dist", "states", "budget", NULL};
+    static char *kwlist[] = {"n", "k", "dist", "states", "budget", "wit", NULL};
     Py_ssize_t n, S = 0, q = 0, nd, i, s, v;
     long k;
     long long budget = 5000000, checks = 0;
-    PyObject *dist_obj, *states_obj;
+    PyObject *dist_obj, *states_obj, *wit_obj = Py_None;
     PyObject *dseq = NULL, *sseq = NULL, *result = NULL;
+    Py_buffer view = {0};
     long *dist = NULL;
     int *st = NULL, *cand = NULL, *pos = NULL, *wit = NULL, *owner = NULL;
     Py_ssize_t *off = NULL;
@@ -112,8 +119,8 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
     int changed = 1, exceeded = 0;
     Py_ssize_t rounds = 0;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nlOO|L:run_elimination", kwlist,
-                                     &n, &k, &dist_obj, &states_obj, &budget))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nlOO|LO:run_elimination", kwlist,
+                                     &n, &k, &dist_obj, &states_obj, &budget, &wit_obj))
         return NULL;
     if ((dseq = PySequence_Fast(dist_obj, "dist must be a sequence")) == NULL
             || (sseq = PySequence_Fast(states_obj, "states must be a sequence")) == NULL)
@@ -130,12 +137,26 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     if (S > 0 && (q = PySequence_Size(PySequence_Fast_GET_ITEM(sseq, 0))) < 0)
         goto done;
+    if (wit_obj != Py_None) {
+        if (PyObject_GetBuffer(wit_obj, &view,
+                               PyBUF_WRITABLE | PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+            goto done;
+        if (view.itemsize != sizeof(int) || view.format == NULL
+                || strcmp(view.format, "i") != 0) {
+            PyErr_SetString(PyExc_TypeError, "wit must be an array('i')");
+            goto done;
+        }
+        if (view.len != (Py_ssize_t)sizeof(int) * S * n) {
+            PyErr_SetString(PyExc_ValueError, "wit must hold len(states) * n items");
+            goto done;
+        }
+    }
 
     dist = NEW(long, nd);
     st = NEW(int, (size_t)S * q);
     off = NEW(Py_ssize_t, n + 1);
     pos = NEW(int, (size_t)S * n);
-    wit = NEW(int, (size_t)S * n);
+    wit = view.obj != NULL ? (int *)view.buf : NEW(int, (size_t)S * n);
     alive = NEW(unsigned char, S);
     owner = NEW(int, q);
     seen = NEW(unsigned char, q);
@@ -222,7 +243,10 @@ done:
     PyMem_Free(off);
     PyMem_Free(cand);
     PyMem_Free(pos);
-    PyMem_Free(wit);
+    if (view.obj != NULL)
+        PyBuffer_Release(&view);
+    else
+        PyMem_Free(wit);
     PyMem_Free(alive);
     PyMem_Free(owner);
     PyMem_Free(seen);
@@ -232,9 +256,11 @@ done:
 static PyMethodDef methods[] = {
     {"run_elimination", (PyCFunction)(void (*)(void))run_elimination,
      METH_VARARGS | METH_KEYWORDS,
-     "run_elimination($module, /, n, k, dist, states, budget=5000000)\n"
+     "run_elimination($module, /, n, k, dist, states, budget=5000000, wit=None)\n"
      "--\n\n"
-     "Greatest-fixed-point elimination; returns (alive, rounds, checks, exceeded)."},
+     "Greatest-fixed-point elimination; returns (alive, rounds, checks, exceeded)\n"
+     "and, when given an array('i') wit of len(states) * n items, leaves the\n"
+     "witness table in it (see ekdom._kernel.pure)."},
     {NULL, NULL, 0, NULL}
 };
 

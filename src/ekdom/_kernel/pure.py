@@ -38,8 +38,23 @@ is a bytearray of 0/1 flags over the input configurations, ``rounds``
 counts full passes including the final quiet one, ``checks`` counts
 (configuration, attack) evaluations, and ``exceeded`` reports that the
 check budget ran out (in which case ``alive`` is meaningless).
+
+Witness table: a caller may pass ``wit``, an ``array('i')`` of
+``len(states) * n`` items, which both kernels fill with the final
+``wit[i][v]`` at index ``i * n + v``.  For a surviving configuration i
+and a vertex v that i leaves unoccupied, that entry is the least index
+of a surviving configuration that occupies v and that i can move to in
+one step: the final quiet pass rechecked the stored witness, and every
+candidate behind the cursor is dead or unreachable.  States come in
+lexicographic order from ``enumerate_dominating_configs``, so this is
+the lexicographically least such survivor.  Other entries (dead i,
+occupied v) are leftovers of the sweep, and when ``exceeded`` is set the
+whole table means nothing.
 """
 from __future__ import annotations
+
+from array import array
+from itertools import chain
 
 from ..configs import _match
 
@@ -66,9 +81,14 @@ def _matcher(n: int, k: int, dist: list[int], states: list[tuple]):
 
 
 def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
-                    budget: int = DEFAULT_BUDGET):
-    """Gauss-Seidel elimination: deletions take effect within the pass."""
+                    budget: int = DEFAULT_BUDGET, wit: array | None = None):
+    """Gauss-Seidel elimination: deletions take effect within the pass.
+
+    With ``wit``, the final witness table is copied into it (see above).
+    """
     S = len(states)
+    if wit is not None and len(wit) != S * n:
+        raise ValueError("wit must hold len(states) * n items")
     if S == 0:
         return bytearray(), 0, 0, False
     support = []
@@ -82,11 +102,12 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
     feasible = _matcher(n, k, dist, states)
     alive = bytearray([1]) * S
     pos = [[0] * n for _ in range(S)]
-    wit = [[-1] * n for _ in range(S)]
+    rows = [[-1] * n for _ in range(S)]
     checks = 0
     rounds = 0
     changed = True
-    while changed:
+    exceeded = False
+    while changed and not exceeded:
         changed = False
         rounds += 1
         for i in range(S):
@@ -94,13 +115,14 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
                 continue
             sup_i = support[i]
             pos_i = pos[i]
-            wit_i = wit[i]
+            wit_i = rows[i]
             for v in range(n):
                 if sup_i >> v & 1:
                     continue  # standing still answers an occupied vertex
                 checks += 1
                 if checks > budget:
-                    return alive, rounds, checks, True
+                    exceeded = True
+                    break
                 w = wit_i[v]
                 if w >= 0 and alive[w]:
                     continue
@@ -119,4 +141,8 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
                     alive[i] = 0
                     changed = True
                     break
-    return alive, rounds, checks, False
+            if exceeded:
+                break
+    if wit is not None:
+        wit[:] = array("i", chain.from_iterable(rows))
+    return alive, rounds, checks, exceeded

@@ -26,6 +26,7 @@ established so far.
 """
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -102,21 +103,29 @@ def _flat_distances(g: Graph) -> list:
 
 
 @lru_cache(maxsize=None)
-def _solve_q(g: Graph, k: int, q: int, budget: int) -> tuple[frozenset, QStats]:
+def _solve_q(g: Graph, k: int, q: int, budget: int) -> tuple[frozenset, QStats, tuple | None]:
+    """Survivors, statistics and, for a non-empty fixed point, the kernel's
+    ``(states, alive, wit)`` from which ``_build_certificate`` reads its
+    responses; empty, refused and over-budget guard counts keep no table.
+    """
     dist = all_pairs_distances(g)
     states = enumerate_dominating_configs(dist, k, q, limit=budget // max(g.n, 1))
+    table = None
     if len(states) * g.n > budget:
         # Refused before elimination; the enumeration stopped at its limit,
         # so num_configs is a lower bound on the true count.
         survivors: frozenset = frozenset()
         stats = QStats(q, len(states), 0, 0, 0, True)
     else:
+        wit = array("i", [-1]) * (len(states) * g.n)
         alive, rounds, checks, exceeded = _kernel.run_elimination(
-            g.n, k, _flat_distances(g), states, budget=budget)
+            g.n, k, _flat_distances(g), states, budget=budget, wit=wit)
         survivors = frozenset() if exceeded else frozenset(
             states[i] for i in range(len(states)) if alive[i])
         stats = QStats(q, len(states), rounds, checks, len(survivors), exceeded)
-    return survivors, stats
+        if survivors:
+            table = (states, alive, wit)
+    return survivors, stats, table
 
 
 def eternal_survivors(g: Graph, k: int, q: int, budget: int = DEFAULT_BUDGET) -> frozenset:
@@ -126,7 +135,7 @@ def eternal_survivors(g: Graph, k: int, q: int, budget: int = DEFAULT_BUDGET) ->
     """
     if not is_connected(g):
         raise ValueError("survivor sets are defined per connected graph")
-    survivors, stats = _solve_q(g, k, q, budget)
+    survivors, stats, _ = _solve_q(g, k, q, budget)
     if stats.exceeded:
         if stats.checks:
             raise BudgetExceededError(
@@ -165,7 +174,7 @@ def eternal_number(g: Graph, k: int, q_min: int | None = None,
     lower = gk  # only completed empty fixed points may lift this
     exceeded = False
     for q in range(q_lo, q_hi + 1):
-        survivors, stats = _solve_q(g, k, q, budget)
+        survivors, stats, table = _solve_q(g, k, q, budget)
         per_q.append(stats)
         if stats.exceeded:
             exceeded = True
@@ -173,7 +182,7 @@ def eternal_number(g: Graph, k: int, q_min: int | None = None,
         if survivors:
             cert = None
             if want_certificate:
-                cert = _build_certificate(g, k, q, survivors)
+                cert = _build_certificate(g, k, q, *table)
             return SolveReport(k, q, q, q, gk, gh, per_q, cert, False)
         lower = q + 1
     if not exceeded and q_max is None:
@@ -253,48 +262,59 @@ def is_eternal_set(g: Graph, k: int, guards: Iterable[int],
 # Certificates.
 # ---------------------------------------------------------------------------
 
-def _build_certificate(g: Graph, k: int, q: int,
-                       survivors: frozenset) -> EternalCertificate | None:
+def _build_certificate(g: Graph, k: int, q: int, states: list[Config],
+                       alive: bytearray, wit: array) -> EternalCertificate | None:
     """Close the lexicographically least survivor under best responses.
 
     The response to (member, attack) is the lexicographically smallest
     survivor containing the attack and reachable in one step; closing
     under that choice yields a family that is closed by construction and
-    usually far smaller than the full survivor set.  Returns None when
-    the closure exceeds ``CERTIFICATE_CAP`` members.
+    usually far smaller than the full survivor set.  ``states`` are in
+    lexicographic order, so "smallest" is "least index".  For an
+    unoccupied attack the kernel's witness table (see ``ekdom._kernel``)
+    already names that survivor; an occupied attack, at most q per
+    member, scans the survivors holding the vertex, which end at the
+    member itself.  Returns None when the closure exceeds
+    ``CERTIFICATE_CAP`` members.
     """
     dist = all_pairs_distances(g)
-    ordered = sorted(survivors)
-    buckets: list[list[Config]] = [[] for _ in range(g.n)]
-    for cfg in ordered:
-        for v in set(cfg):
-            buckets[v].append(cfg)
+    n = g.n
+    live = [i for i in range(len(states)) if alive[i]]
+    holders: list[list[int]] = [[] for _ in range(n)]
+    for i in live:
+        for v in set(states[i]):
+            holders[v].append(i)
 
-    family: dict[Config, None] = {}
-    response: dict[tuple[Config, int], tuple[Config, tuple]] = {}
-    queue = deque([ordered[0]])
+    family: dict[int, None] = {}
+    response: dict[tuple[int, int], tuple[int, tuple]] = {}
+    queue = deque([live[0]])
     while queue:
-        cur = queue.popleft()
-        if cur in family:
+        i = queue.popleft()
+        if i in family:
             continue
-        family[cur] = None
+        family[i] = None
         if len(family) > CERTIFICATE_CAP:
             return None
-        for v in range(g.n):
-            for nxt in buckets[v]:
-                moves = transform_assignment(dist, cur, nxt, k)
-                if moves is not None:
-                    break
-            else:  # unreachable: survivors form a defense-closed family
-                raise AssertionError("survivor cannot answer an attack")
-            response[(cur, v)] = (nxt, moves)
-            if nxt not in family:
-                queue.append(nxt)
+        cur = states[i]
+        for v in range(n):
+            if v in cur:
+                for j in holders[v]:
+                    moves = transform_assignment(dist, cur, states[j], k)
+                    if moves is not None:
+                        break
+            else:
+                j = wit[i * n + v]
+                moves = transform_assignment(dist, cur, states[j], k)
+                if moves is None:  # unreachable: the kernel checked this move
+                    raise AssertionError("witness cannot answer an attack")
+            response[(i, v)] = (j, moves)
+            if j not in family:
+                queue.append(j)
     members = sorted(family)
-    index = {cfg: i for i, cfg in enumerate(members)}
-    packed = {(index[cur], v): (index[nxt], moves)
-              for (cur, v), (nxt, moves) in response.items()}
-    return EternalCertificate(k, q, tuple(members), packed)
+    index = {i: r for r, i in enumerate(members)}
+    packed = {(index[i], v): (index[j], moves)
+              for (i, v), (j, moves) in response.items()}
+    return EternalCertificate(k, q, tuple(states[i] for i in members), packed)
 
 
 def verify_certificate(g: Graph, cert: EternalCertificate
@@ -367,10 +387,20 @@ def certificate_to_json(cert: EternalCertificate, g: Graph) -> dict:
     }
 
 
+def _json_int(obj: dict, field: str) -> int:
+    """``obj[field]``, which must be a JSON integer (not a bool, float or string)."""
+    value = obj[field]
+    if type(value) is not int:
+        raise ValueError(f"certificate field {field!r} must be an integer, "
+                         f"not {value!r}")
+    return value
+
+
 def certificate_from_json(doc: dict, g: Graph) -> EternalCertificate:
     """Inverse of certificate_to_json; raises ValueError on malformed input.
 
-    A document that is not an object, has a field of the wrong type, or
+    A document that is not an object, has a field of the wrong type
+    (``k``, ``q``, ``state`` and ``next`` must be JSON integers), or
     answers the same (state, attack) pair twice is malformed.
     """
     if not isinstance(doc, dict):
@@ -381,12 +411,13 @@ def certificate_from_json(doc: dict, g: Graph) -> EternalCertificate:
         response = {}
         for entry in doc["response"]:
             moves = tuple((g.id_of(a), g.id_of(b)) for a, b in entry["moves"])
-            key = (int(entry["state"]), g.id_of(entry["attack"]))
+            key = (_json_int(entry, "state"), g.id_of(entry["attack"]))
             if key in response:
                 raise ValueError(f"duplicate response for state {key[0]} "
                                  f"attack {entry['attack']}")
-            response[key] = (int(entry["next"]), moves)
-        return EternalCertificate(int(doc["k"]), int(doc["q"]), family, response)
+            response[key] = (_json_int(entry, "next"), moves)
+        return EternalCertificate(_json_int(doc, "k"), _json_int(doc, "q"),
+                                  family, response)
     except KeyError as exc:
         raise ValueError(f"certificate document missing field {exc}") from exc
     except TypeError as exc:

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: answers are recomputed straight
 from definitions (textbook BFS, exhaustive subset or permutation
 enumeration), so the package never certifies itself in the tests that
-matter.  The one exception, ``reverse_sweep_survivors``, drives the
-package's own kernel in the other sweep order.
+matter.  Two exceptions drive package code a different way:
+``reverse_sweep_survivors`` runs the kernel in the other sweep order, and
+``reference_certificate`` builds a certificate by matching every survivor.
 """
 from __future__ import annotations
 
@@ -14,9 +15,9 @@ from collections import deque
 from itertools import combinations, permutations, product
 
 from ekdom._kernel import run_elimination
-from ekdom.configs import enumerate_dominating_configs
+from ekdom.configs import enumerate_dominating_configs, transform_assignment
 from ekdom.graph import Graph, all_pairs_distances
-from ekdom.solver import BudgetExceededError
+from ekdom.solver import BudgetExceededError, EternalCertificate
 
 DEFAULT_SEED = 20240811
 
@@ -187,3 +188,42 @@ def reverse_sweep_survivors(g: Graph, k: int, q: int) -> frozenset:
     if exceeded:
         raise BudgetExceededError(f"q={q}: {checks} checks exceeded the budget")
     return frozenset(st for st, live in zip(states, alive) if live)
+
+
+def reference_certificate(g: Graph, k: int, q: int,
+                          survivors: frozenset) -> EternalCertificate:
+    """The certificate closure without the kernel's witness table.
+
+    Closes the lexicographically least survivor under responses found by
+    trying every survivor that holds the attacked vertex, in
+    lexicographic order, until one is reachable in one step; this is the
+    closure ``_build_certificate`` must reproduce from the table.
+    """
+    dist = all_pairs_distances(g)
+    ordered = sorted(survivors)
+    buckets = [[] for _ in range(g.n)]
+    for cfg in ordered:
+        for v in set(cfg):
+            buckets[v].append(cfg)
+    family = {}
+    response = {}
+    queue = deque([ordered[0]])
+    while queue:
+        cur = queue.popleft()
+        if cur in family:
+            continue
+        family[cur] = None
+        for v in range(g.n):
+            for nxt in buckets[v]:
+                moves = transform_assignment(dist, cur, nxt, k)
+                if moves is not None:
+                    break
+            else:
+                raise AssertionError("survivor cannot answer an attack")
+            response[(cur, v)] = (nxt, moves)
+            queue.append(nxt)
+    members = sorted(family)
+    index = {cfg: i for i, cfg in enumerate(members)}
+    packed = {(index[cur], v): (index[nxt], moves)
+              for (cur, v), (nxt, moves) in response.items()}
+    return EternalCertificate(k, q, tuple(members), packed)

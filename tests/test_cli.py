@@ -172,8 +172,14 @@ def _write_p5_certificate(tmp_path, capsys):
      "duplicate response"),
     (lambda doc: dict(doc, response=[dict(doc["response"][0], attack="zz")]
                       + doc["response"][1:]), "unknown vertex label 'zz'"),
+    (lambda doc: dict(doc, response=[dict(doc["response"][0], state=0.9)]
+                      + doc["response"][1:]), "'state' must be an integer"),
+    (lambda doc: dict(doc, k=2.7), "'k' must be an integer"),
+    (lambda doc: dict(doc, response=[dict(doc["response"][0], next="3")]
+                      + doc["response"][1:]), "'next' must be an integer"),
+    (lambda doc: dict(doc, k=True), "'k' must be an integer"),
 ], ids=["top-level-list", "family-not-list", "moves-not-list", "duplicate-response",
-        "unknown-label"])
+        "unknown-label", "state-float", "k-float", "next-string", "k-bool"])
 def test_verify_rejects_malformed_certificate(tmp_path, capsys, mutate, reason):
     graph_file, cert_file, doc = _write_p5_certificate(tmp_path, capsys)
     cert_file.write_text(json.dumps(mutate(doc)))

@@ -1,4 +1,5 @@
-"""The compiled and pure kernels must agree byte for byte.
+"""The compiled and pure kernels must agree byte for byte, witness tables
+included.
 
 When the extension is not built, ``_ckernel.c`` is compiled into a
 temporary directory and loaded from there, outside the package, so the
@@ -6,6 +7,7 @@ comparison still runs wherever a C compiler exists.
 """
 import importlib.util
 import random
+from array import array
 import shlex
 import subprocess
 import sysconfig
@@ -76,10 +78,17 @@ def _corpus():
 
 
 def _assert_agree(compiled, n, k, flat, states, budget):
-    got_c = compiled.run_elimination(n, k, flat, states, budget)
-    got_py = pure.run_elimination(n, k, flat, states, budget)
+    # Different fill values: each kernel must overwrite every entry.
+    wit_c = array("i", [7]) * (len(states) * n)
+    wit_py = array("i", [-7]) * (len(states) * n)
+    got_c = compiled.run_elimination(n, k, flat, states, budget, wit_c)
+    got_py = pure.run_elimination(n, k, flat, states, budget, wit=wit_py)
     assert type(got_c[0]) is bytearray and bytes(got_c[0]) == bytes(got_py[0])
     assert got_c[1:] == got_py[1:]
+    assert wit_c == wit_py
+    # Supplying the table changes nothing else.
+    plain = compiled.run_elimination(n, k, flat, states, budget)
+    assert bytes(plain[0]) == bytes(got_c[0]) and plain[1:] == got_c[1:]
     return got_c
 
 
@@ -119,6 +128,21 @@ def test_compiled_kernel_rejects_malformed_input(compiled):
     for error, dist, sts in bad:
         with pytest.raises(error):
             compiled.run_elimination(n, k, dist, sts)
+    size = len(states) * n
+    # A sentinel tail past a short table shows nothing is written out of bounds.
+    short = array("i", [5]) * (size + 8)
+    view = memoryview(short)[:size - 1]
+    bad_wit = [
+        (ValueError, view),                       # one item short
+        (ValueError, array("i", [0]) * (size + 1)),  # one item long
+        (TypeError, array("q", [0]) * size),      # 8-byte items
+        (BufferError, bytes(4 * size)),           # read-only
+    ]
+    for error, wit in bad_wit:
+        with pytest.raises(error):
+            compiled.run_elimination(n, k, flat, states, wit=wit)
+    view.release()
+    assert short == array("i", [5]) * (size + 8)
 
 
 def test_selection_layer_solves_graphs_past_64_vertices():

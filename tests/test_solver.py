@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ekdom.closed_forms import (cycle_graph, cycle_number, path_graph,
                                 path_number, star_graph)
@@ -17,7 +19,7 @@ from ekdom.solver import (BudgetExceededError, certificate_from_json,
                           verify_certificate)
 
 from helpers import (DEFAULT_SEED, all_trees_exactly, random_connected_graph,
-                     random_tree, reverse_sweep_survivors)
+                     random_tree, reference_certificate, reverse_sweep_survivors)
 
 
 def naive_survivors(g, k, q):
@@ -162,6 +164,22 @@ def test_certificate_responses_cover_every_vertex():
     cert = report.certificate
     assert set(v for _, v in cert.response) == set(range(6))
     assert verify_certificate(c6, cert)[0]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(n=st.integers(2, 9), extra=st.floats(0.0, 0.5), rng=st.randoms(use_true_random=False),
+       k=st.integers(1, 3))
+def test_certificate_matches_the_survivor_scan(n, extra, rng, k):
+    # The witness-table closure equals the closure that matches every
+    # survivor, and the independent verifier accepts it.
+    g = random_connected_graph(n, extra, rng)
+    report = eternal_number(g, k)
+    q = report.gamma_eternal
+    expected = reference_certificate(g, k, q, eternal_survivors(g, k, q))
+    cert = report.certificate
+    assert (cert.k, cert.q, cert.family) == (expected.k, expected.q, expected.family)
+    assert cert.response == expected.response
+    assert verify_certificate(g, cert) == (True, None)
 
 
 def test_disconnected_graphs_sum_components():
