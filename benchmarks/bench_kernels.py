@@ -67,9 +67,9 @@ def main() -> int:
         wit_py = array("i", [0]) * (len(states) * n)
         wit_c = array("i", [0]) * (len(states) * n)
         t_py, r_py = time_one(pure.run_elimination, args.repeat,
-                              n, k, flat, states, budget, wit_py)
+                              n, k, flat, states, wit_py, budget)
         t_c, r_c = time_one(_ckernel.run_elimination, args.repeat,
-                            n, k, flat, states, budget, wit_c)
+                            n, k, flat, states, wit_c, budget)
         assert bytes(r_py[0]) == bytes(r_c[0]) and r_py[1:] == r_c[1:], name
         assert wit_py == wit_c, name
         print(f"{name:<22}{len(states):>9}{t_py:>11.4f}s{t_c:>11.4f}s"

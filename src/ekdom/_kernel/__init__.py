@@ -5,12 +5,12 @@ imported, otherwise to the pure-Python twin.  Both run the same
 Gauss-Seidel sweeps, in the order of ``states``, on graphs of any size and
 return identical results.
 
-An optional ``wit`` buffer, an ``array('i')`` of ``len(states) * n``
-items, receives the final witness table: for a surviving state i and a
-vertex v that i leaves unoccupied, ``wit[i * n + v]`` is the least index
-of a surviving state that occupies v and is reachable from i in one step.
-Other entries are leftovers, and nothing in the table means anything when
-the budget was exceeded.  The full contract is in ``pure``.
+The caller passes ``wit``, an ``array('i')`` of ``len(states) * n``
+items, which receives the final witness table: for a surviving state i
+and a vertex v that i leaves unoccupied, ``wit[i * n + v]`` is the least
+index of a surviving state that occupies v and is reachable from i in one
+step.  Other entries are leftovers, and nothing in the table means
+anything when the budget was exceeded.  The full contract is in ``pure``.
 """
 from __future__ import annotations
 
@@ -28,6 +28,6 @@ def active_kernel() -> str:
     return "compiled" if _ckernel is not None else "pure"
 
 
-def run_elimination(n, k, dist, states, budget=DEFAULT_BUDGET, wit=None):
+def run_elimination(n, k, dist, states, wit, budget=DEFAULT_BUDGET):
     kernel = _ckernel if _ckernel is not None else pure
-    return kernel.run_elimination(n, k, dist, states, budget=budget, wit=wit)
+    return kernel.run_elimination(n, k, dist, states, wit, budget=budget)

@@ -9,11 +9,11 @@
    the meaning of the table.  Whether a vertex is occupied is read off the
    sorted state by a merge walk, so the number of vertices is unbounded.
 
-   A caller that wants the witness table passes ``wit``, a writable
-   array('i') of len(states) * n items; the sweep then keeps its cursors'
-   witnesses in that buffer instead of a private allocation, so the table
-   costs no copy and no extra memory.  Its size and item type are checked
-   before anything is written.
+   The caller passes ``wit``, a writable array('i') of len(states) * n
+   items, and the sweep keeps its cursors' witnesses in that buffer, so
+   the witness table it leaves there costs no copy.  Its size, item type
+   and writability are checked before anything is written; its contents
+   on entry are ignored.
 
        python3 setup.py build_ext --inplace
 */
@@ -104,11 +104,11 @@ done:
 static PyObject *
 run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "k", "dist", "states", "budget", "wit", NULL};
+    static char *kwlist[] = {"n", "k", "dist", "states", "wit", "budget", NULL};
     Py_ssize_t n, S = 0, q = 0, nd, i, s, v;
     long k;
     long long budget = 5000000, checks = 0;
-    PyObject *dist_obj, *states_obj, *wit_obj = Py_None;
+    PyObject *dist_obj, *states_obj, *wit_obj;
     PyObject *dseq = NULL, *sseq = NULL, *result = NULL;
     Py_buffer view = {0};
     long *dist = NULL;
@@ -119,8 +119,8 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
     int changed = 1, exceeded = 0;
     Py_ssize_t rounds = 0;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nlOO|LO:run_elimination", kwlist,
-                                     &n, &k, &dist_obj, &states_obj, &budget, &wit_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nlOOO|L:run_elimination", kwlist,
+                                     &n, &k, &dist_obj, &states_obj, &wit_obj, &budget))
         return NULL;
     if ((dseq = PySequence_Fast(dist_obj, "dist must be a sequence")) == NULL
             || (sseq = PySequence_Fast(states_obj, "states must be a sequence")) == NULL)
@@ -137,30 +137,28 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     if (S > 0 && (q = PySequence_Size(PySequence_Fast_GET_ITEM(sseq, 0))) < 0)
         goto done;
-    if (wit_obj != Py_None) {
-        if (PyObject_GetBuffer(wit_obj, &view,
-                               PyBUF_WRITABLE | PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
-            goto done;
-        if (view.itemsize != sizeof(int) || view.format == NULL
-                || strcmp(view.format, "i") != 0) {
-            PyErr_SetString(PyExc_TypeError, "wit must be an array('i')");
-            goto done;
-        }
-        if (view.len != (Py_ssize_t)sizeof(int) * S * n) {
-            PyErr_SetString(PyExc_ValueError, "wit must hold len(states) * n items");
-            goto done;
-        }
+    if (PyObject_GetBuffer(wit_obj, &view,
+                           PyBUF_WRITABLE | PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+        goto done;
+    if (view.itemsize != sizeof(int) || view.format == NULL
+            || strcmp(view.format, "i") != 0) {
+        PyErr_SetString(PyExc_TypeError, "wit must be an array('i')");
+        goto done;
+    }
+    if (view.len != (Py_ssize_t)sizeof(int) * S * n) {
+        PyErr_SetString(PyExc_ValueError, "wit must hold len(states) * n items");
+        goto done;
     }
 
     dist = NEW(long, nd);
     st = NEW(int, (size_t)S * q);
     off = NEW(Py_ssize_t, n + 1);
     pos = NEW(int, (size_t)S * n);
-    wit = view.obj != NULL ? (int *)view.buf : NEW(int, (size_t)S * n);
+    wit = (int *)view.buf;
     alive = NEW(unsigned char, S);
     owner = NEW(int, q);
     seen = NEW(unsigned char, q);
-    if (!dist || !st || !off || !pos || !wit || !alive || !owner || !seen) {
+    if (!dist || !st || !off || !pos || !alive || !owner || !seen) {
         PyErr_NoMemory();
         goto done;
     }
@@ -245,8 +243,6 @@ done:
     PyMem_Free(pos);
     if (view.obj != NULL)
         PyBuffer_Release(&view);
-    else
-        PyMem_Free(wit);
     PyMem_Free(alive);
     PyMem_Free(owner);
     PyMem_Free(seen);
@@ -256,11 +252,11 @@ done:
 static PyMethodDef methods[] = {
     {"run_elimination", (PyCFunction)(void (*)(void))run_elimination,
      METH_VARARGS | METH_KEYWORDS,
-     "run_elimination($module, /, n, k, dist, states, budget=5000000, wit=None)\n"
+     "run_elimination($module, /, n, k, dist, states, wit, budget=5000000)\n"
      "--\n\n"
      "Greatest-fixed-point elimination; returns (alive, rounds, checks, exceeded)\n"
-     "and, when given an array('i') wit of len(states) * n items, leaves the\n"
-     "witness table in it (see ekdom._kernel.pure)."},
+     "and leaves the witness table in wit, an array('i') of len(states) * n\n"
+     "items (see ekdom._kernel.pure)."},
     {NULL, NULL, 0, NULL}
 };
 

@@ -39,9 +39,10 @@ counts full passes including the final quiet one, ``checks`` counts
 (configuration, attack) evaluations, and ``exceeded`` reports that the
 check budget ran out (in which case ``alive`` is meaningless).
 
-Witness table: a caller may pass ``wit``, an ``array('i')`` of
-``len(states) * n`` items, which both kernels fill with the final
-``wit[i][v]`` at index ``i * n + v``.  For a surviving configuration i
+Witness table: the caller passes ``wit``, an ``array('i')`` of
+``len(states) * n`` items whose contents on entry are ignored; both
+kernels sweep with ``wit[i][v]`` at index ``i * n + v`` and leave the
+final table there.  For a surviving configuration i
 and a vertex v that i leaves unoccupied, that entry is the least index
 of a surviving configuration that occupies v and that i can move to in
 one step: the final quiet pass rechecked the stored witness, and every
@@ -54,7 +55,6 @@ whole table means nothing.
 from __future__ import annotations
 
 from array import array
-from itertools import chain
 
 from ..configs import _match
 
@@ -81,13 +81,10 @@ def _matcher(n: int, k: int, dist: list[int], states: list[tuple]):
 
 
 def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
-                    budget: int = DEFAULT_BUDGET, wit: array | None = None):
-    """Gauss-Seidel elimination: deletions take effect within the pass.
-
-    With ``wit``, the final witness table is copied into it (see above).
-    """
+                    wit: array, budget: int = DEFAULT_BUDGET):
+    """Gauss-Seidel elimination: deletions take effect within the pass."""
     S = len(states)
-    if wit is not None and len(wit) != S * n:
+    if len(wit) != S * n:
         raise ValueError("wit must hold len(states) * n items")
     if S == 0:
         return bytearray(), 0, 0, False
@@ -102,7 +99,7 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
     feasible = _matcher(n, k, dist, states)
     alive = bytearray([1]) * S
     pos = [[0] * n for _ in range(S)]
-    rows = [[-1] * n for _ in range(S)]
+    wit[:] = array("i", [-1]) * (S * n)
     checks = 0
     rounds = 0
     changed = True
@@ -115,7 +112,7 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
                 continue
             sup_i = support[i]
             pos_i = pos[i]
-            wit_i = rows[i]
+            base = i * n
             for v in range(n):
                 if sup_i >> v & 1:
                     continue  # standing still answers an occupied vertex
@@ -123,7 +120,7 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
                 if checks > budget:
                     exceeded = True
                     break
-                w = wit_i[v]
+                w = wit[base + v]
                 if w >= 0 and alive[w]:
                     continue
                 cv = cand[v]
@@ -136,13 +133,11 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
                     p += 1
                 pos_i[v] = p
                 if p < top:
-                    wit_i[v] = cv[p]
+                    wit[base + v] = cv[p]
                 else:
                     alive[i] = 0
                     changed = True
                     break
             if exceeded:
                 break
-    if wit is not None:
-        wit[:] = array("i", chain.from_iterable(rows))
     return alive, rounds, checks, exceeded

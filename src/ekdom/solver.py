@@ -102,8 +102,7 @@ def _flat_distances(g: Graph) -> list:
     return [d for row in all_pairs_distances(g) for d in row]
 
 
-@lru_cache(maxsize=None)
-def _solve_q(g: Graph, k: int, q: int, budget: int) -> tuple[frozenset, QStats, tuple | None]:
+def _eliminate(g: Graph, k: int, q: int, budget: int) -> tuple[frozenset, QStats, tuple | None]:
     """Survivors, statistics and, for a non-empty fixed point, the kernel's
     ``(states, alive, wit)`` from which ``_build_certificate`` reads its
     responses; empty, refused and over-budget guard counts keep no table.
@@ -119,13 +118,24 @@ def _solve_q(g: Graph, k: int, q: int, budget: int) -> tuple[frozenset, QStats, 
     else:
         wit = array("i", [-1]) * (len(states) * g.n)
         alive, rounds, checks, exceeded = _kernel.run_elimination(
-            g.n, k, _flat_distances(g), states, budget=budget, wit=wit)
+            g.n, k, _flat_distances(g), states, wit, budget=budget)
         survivors = frozenset() if exceeded else frozenset(
             states[i] for i in range(len(states)) if alive[i])
         stats = QStats(q, len(states), rounds, checks, len(survivors), exceeded)
         if survivors:
             table = (states, alive, wit)
     return survivors, stats, table
+
+
+@lru_cache(maxsize=None)
+def _solve_q(g: Graph, k: int, q: int, budget: int) -> tuple[frozenset, QStats]:
+    """``_eliminate`` memoised for the callers that build no certificate.
+
+    The witness table is dropped, so this process-wide cache keeps no more
+    than the survivors and the statistics.
+    """
+    survivors, stats, _ = _eliminate(g, k, q, budget)
+    return survivors, stats
 
 
 def eternal_survivors(g: Graph, k: int, q: int, budget: int = DEFAULT_BUDGET) -> frozenset:
@@ -135,7 +145,7 @@ def eternal_survivors(g: Graph, k: int, q: int, budget: int = DEFAULT_BUDGET) ->
     """
     if not is_connected(g):
         raise ValueError("survivor sets are defined per connected graph")
-    survivors, stats, _ = _solve_q(g, k, q, budget)
+    survivors, stats = _solve_q(g, k, q, budget)
     if stats.exceeded:
         if stats.checks:
             raise BudgetExceededError(
@@ -174,7 +184,10 @@ def eternal_number(g: Graph, k: int, q_min: int | None = None,
     lower = gk  # only completed empty fixed points may lift this
     exceeded = False
     for q in range(q_lo, q_hi + 1):
-        survivors, stats, table = _solve_q(g, k, q, budget)
+        if want_certificate:  # uncached, so the table dies with this call
+            survivors, stats, table = _eliminate(g, k, q, budget)
+        else:
+            survivors, stats = _solve_q(g, k, q, budget)
         per_q.append(stats)
         if stats.exceeded:
             exceeded = True

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from array import array
 from collections import deque
 from itertools import combinations, permutations, product
 
@@ -184,7 +185,8 @@ def reverse_sweep_survivors(g: Graph, k: int, q: int) -> frozenset:
     dist = all_pairs_distances(g)
     states = enumerate_dominating_configs(dist, k, q)[::-1]
     alive, _, checks, exceeded = run_elimination(
-        g.n, k, [d for row in dist for d in row], states)
+        g.n, k, [d for row in dist for d in row], states,
+        array("i", [0]) * (len(states) * g.n))
     if exceeded:
         raise BudgetExceededError(f"q={q}: {checks} checks exceeded the budget")
     return frozenset(st for st, live in zip(states, alive) if live)
