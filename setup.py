@@ -1,8 +1,9 @@
 """Build script for the optional compiled elimination kernel.
 
 The package is fully functional without it (a pure-Python kernel is
-selected at import time); building the extension just makes the solver
-roughly two orders of magnitude faster.  A failed compile only warns.
+selected at import time); building the extension makes the elimination
+kernel roughly 30-70x faster (``benchmarks/bench_kernels.py`` reports
+the ratio per instance).  A failed compile only warns.
 
     python setup.py build_ext --inplace
 """

@@ -7,18 +7,27 @@ verifies both the numbers and the survivor sets.
 
 Upper bounds come from two directions: any spanning tree of G only
 restricts guard movement, so its eternal number bounds the graph's; and a
-partition of G into parts that each carry a spanning tree of root
-eccentricity at most k can be defended with two guards per part (one on
-the root, one rotating), or one guard per part when the radius is only
-floor(k/2).
+partition of G into parts that each carry a BFS tree of depth at most k
+from a root can be defended with two guards per part (one on the root,
+one rotating), or one guard per part when the depth is only floor(k/2).
+
+The fewest parts such a partition needs is exactly gamma_k.  The roots of
+any such partition distance-k dominate G, so it has at least gamma_k
+parts.  Conversely, give every vertex to its nearest vertex of a minimum
+dominating set, ties going to the smaller id: if v goes to r, every
+vertex on a shortest v-r path goes to r too (a closer or equally close
+smaller root would have claimed v), so each cell holds a BFS tree of
+depth at most k from its root.  The decomposition bound is therefore
+min(2 gamma_k, gamma_floor(k/2)).
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .graph import DisconnectedGraphError, Graph, graph_power, is_connected, is_tree
+from .domination import gamma_k
+from .graph import (DisconnectedGraphError, Graph, all_pairs_distances,
+                    graph_power, is_connected, is_tree)
 from .reductions import reduce_tree
 from .solver import (DEFAULT_BUDGET, BudgetExceededError, eternal_number,
                      eternal_survivors)
@@ -117,124 +126,34 @@ def spanning_tree_upper_bound(g: Graph, k: int, budget: int = DEFAULT_BUDGET) ->
 
 # -- rooted-tree decompositions ----------------------------------------------
 
-def _limited_bfs(g: Graph, root: int, allowed: int, k: int) -> dict[int, int]:
-    """Depths of vertices within k of root inside the allowed vertex mask."""
-    depth = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        if depth[u] == k:
-            continue
-        for w in g.adj[u]:
-            if allowed >> w & 1 and w not in depth:
-                depth[w] = depth[u] + 1
-                queue.append(w)
-    return depth
+def depth_rooted_decomposition_number(g: Graph, k: int) -> tuple[int, Decomposition]:
+    """Minimum parts in a partition where each part carries a BFS tree of
+    depth at most k from its root, with one such partition.
 
-
-def _part_witness(g: Graph, mask: int, k: int) -> DecompositionPart | None:
-    """A root whose BFS tree spans G[mask] with depth <= k, if any."""
-    members = [v for v in range(g.n) if mask >> v & 1]
-    for root in members:
-        if len(_limited_bfs(g, root, mask, k)) == len(members):
-            return DecompositionPart(root, tuple(members))
-    return None
-
-
-def depth_rooted_decomposition_number(g: Graph, k: int, mode: str = "exact"
-                                      ) -> tuple[int, Decomposition]:
-    """Minimum parts in a partition where each part carries a spanning
-    tree of root eccentricity at most k.
-
-    Exact mode searches partitions with feasibility memoised per vertex
-    mask and is restricted to n <= 12; greedy mode repeatedly carves the
-    largest depth-k BFS ball out of the uncovered region and yields a
-    valid (upper-bounding) decomposition for any size.
+    The minimum is gamma_k (see the module docstring); the parts are the
+    nearest-witness cells of ``gamma_k``'s witness, sorted by root.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if g.n == 0:
-        return 0, Decomposition(k, ())
-    if mode == "greedy":
-        return _greedy_decomposition(g, k)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-    if g.n > 12:
-        raise BudgetExceededError("exact decomposition is restricted to n <= 12")
-    return _exact_decomposition(g, k)
-
-
-def _greedy_decomposition(g: Graph, k: int) -> tuple[int, Decomposition]:
-    uncovered = (1 << g.n) - 1
-    parts = []
-    while uncovered:
-        best_root, best_depth = -1, {}
-        for r in range(g.n):
-            if not uncovered >> r & 1:
-                continue
-            depth = _limited_bfs(g, r, uncovered, k)
-            if len(depth) > len(best_depth):
-                best_root, best_depth = r, depth
-        mask = 0
-        for v in best_depth:
-            mask |= 1 << v
-        part = _part_witness(g, mask, k)
-        assert part is not None  # the BFS ball is its own witness
-        parts.append(part)
-        uncovered &= ~mask
-    return len(parts), Decomposition(k, tuple(parts))
-
-
-def _exact_decomposition(g: Graph, k: int) -> tuple[int, Decomposition]:
-    feasible_cache: dict[int, bool] = {}
-
-    def feasible(mask: int) -> bool:
-        hit = feasible_cache.get(mask)
-        if hit is None:
-            hit = _part_witness(g, mask, k) is not None
-            feasible_cache[mask] = hit
-        return hit
-
-    @lru_cache(maxsize=None)
-    def best(mask: int) -> tuple[int, tuple[int, ...]]:
-        if mask == 0:
-            return 0, ()
-        low = mask & -mask  # the lowest uncovered vertex anchors the next part
-        rest = mask ^ low
-        best_count, best_parts = g.n + 1, ()
-        sub = rest
-        while True:
-            part = sub | low
-            if feasible(part):
-                count, parts = best(mask ^ part)
-                if count + 1 < best_count:
-                    best_count, best_parts = count + 1, parts + (part,)
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        return best_count, best_parts
-
-    count, masks = best((1 << g.n) - 1)
-    parts = tuple(_part_witness(g, m, k) for m in masks)
-    best.cache_clear()
-    return count, Decomposition(k, parts)
+    dom = gamma_k(g, k)
+    dist = all_pairs_distances(g)
+    cells: dict[int, list[int]] = {r: [] for r in dom.witness}
+    for v in range(g.n):
+        cells[min(dom.witness, key=lambda r: (dist[v][r], r))].append(v)
+    parts = tuple(DecompositionPart(r, tuple(cells[r])) for r in dom.witness)
+    return dom.gamma, Decomposition(k, parts)
 
 
 def decomposition_bound(g: Graph, k: int) -> tuple[int, Decomposition]:
-    """min(2 * parts-at-radius-k, parts-at-radius-floor(k/2)), with the
-    radius-k decomposition that witnesses the first term.
+    """min(2 * gamma_k, gamma_floor(k/2)), with the radius-k decomposition
+    that witnesses the first term.
 
     Two guards defend any radius-k rooted tree (attacked vertex gets the
     root guard, the other guard refills the root); one guard suffices at
-    radius floor(k/2).  Partitions are searched exactly up to 12 vertices
-    and carved greedily beyond.
+    radius floor(k/2).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    mode = "exact" if g.n <= 12 else "greedy"
-    full, witness = depth_rooted_decomposition_number(g, k, mode)
-    half, _ = depth_rooted_decomposition_number(g, k // 2, mode)
-    return min(2 * full, half), witness
+    full, witness = depth_rooted_decomposition_number(g, k)
+    return min(2 * full, gamma_k(g, k // 2).gamma), witness
 
 
 def decomposition_upper_bound(g: Graph, k: int) -> int:

@@ -156,14 +156,14 @@ def eternal_survivors(g: Graph, k: int, q: int, budget: int = DEFAULT_BUDGET) ->
     return survivors
 
 
-def eternal_number(g: Graph, k: int, q_min: int | None = None,
-                   q_max: int | None = None, budget: int = DEFAULT_BUDGET,
+def eternal_number(g: Graph, k: int, q_max: int | None = None,
+                   budget: int = DEFAULT_BUDGET,
                    want_certificate: bool = True) -> SolveReport:
     """Exact eternal distance-k domination number with certificate.
 
-    Guard counts are tried upward from max(static domination number,
-    q_min); the first non-empty fixed point wins.  On disconnected input
-    the components are solved independently and summed (guards can never
+    Guard counts are tried upward from the static domination number; the
+    first non-empty fixed point wins.  On disconnected input the
+    components are solved independently and summed (guards can never
     cross components), with per-component reports attached.
     """
     if k < 1:
@@ -171,19 +171,16 @@ def eternal_number(g: Graph, k: int, q_min: int | None = None,
     if g.n == 0:
         raise ValueError("empty graph")
     if not is_connected(g):
-        return _solve_components(g, k, q_min, q_max, budget)
+        return _solve_components(g, k, q_max, budget)
 
     gk = gamma_k(g, k).gamma
     gh = gamma_k(g, k // 2).gamma
-    q_lo = max(gk, q_min if q_min is not None else 1)
-    # A defense-closed family exists at every size from the true number up
-    # (extra guards can idle), so the static upper bound caps the search
-    # unless the caller started above it.
-    q_hi = q_max if q_max is not None else max(gh, q_lo)
+    # The sandwich puts the true number at most gh, so the search stops there.
+    q_hi = q_max if q_max is not None else gh
     per_q: list[QStats] = []
     lower = gk  # only completed empty fixed points may lift this
     exceeded = False
-    for q in range(q_lo, q_hi + 1):
+    for q in range(gk, q_hi + 1):
         if want_certificate:  # uncached, so the table dies with this call
             survivors, stats, table = _eliminate(g, k, q, budget)
         else:
@@ -205,15 +202,14 @@ def eternal_number(g: Graph, k: int, q_min: int | None = None,
     return SolveReport(k, None, lower, gh, gk, gh, per_q, None, exceeded)
 
 
-def _solve_components(g: Graph, k: int, q_min: int | None, q_max: int | None,
+def _solve_components(g: Graph, k: int, q_max: int | None,
                       budget: int) -> SolveReport:
     """Sum the per-component numbers; guards never cross components.
 
     Each component's number is at least its gamma_k, so under ``q_max``
     a component may use at most q_max minus the other components' gamma_k.
     A component stopped at that cap, or a sum above ``q_max``, leaves the
-    report unresolved without a budget trip.  Defended sizes are upward
-    closed, so ``q_min`` lifts the sum exactly as on connected input.
+    report unresolved without a budget trip.
     """
     subs = [induced_subgraph(g, comp)[0] for comp in components(g)]
     lows = [gamma_k(sub, k).gamma for sub in subs]
@@ -225,10 +221,8 @@ def _solve_components(g: Graph, k: int, q_min: int | None, q_max: int | None,
     gamma = None
     lower = sum(r.lower_bound for r in reports)
     upper = sum(r.upper_bound for r in reports)
-    if all(r.resolved for r in reports):
-        total = max(lower, q_min or 1)
-        if q_max is None or total <= q_max:
-            gamma = lower = upper = total
+    if all(r.resolved for r in reports) and (q_max is None or lower <= q_max):
+        gamma = upper = lower
     return SolveReport(
         k=k,
         gamma_eternal=gamma,

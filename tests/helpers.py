@@ -14,6 +14,7 @@ import random
 from array import array
 from collections import deque
 from itertools import combinations, permutations, product
+from typing import Iterator
 
 from ekdom._kernel import run_elimination
 from ekdom.configs import enumerate_dominating_configs, transform_assignment
@@ -61,6 +62,17 @@ def random_connected_graph(n: int, extra: float, rng: random.Random) -> Graph:
     return Graph.build(n, sorted(edges))
 
 
+def random_graph(n: int, extra: float, rng: random.Random, connected: bool) -> Graph:
+    """A random connected graph, or the disjoint union of two of them."""
+    if connected or n < 2:
+        return random_connected_graph(n, extra, rng)
+    split = rng.randint(1, n - 1)
+    left = random_connected_graph(split, extra, rng)
+    right = random_connected_graph(n - split, extra, rng)
+    edges = list(left.edges()) + [(u + split, v + split) for u, v in right.edges()]
+    return Graph.build(n, edges)
+
+
 # -- oracles ------------------------------------------------------------------
 
 def oracle_distances(g: Graph) -> list[list[int]]:
@@ -96,6 +108,47 @@ def oracle_gamma(g: Graph, k: int) -> int:
             if oracle_is_dominating(g, subset, k, dist):
                 return size
     raise AssertionError("even the full vertex set failed to dominate")
+
+
+def oracle_reaches_within(g: Graph, root: int, members, k: int) -> bool:
+    """Textbook BFS from root through members only reaches them all within k."""
+    allowed = set(members)
+    depth = {root: 0}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for w in g.adj[u]:
+            if w in allowed and w not in depth:
+                depth[w] = depth[u] + 1
+                queue.append(w)
+    return root in allowed and len(depth) == len(allowed) and max(depth.values()) <= k
+
+
+def _set_partitions(items: list) -> Iterator[list[list]]:
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in _set_partitions(rest):
+        yield [[first]] + partition
+        for i, part in enumerate(partition):
+            yield partition[:i] + [[first] + part] + partition[i + 1:]
+
+
+def oracle_partition_number(g: Graph, k: int) -> int:
+    """Fewest parts in a partition of the vertices where each part holds a
+    root whose BFS inside the part reaches every member within k, by
+    enumerating every set partition (Bell(8) = 4,140 at 8 vertices)."""
+    feasible: dict[frozenset, bool] = {}
+
+    def ok(part: list) -> bool:
+        key = frozenset(part)
+        if key not in feasible:
+            feasible[key] = any(oracle_reaches_within(g, r, key, k) for r in key)
+        return feasible[key]
+
+    return min(len(p) for p in _set_partitions(list(range(g.n)))
+               if all(ok(part) for part in p))
 
 
 def oracle_transforms(g: Graph, src, dst, k: int) -> bool:

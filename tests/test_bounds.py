@@ -1,18 +1,20 @@
 """Power equivalence, spanning-tree and decomposition bounds."""
 import random
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ekdom.bounds import (bfs_spanning_tree, decomposition_upper_bound,
                           depth_rooted_decomposition_number,
                           power_equivalence_check, spanning_tree_upper_bound)
 from ekdom.closed_forms import (complete_graph, cycle_graph, path_graph,
                                 path_number)
-from ekdom.graph import all_pairs_distances, graph_power, induced_subgraph, is_tree
+from ekdom.graph import graph_power, is_connected, is_tree
 from ekdom.mary import build_perfect_mary
-from ekdom.solver import BudgetExceededError, eternal_number, is_eternal_set
+from ekdom.solver import eternal_number, is_eternal_set
 
-from helpers import DEFAULT_SEED, random_connected_graph
+from helpers import (DEFAULT_SEED, oracle_gamma, oracle_partition_number,
+                     oracle_reaches_within, random_connected_graph, random_graph)
 
 
 def solve(g, k):
@@ -73,29 +75,47 @@ def test_decomposition_number_examples():
     assert count == 2
 
 
+def _assert_partition(g, k, count, dec):
+    assert count == len(dec.parts)
+    covered = sorted(v for p in dec.parts for v in p.vertices)
+    assert covered == list(range(g.n))
+    for part in dec.parts:
+        assert oracle_reaches_within(g, part.root, part.vertices, k)
+
+
 def test_decomposition_parts_are_witnessed():
     g = random_connected_graph(9, 0.25, random.Random(DEFAULT_SEED + 2))
-    for mode in ("exact", "greedy"):
-        count, dec = depth_rooted_decomposition_number(g, 2, mode)
-        covered = sorted(v for p in dec.parts for v in p.vertices)
-        assert covered == list(range(g.n))
-        for part in dec.parts:
-            sub, idmap = induced_subgraph(g, part.vertices)
-            assert sub.n == len(part.vertices)
-            assert max(all_pairs_distances(sub)[idmap[part.root]]) <= 2
-    exact_count, _ = depth_rooted_decomposition_number(g, 2, "exact")
-    greedy_count, _ = depth_rooted_decomposition_number(g, 2, "greedy")
-    assert exact_count <= greedy_count
+    count, dec = depth_rooted_decomposition_number(g, 2)
+    _assert_partition(g, 2, count, dec)
 
 
-def test_exact_mode_rejects_large_graphs():
-    with pytest.raises(BudgetExceededError):
-        depth_rooted_decomposition_number(path_graph(13), 2, "exact")
+def test_large_graphs_get_the_exact_count():
+    # No size limit: P13 needs ceil(13 / 5) = 3 parts at radius 2.
+    count, dec = depth_rooted_decomposition_number(path_graph(13), 2)
+    assert count == 3
+    _assert_partition(path_graph(13), 2, count, dec)
+    binary = build_perfect_mary(2, 3)  # 15 vertices
+    count, dec = depth_rooted_decomposition_number(binary, 1)
+    assert count == oracle_gamma(binary, 1) == 5
+    _assert_partition(binary, 1, count, dec)
+    assert decomposition_upper_bound(binary, 1) == 10  # 2 * gamma_1 < gamma_0 = 15
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(g=st.builds(random_graph, n=st.integers(1, 8), extra=st.floats(0.0, 0.5),
+                   rng=st.randoms(use_true_random=False), connected=st.booleans()),
+       k=st.integers(0, 3))
+def test_decomposition_number_matches_partition_oracle(g, k):
+    count, dec = depth_rooted_decomposition_number(g, k)
+    assert count == oracle_partition_number(g, k) == oracle_gamma(g, k)
+    _assert_partition(g, k, count, dec)
+    if k >= 1 and is_connected(g):
+        assert solve(g, k) <= decomposition_upper_bound(g, k)
 
 
 def test_decomposition_bound_examples():
     assert decomposition_upper_bound(path_graph(5), 2) == 2 == solve(path_graph(5), 2)
-    wide = build_perfect_mary(3, 2)  # 13 vertices: greedy mode kicks in
+    wide = build_perfect_mary(3, 2)  # 13 vertices, radius 2 from the root
     assert decomposition_upper_bound(wide, 2) == 2
     assert solve(wide, 2) == 2
     # Diameter within half the radius: a single part at radius k//2.
@@ -119,5 +139,5 @@ def test_sandwich_documented_by_reports():
 
 def test_wide_mary_tree_single_part_at_radius_two():
     wide = build_perfect_mary(3, 2)  # 13 vertices
-    count, dec = depth_rooted_decomposition_number(wide, 2, "greedy")
+    count, dec = depth_rooted_decomposition_number(wide, 2)
     assert count == 1 and dec.parts[0].root == 0

@@ -15,22 +15,11 @@ from hypothesis import strategies as st
 
 from ekdom.configs import enumerate_dominating_configs
 from ekdom.domination import gamma_k, is_distance_k_dominating
-from ekdom.graph import Graph, all_pairs_distances
+from ekdom.graph import all_pairs_distances
 from ekdom.mary import build_perfect_mary
 
 from helpers import (DEFAULT_SEED, oracle_dominating_multisets, oracle_gamma,
-                     random_connected_graph)
-
-
-def random_graph(n: int, extra: float, rng: random.Random, connected: bool) -> Graph:
-    """A random connected graph, or the disjoint union of two of them."""
-    if connected or n < 2:
-        return random_connected_graph(n, extra, rng)
-    split = rng.randint(1, n - 1)
-    left = random_connected_graph(split, extra, rng)
-    right = random_connected_graph(n - split, extra, rng)
-    edges = list(left.edges()) + [(u + split, v + split) for u, v in right.edges()]
-    return Graph.build(n, edges)
+                     random_connected_graph, random_graph)
 
 
 graphs = st.builds(random_graph, n=st.integers(1, 10), extra=st.floats(0.0, 0.5),

@@ -205,10 +205,6 @@ def test_disconnected_graphs_honour_the_q_range():
     # so under q_max = 1 neither runs a fixed point.
     assert all(not r.per_q for r in eternal_number(g, 1, q_max=1).component_reports)
     assert eternal_number(g, 1, q_max=5).gamma_eternal == 5
-    # Defended sizes are upward closed: q_min lifts the answer.
-    report = eternal_number(g, 1, q_min=7)
-    assert (report.gamma_eternal, report.lower_bound, report.upper_bound) == (7, 7, 7)
-    assert not eternal_number(g, 1, q_min=7, q_max=6).resolved
 
 
 def test_budget_counts_dominating_configurations():
@@ -238,8 +234,7 @@ def test_q_range_is_respected():
     report = eternal_number(p7, 2, q_max=2)
     assert not report.resolved and report.lower_bound == 3
     # A fixed point exists at any size above the true number.
-    report = eternal_number(p7, 2, q_min=4, want_certificate=False)
-    assert report.gamma_eternal == 4
+    assert eternal_survivors(p7, 2, 4)
 
 
 def test_argument_validation():
@@ -253,9 +248,12 @@ def test_argument_validation():
 
 
 def test_unresolved_lower_bound_never_overshoots():
-    # Even when the caller asks only about large sizes, the reported
-    # bracket must still contain the true number.
+    # Even when the caller caps the search below the true number, the
+    # reported bracket must still contain it: P5 at k = 1 has gamma_1 = 2
+    # and eternal number 3, so q_max = 1 leaves no size to try and
+    # q_max = 2 stops after one empty fixed point.
     p5 = path_graph(5)
-    report = eternal_number(p5, 2, q_min=5, q_max=4)  # empty search window
-    assert not report.resolved
-    assert report.lower_bound <= 2 <= report.upper_bound
+    for q_max in (1, 2):
+        report = eternal_number(p5, 1, q_max=q_max)
+        assert not report.resolved
+        assert report.lower_bound <= 3 <= report.upper_bound
