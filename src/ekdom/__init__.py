@@ -9,32 +9,4 @@ and verifies explicit strategy certificates, evaluates the closed forms
 known for paths, cycles and perfect m-ary trees, applies tree-trimming
 reductions with controlled deltas, and computes structural bounds.
 """
-from .graph import (DisconnectedGraphError, DistMatrix, Graph, ParseError,
-                    UNREACHABLE, all_pairs_distances, components, delete_edge,
-                    delete_vertices, diameter, eccentricity, format_dot,
-                    format_edge_list, graph_power, induced_subgraph,
-                    is_connected, is_tree, neighborhood_k, parse_graph)
-from .domination import DominationResult, gamma_k, is_distance_k_dominating
-from .configs import (Config, canonical, enumerate_dominating_configs,
-                      transform_assignment, transforms)
-from .solver import (DEFAULT_BUDGET, BudgetExceededError, EternalCertificate,
-                     SolveReport, certificate_from_json, certificate_to_json,
-                     eternal_number, eternal_survivors, is_eternal_set,
-                     verify_certificate)
-from .closed_forms import (build_p_n_ell, build_subdivided_star, cycle_graph,
-                           cycle_number, complete_graph, diameter_rule,
-                           hamiltonian_upper_bound, path_graph, path_number,
-                           spider_graph, star_graph)
-from .mary import (MaryTreeSpec, build_perfect_mary, mary_number_piecewise,
-                   mary_number_recursive)
-from .reductions import (K2Sets, ReductionStep, ReductionTrace,
-                         apply_doublebranch_trim, apply_endpath_reduction,
-                         apply_halfbranch_trim, apply_kpath_reduction,
-                         apply_leaf_cluster_trim, apply_pendant_pair_trim,
-                         eternal_one_tree, k2_reduce, k2_sets, reduce_tree)
-from .bounds import (Decomposition, PowerEquivalenceReport,
-                     bfs_spanning_tree, decomposition_upper_bound,
-                     depth_rooted_decomposition_number,
-                     power_equivalence_check, spanning_tree_upper_bound)
-
 __version__ = "0.1.0"

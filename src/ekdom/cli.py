@@ -1,5 +1,9 @@
 """Command-line front door.
 
+Only the modules the solver and the verifier need are imported here; the
+other subcommands import theirs when they run, which keeps start-up short
+for ``eternal`` and ``verify``.
+
 Exit codes: 0 success, 1 parse/usage error, 2 budget exceeded (bounds are
 still printed), 3 certificate rejected (malformed or invalid) or
 power-check mismatch.
@@ -7,19 +11,13 @@ power-check mismatch.
 from __future__ import annotations
 
 import argparse
-import json
+import json  # module-level: e2ebench/tracer.py swaps ekdom.cli.json
 import sys
 
 from . import _kernel
-from .bounds import (decomposition_bound, power_equivalence_check,
-                     spanning_tree_upper_bound)
-from .closed_forms import (build_p_n_ell, build_subdivided_star, cycle_graph,
-                           cycle_number, path_graph, path_number, spider_graph)
 from .domination import gamma_k
 from .graph import (DisconnectedGraphError, Graph, ParseError, format_dot,
                     format_edge_list, is_connected, parse_graph)
-from .mary import build_perfect_mary, mary_number_piecewise, mary_number_recursive
-from .reductions import reduce_tree
 from .solver import (DEFAULT_BUDGET, BudgetExceededError, certificate_from_json,
                      certificate_to_json, eternal_number, verify_certificate)
 
@@ -153,9 +151,11 @@ def _cmd_eternal(args) -> int:
         print(f"{reason}: eternal number in [{report.lower_bound}, {report.upper_bound}]")
     if args.certificate:
         if report.certificate is not None:
+            # One dumps call runs json's C encoder; dump streams the pure
+            # Python one, a write per token.
+            doc = certificate_to_json(report.certificate, g)
             with open(args.certificate, "w", encoding="utf-8") as fh:
-                json.dump(certificate_to_json(report.certificate, g), fh,
-                          separators=(",", ":"))
+                fh.write(json.dumps(doc, separators=(",", ":")))
             print(f"  certificate written to {args.certificate}")
         else:
             print("  no certificate available (unresolved, disconnected, or "
@@ -183,12 +183,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reductions import reduce_tree
+
     g = _load_graph(args.file)
     print(reduce_tree(g, args.k).to_json_text())
     return EXIT_OK
 
 
 def _cmd_closed_form(args) -> int:
+    from .closed_forms import cycle_number, path_number
+    from .mary import mary_number_piecewise, mary_number_recursive
+
     if args.family in ("path", "cycle"):
         if len(args.args) != 2:
             raise ValueError(f"{args.family} takes N K")
@@ -210,6 +215,8 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_power_check(args) -> int:
+    from .bounds import power_equivalence_check
+
     g = _load_graph(args.file)
     report = power_equivalence_check(g, args.k, budget=args.max_states)
     verdict = "equal" if report.numbers_equal else "DIFFER"
@@ -223,6 +230,8 @@ def _cmd_power_check(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import decomposition_bound, spanning_tree_upper_bound
+
     g = _load_graph(args.file)
     if not is_connected(g):
         raise DisconnectedGraphError("bounds need a connected graph")
@@ -254,6 +263,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .closed_forms import (build_p_n_ell, build_subdivided_star, cycle_graph,
+                               path_graph, spider_graph)
+    from .mary import build_perfect_mary
+
     family, params = args.family, args.args
     if family == "path":
         g = path_graph(*params)

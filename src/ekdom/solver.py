@@ -30,6 +30,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
 from . import _kernel
@@ -39,6 +40,7 @@ from .graph import Graph, all_pairs_distances, induced_subgraph, is_connected, c
 
 DEFAULT_BUDGET = _kernel.DEFAULT_BUDGET
 CERTIFICATE_CAP = 20_000  # larger defense families yield no certificate
+CERTIFICATE_FORMAT = 2  # the one JSON layout certificate_from_json reads
 
 
 class BudgetExceededError(RuntimeError):
@@ -377,20 +379,39 @@ def verify_certificate(g: Graph, cert: EternalCertificate
 
 
 def certificate_to_json(cert: EternalCertificate, g: Graph) -> dict:
-    """External JSON form (labels, not ids); see verify/eternal CLI."""
+    """External JSON form (format 2, labels for vertices); see the CLI.
+
+    ``vertices`` lists every label once and fixes the order of attacks;
+    ``family`` lists each member's posts.  ``response`` has one row per
+    (member, attack) pair, member-major: row ``i * n + a`` is
+    ``[next, t_1, ..., t_q]``, where guard p of member i (its p-th post)
+    walks to the vertex at post ``t_p`` of ``family[next]``, written as
+    that vertex's first post.  Each move list must name the member's
+    guards in order, as ``transform_assignment`` does, and land on the
+    successor's posts; raises ValueError otherwise, since the rows do not
+    store the sources.
+    """
+    first = [{v: member.index(v) for v in member} for member in cert.family]
+    rows = []
+    for i, member in enumerate(cert.family):
+        for v in range(g.n):
+            j, moves = cert.response[(i, v)]
+            sources, targets = zip(*moves)
+            if sources != member:
+                raise ValueError(f"moves of member {i} at attack {g.labels[v]} "
+                                 "do not list its guards in order")
+            try:
+                rows.append([j, *map(first[j].__getitem__, targets)])
+            except KeyError:
+                raise ValueError(f"moves of member {i} at attack {g.labels[v]} "
+                                 f"leave the posts of member {j}") from None
     return {
+        "format": CERTIFICATE_FORMAT,
         "k": cert.k,
         "q": cert.q,
+        "vertices": list(g.labels),
         "family": [[g.labels[u] for u in member] for member in cert.family],
-        "response": [
-            {
-                "state": i,
-                "attack": g.labels[v],
-                "next": j,
-                "moves": [[g.labels[a], g.labels[b]] for a, b in moves],
-            }
-            for (i, v), (j, moves) in sorted(cert.response.items())
-        ],
+        "response": rows,
     }
 
 
@@ -403,28 +424,83 @@ def _json_int(obj: dict, field: str) -> int:
     return value
 
 
+def _row_fault(row, q: int, members: int) -> str | None:
+    """Why one response row is malformed, or None."""
+    if type(row) is not list or len(row) != q + 1:
+        return f"is not a list of {q + 1} integers [next, t_1, ..., t_q]: {row!r}"
+    if any(type(x) is not int for x in row):
+        return f"holds a non-integer: {row!r}"
+    if not 0 <= row[0] < members:
+        return f"names next {row[0]}, outside a family of {members}"
+    for t in row[1:]:
+        if not 0 <= t < q:
+            return f"names post {t}, outside {q} guards"
+    return None
+
+
+def _check_rows(rows: list, q: int, members: int) -> None:
+    """Raise ValueError naming the first malformed response row.
+
+    Whole columns are tested at C speed; only a document that fails
+    there is scanned row by row to locate the fault.
+    """
+    if rows and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {q + 1}:
+        targets = list(chain.from_iterable(rows))
+        nexts = targets[::q + 1]
+        del targets[::q + 1]
+        if (set(map(type, nexts)) | set(map(type, targets)) <= {int}
+                and 0 <= min(nexts) and max(nexts) < members
+                and 0 <= min(targets, default=0) and max(targets, default=0) < q):
+            return
+    for r, row in enumerate(rows):
+        fault = _row_fault(row, q, members)
+        if fault is not None:
+            raise ValueError(f"response entry {r} {fault}")
+
+
 def certificate_from_json(doc: dict, g: Graph) -> EternalCertificate:
     """Inverse of certificate_to_json; raises ValueError on malformed input.
 
-    A document that is not an object, has a field of the wrong type
-    (``k``, ``q``, ``state`` and ``next`` must be JSON integers), or
-    answers the same (state, attack) pair twice is malformed.
+    A document is malformed when it is not an object, is not format 2,
+    lacks a field or has one of the wrong type (``format``, ``k`` and
+    ``q`` must be JSON integers), names a label the graph lacks, does not
+    list every label once in ``vertices``, lists a member with other than
+    q posts, or has other than ``len(family) * len(vertices)`` response
+    rows, each q + 1 integers in range.  Moves are ``(member[p],
+    successor[t_p])`` in the member's listed order; whether their targets
+    make up the successor is left to ``verify_certificate``.
     """
     if not isinstance(doc, dict):
         raise ValueError("certificate document must be a JSON object")
+    fmt = doc.get("format")
+    if type(fmt) is not int or fmt != CERTIFICATE_FORMAT:
+        raise ValueError(f"certificate format {fmt!r} is not supported; "
+                         f"expected format {CERTIFICATE_FORMAT}")
     try:
-        family = tuple(tuple(sorted(g.id_of(u) for u in member))
-                       for member in doc["family"])
-        response = {}
-        for entry in doc["response"]:
-            moves = tuple((g.id_of(a), g.id_of(b)) for a, b in entry["moves"])
-            key = (_json_int(entry, "state"), g.id_of(entry["attack"]))
-            if key in response:
-                raise ValueError(f"duplicate response for state {key[0]} "
-                                 f"attack {entry['attack']}")
-            response[key] = (_json_int(entry, "next"), moves)
-        return EternalCertificate(_json_int(doc, "k"), _json_int(doc, "q"),
-                                  family, response)
+        k, q = _json_int(doc, "k"), _json_int(doc, "q")
+        ids = [g.id_of(label) for label in doc["vertices"]]
+        if len(ids) != g.n or len(set(ids)) != g.n:
+            raise ValueError(f"'vertices' must list each of the graph's {g.n} "
+                             "labels exactly once")
+        listed = [[g.id_of(u) for u in member] for member in doc["family"]]
+        for i, posts in enumerate(listed):
+            if len(posts) != q:
+                raise ValueError(f"family member {i} lists {len(posts)} posts, "
+                                 f"expected q={q}")
+        rows = doc["response"]
+        if not isinstance(rows, list):
+            raise ValueError("certificate field 'response' must be a list")
+        n, m = g.n, len(listed)
+        if len(rows) != m * n:
+            raise ValueError(f"'response' has {len(rows)} entries, expected "
+                             f"{m} members x {n} vertices = {m * n}")
+        _check_rows(rows, q, m)
+        response = {
+            (i, v): (row[0], tuple(zip(src, map(listed[row[0]].__getitem__, row[1:]))))
+            for i, src in enumerate(listed)
+            for v, row in zip(ids, rows[i * n:(i + 1) * n])}
+        family = tuple(tuple(sorted(posts)) for posts in listed)
+        return EternalCertificate(k, q, family, response)
     except KeyError as exc:
         raise ValueError(f"certificate document missing field {exc}") from exc
     except TypeError as exc:

@@ -1,8 +1,13 @@
 """Command-line surface: subcommands, formats, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ekdom
 from ekdom.cli import main
 from ekdom.graph import all_pairs_distances, parse_graph
 
@@ -57,12 +62,24 @@ def test_eternal_certificate_verify_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(cert_file), str(graph_file))
     assert code == 0 and "ok" in out
 
-    # Sabotage: point a response outside the family.
+    # Sabotage: point a response outside the family.  The reader refuses
+    # the index before anything is decoded.
     doc = json.loads(cert_file.read_text())
-    doc["response"][0]["next"] = 99
+    sabotaged = json.loads(json.dumps(doc))
+    sabotaged["response"][0][0] = 99
+    cert_file.write_text(json.dumps(sabotaged))
+    code, out, _ = run(capsys, "verify", str(cert_file), str(graph_file))
+    assert code == 3 and "rejected" in out and "names next 99, outside" in out
+
+    # Send two guards to one post of a successor with distinct posts: the
+    # row decodes, and the verifier finds the targets wrong.
+    r = next(r for r, row in enumerate(doc["response"])
+             if len(set(doc["family"][row[0]])) == doc["q"])
+    doc["response"][r][2] = doc["response"][r][1]
     cert_file.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(cert_file), str(graph_file))
     assert code == 3 and "invalid" in out
+    assert "targets do not match the successor" in out
 
 
 def test_eternal_json_and_budget_exit(tmp_path, capsys):
@@ -164,24 +181,50 @@ def _write_p5_certificate(tmp_path, capsys):
     return graph_file, cert_file, json.loads(cert_file.read_text())
 
 
+def _replace_entry(doc, r, entry):
+    return dict(doc, response=doc["response"][:r] + [entry] + doc["response"][r + 1:])
+
+
 @pytest.mark.parametrize("mutate,reason", [
     (lambda doc: doc["family"], "JSON object"),
     (lambda doc: dict(doc, family=7), "wrong type"),
-    (lambda doc: dict(doc, response=[dict(doc["response"][0], moves=5)]), "wrong type"),
+    (lambda doc: _replace_entry(doc, 0, 5), "response entry 0 is not a list of 3 integers"),
     (lambda doc: dict(doc, response=doc["response"] + doc["response"][:1]),
-     "duplicate response"),
-    (lambda doc: dict(doc, response=[dict(doc["response"][0], attack="zz")]
-                      + doc["response"][1:]), "unknown vertex label 'zz'"),
-    (lambda doc: dict(doc, response=[dict(doc["response"][0], state=0.9)]
-                      + doc["response"][1:]), "'state' must be an integer"),
+     "'response' has 21 entries, expected 4 members x 5 vertices = 20"),
+    (lambda doc: dict(doc, vertices=["zz"] + doc["vertices"][1:]),
+     "unknown vertex label 'zz'"),
+    (lambda doc: _replace_entry(doc, 0, [0, 0.9, 0]), "response entry 0 holds a non-integer"),
     (lambda doc: dict(doc, k=2.7), "'k' must be an integer"),
-    (lambda doc: dict(doc, response=[dict(doc["response"][0], next="3")]
-                      + doc["response"][1:]), "'next' must be an integer"),
+    (lambda doc: _replace_entry(doc, 0, ["3", 0, 1]), "response entry 0 holds a non-integer"),
     (lambda doc: dict(doc, k=True), "'k' must be an integer"),
+    (lambda doc: {key: value for key, value in doc.items() if key != "format"},
+     "format None is not supported"),
+    (lambda doc: {"k": doc["k"], "q": doc["q"], "family": doc["family"],
+                  "response": [{"state": 0, "attack": doc["vertices"][0], "next": 0,
+                                "moves": [["0", "2"], ["2", "0"]]}]},
+     "format None is not supported"),
+    (lambda doc: dict(doc, format=True), "format True is not supported"),
+    (lambda doc: dict(doc, vertices=doc["vertices"][:1] + doc["vertices"][:-1]),
+     "'vertices' must list each of the graph's 5 labels exactly once"),
+    (lambda doc: dict(doc, vertices=doc["vertices"][:-1]),
+     "'vertices' must list each of the graph's 5 labels exactly once"),
+    (lambda doc: dict(doc, response=doc["response"][:-1]),
+     "'response' has 19 entries, expected 4 members x 5 vertices = 20"),
+    (lambda doc: _replace_entry(doc, 7, [0, 1]), "response entry 7 is not a list of 3"),
+    (lambda doc: _replace_entry(doc, 7, [0, 1, True]), "response entry 7 holds a non-integer"),
+    (lambda doc: _replace_entry(doc, 7, [-1, 0, 1]), "response entry 7 names next -1, outside a family of 4"),
+    (lambda doc: _replace_entry(doc, 7, [4, 0, 1]), "response entry 7 names next 4, outside a family of 4"),
+    (lambda doc: _replace_entry(doc, 7, [0, 0, 2]), "response entry 7 names post 2, outside 2 guards"),
+    (lambda doc: dict(doc, family=doc["family"][:1] + [doc["family"][1][:1]]
+                      + doc["family"][2:]), "family member 1 lists 1 posts, expected q=2"),
 ], ids=["top-level-list", "family-not-list", "moves-not-list", "duplicate-response",
-        "unknown-label", "state-float", "k-float", "next-string", "k-bool"])
+        "unknown-label", "post-float", "k-float", "next-string", "k-bool",
+        "format-missing", "old-format", "format-bool", "vertices-repeated",
+        "vertices-short", "last-entry-popped", "entry-short", "post-bool",
+        "next-negative", "next-past-family", "post-past-q", "member-short"])
 def test_verify_rejects_malformed_certificate(tmp_path, capsys, mutate, reason):
     graph_file, cert_file, doc = _write_p5_certificate(tmp_path, capsys)
+    assert (doc["format"], doc["q"], len(doc["family"]), len(doc["vertices"])) == (2, 2, 4, 5)
     cert_file.write_text(json.dumps(mutate(doc)))
     code, out, _ = run(capsys, "verify", str(cert_file), str(graph_file))
     assert code == 3 and "rejected" in out and reason in out
@@ -199,3 +242,15 @@ def test_usage_errors_exit_with_parse_code(capsys, argv):
         main(argv)
     assert exc.value.code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_other_subcommands_modules_out():
+    # eternal and verify start without the modules only other subcommands use.
+    code = ("import sys, ekdom.cli; print(sorted(m for m in ('ekdom.bounds', "
+            "'ekdom.closed_forms', 'ekdom.mary', 'ekdom.reductions') if m in sys.modules))")
+    src = str(Path(ekdom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 """The game engine against naive fixed points, formulas and mutations."""
+import json
 import random
 
 import pytest
@@ -180,6 +181,45 @@ def test_certificate_matches_the_survivor_scan(n, extra, rng, k):
     assert (cert.k, cert.q, cert.family) == (expected.k, expected.q, expected.family)
     assert cert.response == expected.response
     assert verify_certificate(g, cert) == (True, None)
+
+
+def relisted(doc, rng):
+    """The same certificate document with ``vertices`` shuffled and every
+    member's posts listed in reverse, its rows rewritten to match."""
+    n, q, rows = len(doc["vertices"]), doc["q"], doc["response"]
+    order = list(range(n))
+    rng.shuffle(order)
+    out = []
+    for i in range(len(doc["family"])):
+        for a in order:
+            j, *targets = rows[i * n + a]
+            out.append([j] + [q - 1 - t for t in reversed(targets)])
+    return dict(doc, vertices=[doc["vertices"][a] for a in order],
+                family=[member[::-1] for member in doc["family"]], response=out)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(2, 9), extra=st.floats(0.0, 0.5), rng=st.randoms(use_true_random=False),
+       k=st.integers(1, 3))
+def test_certificate_json_round_trip(n, extra, rng, k):
+    # Shuffled labels keep the label order apart from the id order.
+    plain = random_connected_graph(n, extra, rng)
+    names = [f"v{i}" for i in range(n)]
+    rng.shuffle(names)
+    g = Graph.build(n, plain.edges(), names)
+    cert = eternal_number(g, k).certificate
+    doc = json.loads(json.dumps(certificate_to_json(cert, g)))
+    again = certificate_from_json(doc, g)
+    assert (again.k, again.q, again.family) == (cert.k, cert.q, cert.family)
+    assert again.response == cert.response
+    assert verify_certificate(g, again) == (True, None)
+
+    # The reader follows the document's attack order and post listings:
+    # guards now come in reverse.
+    shuffled = certificate_from_json(relisted(doc, rng), g)
+    assert shuffled.family == cert.family
+    assert shuffled.response == {key: (j, moves[::-1])
+                                 for key, (j, moves) in cert.response.items()}
 
 
 def test_disconnected_graphs_sum_components():
