@@ -1,8 +1,10 @@
-"""Benchmark the compiled elimination kernel against the pure-Python twin.
+"""Benchmark the compiled kernels against their pure-Python twins.
 
 Runs the same greatest-fixed-point eliminations through both kernels,
-each filling a witness table, asserts the results and the tables are
-identical, and reports wall times.
+each filling a witness table, then closes the same certificate from that
+table with both kernels' ``certificate_rows``; asserts the results, the
+tables and the certificate rows are identical, and reports wall times
+for both steps.
 
     python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -59,10 +61,12 @@ def main() -> int:
         print("compiled kernel not built; run: python3 setup.py build_ext --inplace")
         return 1
 
-    header = f"{'instance':<22}{'configs':>9}{'pure':>12}{'compiled':>12}{'speedup':>9}"
+    header = (f"{'instance':<22}{'configs':>9}{'elim pure':>12}{'compiled':>12}{'speedup':>9}"
+              f"{'family':>8}{'cert pure':>12}{'compiled':>12}{'speedup':>9}")
     print(header)
     print("-" * len(header))
     budget = 50_000_000
+    cap = 20_000
     for name, n, k, flat, states in instances():
         wit_py = array("i", [0]) * (len(states) * n)
         wit_c = array("i", [0]) * (len(states) * n)
@@ -72,9 +76,18 @@ def main() -> int:
                             n, k, flat, states, wit_c, budget)
         assert bytes(r_py[0]) == bytes(r_c[0]) and r_py[1:] == r_c[1:], name
         assert wit_py == wit_c, name
+        alive = r_c[0]
+        c_py, cert_py = time_one(pure.certificate_rows, args.repeat,
+                                 n, k, flat, states, alive, wit_c, cap)
+        c_c, cert_c = time_one(_ckernel.certificate_rows, args.repeat,
+                               n, k, flat, states, alive, wit_c, cap)
+        assert cert_py == cert_c, name
+        family = len(cert_c[0]) if cert_c else 0
         print(f"{name:<22}{len(states):>9}{t_py:>11.4f}s{t_c:>11.4f}s"
-              f"{t_py / t_c:>8.1f}x")
-    print("results and witness tables identical across kernels on every instance")
+              f"{t_py / t_c:>8.1f}x{family:>8}{c_py:>11.4f}s{c_c:>11.4f}s"
+              f"{c_py / c_c:>8.1f}x")
+    print("results, witness tables and certificate rows identical across kernels "
+          "on every instance")
     return 0
 
 

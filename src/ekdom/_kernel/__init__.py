@@ -1,33 +1,41 @@
-"""Elimination-kernel selection: compiled extension when it was built.
+"""Kernel selection: compiled extension when it was built.
 
-``run_elimination`` dispatches to the C extension ``_ckernel`` when it
-imported, otherwise to the pure-Python twin.  Both run the same
-Gauss-Seidel sweeps, in the order of ``states``, on graphs of any size and
-return identical results.
+``run_elimination`` and ``certificate_rows`` dispatch to the C extension
+``_ckernel`` when it imported, otherwise to the pure-Python twin.  Both
+run the same Gauss-Seidel sweeps, in the order of ``states``, and the same
+certificate closure, on graphs of any size, and return identical results.
 
 The caller passes ``wit``, an ``array('i')`` of ``len(states) * n``
 items, which receives the final witness table: for a surviving state i
 and a vertex v that i leaves unoccupied, ``wit[i * n + v]`` is the least
 index of a surviving state that occupies v and is reachable from i in one
 step.  Other entries are leftovers, and nothing in the table means
-anything when the budget was exceeded.  The full contract is in ``pure``.
+anything when the budget was exceeded.  ``certificate_rows`` reads that
+table to close the least survivor into certificate rows.  The full
+contracts are in ``pure``.
 """
 from __future__ import annotations
 
-from . import pure
-from .pure import DEFAULT_BUDGET
+DEFAULT_BUDGET = 5_000_000  # checks per elimination; the C kernel's default too
 
+# The pure twin is imported only as the fallback, so a process that runs
+# without cached bytecode does not compile it.
 try:
-    from . import _ckernel
+    from . import _ckernel as _impl
+    _NAME = "compiled"
 except ImportError:  # extension not built; pure fallback
-    _ckernel = None
+    from . import pure as _impl
+    _NAME = "pure"
 
 
 def active_kernel() -> str:
     """Name of the kernel ``run_elimination`` uses."""
-    return "compiled" if _ckernel is not None else "pure"
+    return _NAME
 
 
 def run_elimination(n, k, dist, states, wit, budget=DEFAULT_BUDGET):
-    kernel = _ckernel if _ckernel is not None else pure
-    return kernel.run_elimination(n, k, dist, states, wit, budget=budget)
+    return _impl.run_elimination(n, k, dist, states, wit, budget=budget)
+
+
+def certificate_rows(n, k, dist, states, alive, wit, cap):
+    return _impl.certificate_rows(n, k, dist, states, alive, wit, cap)

@@ -1,19 +1,29 @@
-/* Compiled twin of ekdom._kernel.pure.run_elimination.
+/* Compiled twin of ekdom._kernel.pure.
 
-   Same contract and the same Gauss-Seidel sweep, in input order, as the
+   Two entry points with the contracts of their pure twins, run on C
+   arrays read once from the same Python lists:
+
+   run_elimination: the same Gauss-Seidel sweep, in input order, as the
    pure kernel: candidate lists per distinct guard post in ascending state
    order, the pos/wit cursors, one budget test per check and
    augmenting-path matching with the i == j or q == 1 shortcut.  The two
    therefore return byte-for-byte equal (alive, rounds, checks, exceeded)
    and leave equal witness tables; see pure.py for the algorithm notes and
-   the meaning of the table.  Whether a vertex is occupied is read off the
-   sorted state by a merge walk, so the number of vertices is unbounded.
+   the meaning of the table.
 
-   The caller passes ``wit``, a writable array('i') of len(states) * n
-   items, and the sweep keeps its cursors' witnesses in that buffer, so
-   the witness table it leaves there costs no copy.  Its size, item type
-   and writability are checked before anything is written; its contents
-   on entry are ignored.
+   certificate_rows: the breadth-first closure of the least survivor,
+   answering each attack with the witness table or, on an occupied
+   vertex, with the least live holder reachable in one step, and matching
+   each response once with the same augmenting paths run in full.  It
+   returns the same (members, rows) as the pure twin.
+
+   Whether a vertex is occupied is read off the sorted state by a merge
+   walk, so the number of vertices is unbounded.
+
+   The witness table travels in ``wit``, an array('i') of len(states) * n
+   items; run_elimination writes it in place, so the table costs no copy.
+   Every buffer's size and item type (and, where written, writability) is
+   checked before it is used.
 
        python3 setup.py build_ext --inplace
 */
@@ -50,11 +60,11 @@ augment(Matching *m, int p)
     return 0;
 }
 
+/* Match the guards of state i onto the posts of state j; on success
+   owner[c] is the guard of i that walks to post c of j. */
 static int
-feasible(Matching *m, const int *st, Py_ssize_t i, Py_ssize_t j)
+match(Matching *m, const int *st, Py_ssize_t i, Py_ssize_t j)
 {
-    if (i == j || m->q == 1)
-        return 1;
     m->a = st + (size_t)i * m->q;
     m->b = st + (size_t)j * m->q;
     for (int c = 0; c < m->q; c++)
@@ -65,6 +75,14 @@ feasible(Matching *m, const int *st, Py_ssize_t i, Py_ssize_t j)
             return 0;
     }
     return 1;
+}
+
+/* The elimination's movement test.  Its shortcuts skip the assignment,
+   which the certificate closure needs, so the closure calls match(). */
+static int
+feasible(Matching *m, const int *st, Py_ssize_t i, Py_ssize_t j)
+{
+    return i == j || m->q == 1 || match(m, st, i, j);
 }
 
 /* Copy one state into out[0..q); it must be a sorted sequence of q ints
@@ -101,20 +119,141 @@ done:
    distinct from allocation failure. */
 #define NEW(type, count) ((type *)PyMem_Calloc((size_t)(count) + 1, sizeof(type)))
 
+/* What both entry points read: distances, states, matching scratch and
+   the holder lists (off[v]..off[v+1] in cand holds, ascending, every
+   counted state with a guard on v). */
+typedef struct {
+    Py_ssize_t n, S, q;
+    long *dist;
+    int *st, *cand, *owner;
+    Py_ssize_t *off;
+    unsigned char *seen;
+} Instance;
+
+static void
+free_instance(Instance *in)
+{
+    PyMem_Free(in->dist);
+    PyMem_Free(in->st);
+    PyMem_Free(in->cand);
+    PyMem_Free(in->owner);
+    PyMem_Free(in->off);
+    PyMem_Free(in->seen);
+}
+
+/* Read dist (n*n ints) and states into in; -1 with an exception set on
+   bad input.  The caller frees in with free_instance either way. */
+static int
+read_instance(Instance *in, Py_ssize_t n, PyObject *dist_obj, PyObject *states_obj)
+{
+    PyObject *dseq = NULL, *sseq = NULL;
+    Py_ssize_t nd, i;
+    int rc = -1;
+
+    in->n = n;
+    if ((dseq = PySequence_Fast(dist_obj, "dist must be a sequence")) == NULL
+            || (sseq = PySequence_Fast(states_obj, "states must be a sequence")) == NULL)
+        goto done;
+    nd = PySequence_Fast_GET_SIZE(dseq);
+    in->S = PySequence_Fast_GET_SIZE(sseq);
+    if (n < 0 || (n == 0 ? nd != 0 : nd % n != 0 || nd / n != n)) {
+        PyErr_SetString(PyExc_ValueError, "dist must hold n*n distances");
+        goto done;
+    }
+    if (in->S > INT_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "too many states");
+        goto done;
+    }
+    if (in->S > 0 && (in->q = PySequence_Size(PySequence_Fast_GET_ITEM(sseq, 0))) < 0)
+        goto done;
+    in->dist = NEW(long, nd);
+    in->st = NEW(int, (size_t)in->S * in->q);
+    in->off = NEW(Py_ssize_t, n + 1);
+    in->owner = NEW(int, in->q);
+    in->seen = NEW(unsigned char, in->q);
+    if (!in->dist || !in->st || !in->off || !in->owner || !in->seen) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < nd; i++) {
+        in->dist[i] = PyLong_AsLong(PySequence_Fast_GET_ITEM(dseq, i));
+        if (in->dist[i] == -1 && PyErr_Occurred())
+            goto done;
+    }
+    for (i = 0; i < in->S; i++)
+        if (read_state(PySequence_Fast_GET_ITEM(sseq, i), in->q, n,
+                       in->st + (size_t)i * in->q) < 0)
+            goto done;
+    rc = 0;
+done:
+    Py_XDECREF(dseq);
+    Py_XDECREF(sseq);
+    return rc;
+}
+
+/* Holder lists over the states with a nonzero flag in live (all states
+   when live is NULL).  Posts are sorted, so repeats are adjacent. */
+static int
+build_holders(Instance *in, const unsigned char *live)
+{
+    Py_ssize_t i, s, v, n = in->n, q = in->q;
+    const int *st = in->st;
+    Py_ssize_t *off = in->off;
+
+    for (i = 0; i < in->S; i++)
+        if (live == NULL || live[i])
+            for (s = 0; s < q; s++)
+                if (s == 0 || st[i * q + s] != st[i * q + s - 1])
+                    off[st[i * q + s] + 1]++;
+    for (v = 0; v < n; v++)
+        off[v + 1] += off[v];
+    if ((in->cand = NEW(int, off[n])) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < in->S; i++)     /* off[v] advances to the end of v's list */
+        if (live == NULL || live[i])
+            for (s = 0; s < q; s++)
+                if (s == 0 || st[i * q + s] != st[i * q + s - 1])
+                    in->cand[off[st[i * q + s]]++] = (int)i;
+    for (v = n; v > 0; v--)         /* and is shifted back to its start */
+        off[v] = off[v - 1];
+    off[0] = 0;
+    return 0;
+}
+
+/* Borrow the witness table: an array('i') of S * n items. */
+static int
+get_wit(PyObject *obj, Py_buffer *view, int flags, Py_ssize_t items)
+{
+    if (PyObject_GetBuffer(obj, view, flags | PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+        return -1;
+    if (view->itemsize != sizeof(int) || view->format == NULL
+            || strcmp(view->format, "i") != 0) {
+        PyErr_SetString(PyExc_TypeError, "wit must be an array('i')");
+        return -1;
+    }
+    if (view->len != (Py_ssize_t)sizeof(int) * items) {
+        PyErr_SetString(PyExc_ValueError, "wit must hold len(states) * n items");
+        return -1;
+    }
+    return 0;
+}
+
 static PyObject *
 run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "k", "dist", "states", "wit", "budget", NULL};
-    Py_ssize_t n, S = 0, q = 0, nd, i, s, v;
+    Py_ssize_t n, S, q, i, v;
     long k;
     long long budget = 5000000, checks = 0;
-    PyObject *dist_obj, *states_obj, *wit_obj;
-    PyObject *dseq = NULL, *sseq = NULL, *result = NULL;
+    PyObject *dist_obj, *states_obj, *wit_obj, *result = NULL;
     Py_buffer view = {0};
-    long *dist = NULL;
-    int *st = NULL, *cand = NULL, *pos = NULL, *wit = NULL, *owner = NULL;
-    Py_ssize_t *off = NULL;
-    unsigned char *alive = NULL, *seen = NULL;
+    Instance in = {0};
+    int *pos = NULL, *wit;
+    const int *st, *cand;
+    const Py_ssize_t *off;
+    unsigned char *alive = NULL;
     Matching m;
     int changed = 1, exceeded = 0;
     Py_ssize_t rounds = 0;
@@ -122,76 +261,24 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nlOOO|L:run_elimination", kwlist,
                                      &n, &k, &dist_obj, &states_obj, &wit_obj, &budget))
         return NULL;
-    if ((dseq = PySequence_Fast(dist_obj, "dist must be a sequence")) == NULL
-            || (sseq = PySequence_Fast(states_obj, "states must be a sequence")) == NULL)
+    if (read_instance(&in, n, dist_obj, states_obj) < 0
+            || get_wit(wit_obj, &view, PyBUF_WRITABLE, in.S * n) < 0
+            || build_holders(&in, NULL) < 0)
         goto done;
-    nd = PySequence_Fast_GET_SIZE(dseq);
-    S = PySequence_Fast_GET_SIZE(sseq);
-    if (n < 0 || (n == 0 ? nd != 0 : nd % n != 0 || nd / n != n)) {
-        PyErr_SetString(PyExc_ValueError, "dist must hold n*n distances");
-        goto done;
-    }
-    if (S > INT_MAX) {
-        PyErr_SetString(PyExc_OverflowError, "too many states");
-        goto done;
-    }
-    if (S > 0 && (q = PySequence_Size(PySequence_Fast_GET_ITEM(sseq, 0))) < 0)
-        goto done;
-    if (PyObject_GetBuffer(wit_obj, &view,
-                           PyBUF_WRITABLE | PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
-        goto done;
-    if (view.itemsize != sizeof(int) || view.format == NULL
-            || strcmp(view.format, "i") != 0) {
-        PyErr_SetString(PyExc_TypeError, "wit must be an array('i')");
-        goto done;
-    }
-    if (view.len != (Py_ssize_t)sizeof(int) * S * n) {
-        PyErr_SetString(PyExc_ValueError, "wit must hold len(states) * n items");
-        goto done;
-    }
-
-    dist = NEW(long, nd);
-    st = NEW(int, (size_t)S * q);
-    off = NEW(Py_ssize_t, n + 1);
+    S = in.S;
+    q = in.q;
+    st = in.st;
+    cand = in.cand;
+    off = in.off;
     pos = NEW(int, (size_t)S * n);
-    wit = (int *)view.buf;
     alive = NEW(unsigned char, S);
-    owner = NEW(int, q);
-    seen = NEW(unsigned char, q);
-    if (!dist || !st || !off || !pos || !alive || !owner || !seen) {
+    if (!pos || !alive) {
         PyErr_NoMemory();
         goto done;
     }
-    for (i = 0; i < nd; i++) {
-        dist[i] = PyLong_AsLong(PySequence_Fast_GET_ITEM(dseq, i));
-        if (dist[i] == -1 && PyErr_Occurred())
-            goto done;
-    }
-    for (i = 0; i < S; i++)
-        if (read_state(PySequence_Fast_GET_ITEM(sseq, i), q, n, st + (size_t)i * q) < 0)
-            goto done;
+    wit = (int *)view.buf;
 
-    /* Candidate lists: off[v]..off[v+1] in cand holds, ascending, every
-       state with a guard on v.  Posts are sorted, so repeats are adjacent. */
-    for (i = 0; i < S; i++)
-        for (s = 0; s < q; s++)
-            if (s == 0 || st[i * q + s] != st[i * q + s - 1])
-                off[st[i * q + s] + 1]++;
-    for (v = 0; v < n; v++)
-        off[v + 1] += off[v];
-    if ((cand = NEW(int, off[n])) == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (i = 0; i < S; i++)     /* off[v] advances to the end of v's list */
-        for (s = 0; s < q; s++)
-            if (s == 0 || st[i * q + s] != st[i * q + s - 1])
-                cand[off[st[i * q + s]]++] = (int)i;
-    for (v = n; v > 0; v--)     /* and is shifted back to its start */
-        off[v] = off[v - 1];
-    off[0] = 0;
-
-    m = (Matching){dist, NULL, NULL, n, k, (int)q, owner, seen};
+    m = (Matching){in.dist, NULL, NULL, n, k, (int)q, in.owner, in.seen};
     memset(alive, 1, (size_t)S);
     for (i = 0; i < S * n; i++)
         wit[i] = -1;
@@ -234,18 +321,176 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
     result = Py_BuildValue("(NnLO)", PyByteArray_FromStringAndSize((char *)alive, S),
                            rounds, checks, exceeded ? Py_True : Py_False);
 done:
-    Py_XDECREF(dseq);
-    Py_XDECREF(sseq);
-    PyMem_Free(dist);
-    PyMem_Free(st);
-    PyMem_Free(off);
-    PyMem_Free(cand);
-    PyMem_Free(pos);
+    free_instance(&in);
     if (view.obj != NULL)
         PyBuffer_Release(&view);
+    PyMem_Free(pos);
     PyMem_Free(alive);
-    PyMem_Free(owner);
-    PyMem_Free(seen);
+    return result;
+}
+
+/* [next, posts[0], ..., posts[q - 1]] as a new list. */
+static PyObject *
+new_row(long next, const int *posts, Py_ssize_t q)
+{
+    PyObject *row = PyList_New(q + 1), *x;
+    if (row == NULL)
+        return NULL;
+    for (Py_ssize_t c = 0; c <= q; c++) {
+        if ((x = PyLong_FromLong(c ? posts[c - 1] : next)) == NULL) {
+            Py_DECREF(row);
+            return NULL;
+        }
+        PyList_SET_ITEM(row, c, x);
+    }
+    return row;
+}
+
+static PyObject *
+certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "k", "dist", "states", "alive", "wit", "cap", NULL};
+    Py_ssize_t n, cap, S, q, i, v, c, r, h, size = 0, room = 0, width;
+    long k;
+    PyObject *dist_obj, *states_obj, *alive_obj, *wit_obj;
+    PyObject *members = NULL, *rows = NULL, *item, *result = NULL;
+    Py_buffer aview = {0}, wview = {0};
+    Instance in = {0};
+    const unsigned char *alive;
+    const int *wit;
+    int *order = NULL, *slot = NULL, *resp = NULL, *out;
+    Matching m;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nlOOOOn:certificate_rows", kwlist,
+                                     &n, &k, &dist_obj, &states_obj, &alive_obj,
+                                     &wit_obj, &cap))
+        return NULL;
+    if (read_instance(&in, n, dist_obj, states_obj) < 0
+            || PyObject_GetBuffer(alive_obj, &aview, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+        goto done;
+    if (aview.itemsize != 1) {
+        PyErr_SetString(PyExc_TypeError, "alive must be a bytearray of 0/1 flags");
+        goto done;
+    }
+    if (aview.len != in.S) {
+        PyErr_SetString(PyExc_ValueError, "alive must hold len(states) flags");
+        goto done;
+    }
+    alive = (const unsigned char *)aview.buf;
+    if (get_wit(wit_obj, &wview, 0, in.S * n) < 0 || build_holders(&in, alive) < 0)
+        goto done;
+    wit = (const int *)wview.buf;
+    S = in.S;
+    q = in.q;
+    width = n * (q + 1);
+    m = (Matching){in.dist, NULL, NULL, n, k, (int)q, in.owner, in.seen};
+    order = NEW(int, S);    /* order[h]: the h-th member found */
+    slot = NEW(int, S);     /* slot[s]: h for member s, -1 for other states */
+    if (!order || !slot) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < S; i++)
+        slot[i] = -1;
+
+    /* Breadth-first from the least survivor.  resp holds the n rows
+       [next, t_1, ..., t_q] of each member answered so far, with next
+       still a state index until the members are sorted. */
+    for (i = 0; i < S && !alive[i]; i++)
+        ;
+    if (i < S) {
+        slot[i] = 0;
+        order[size++] = (int)i;
+    }
+    for (h = 0; h < size && size <= cap; h++) {
+        if (h == room) {
+            room = room ? 2 * room : 64;
+            int *grown = PyMem_Realloc(resp, (size_t)room * width * sizeof(int) + 1);
+            if (grown == NULL) {
+                PyErr_NoMemory();
+                goto done;
+            }
+            resp = grown;
+        }
+        i = order[h];
+        const int *post = in.st + (size_t)i * q;
+        Py_ssize_t t = 0;
+        out = resp + (size_t)h * width;
+        for (v = 0; v < n; v++, out += q + 1) {
+            int j = -1;
+            while (t < q && post[t] < v)
+                t++;
+            if (t < q && post[t] == v) {
+                /* The least live holder of v reachable in one step; the
+                   scan ends at i itself. */
+                for (c = in.off[v]; c < in.off[v + 1] && j < 0; c++)
+                    if (match(&m, in.st, i, in.cand[c]))
+                        j = in.cand[c];
+            } else {
+                int w = wit[(size_t)i * n + v];
+                if (w >= 0 && w < S && alive[w] && match(&m, in.st, i, w))
+                    j = w;
+            }
+            if (j < 0) {
+                PyErr_Format(PyExc_ValueError, "no live state answers attack %zd on "
+                             "state %zd: the witness table does not fit alive", v, i);
+                goto done;
+            }
+            /* Guard owner[c] walks to post c of j, named by the first post
+               of j on the same vertex. */
+            const int *dst = in.st + (size_t)j * q;
+            int first = 0;
+            out[0] = j;
+            for (c = 0; c < q; c++) {
+                if (c == 0 || dst[c] != dst[c - 1])
+                    first = (int)c;
+                out[1 + m.owner[c]] = first;
+            }
+            if (slot[j] < 0) {
+                slot[j] = (int)size;
+                order[size++] = j;
+            }
+        }
+    }
+    if (size > cap) {
+        Py_INCREF(Py_None);
+        result = Py_None;
+        goto done;
+    }
+
+    /* Members in ascending state order; order[r] becomes the discovery
+       index of the r-th member and slot its rank. */
+    if ((members = PyList_New(size)) == NULL || (rows = PyList_New(size * n)) == NULL)
+        goto done;
+    for (i = 0, r = 0; i < S; i++) {
+        if (slot[i] < 0)
+            continue;
+        if ((item = PyLong_FromSsize_t(i)) == NULL)
+            goto done;
+        PyList_SET_ITEM(members, r, item);
+        order[r] = slot[i];
+        slot[i] = (int)r++;
+    }
+    for (r = 0; r < size; r++) {
+        out = resp + (size_t)order[r] * width;
+        for (v = 0; v < n; v++, out += q + 1) {
+            if ((item = new_row(slot[out[0]], out + 1, q)) == NULL)
+                goto done;
+            PyList_SET_ITEM(rows, r * n + v, item);
+        }
+    }
+    result = PyTuple_Pack(2, members, rows);
+done:
+    free_instance(&in);
+    if (aview.obj != NULL)
+        PyBuffer_Release(&aview);
+    if (wview.obj != NULL)
+        PyBuffer_Release(&wview);
+    PyMem_Free(order);
+    PyMem_Free(slot);
+    PyMem_Free(resp);
+    Py_XDECREF(members);
+    Py_XDECREF(rows);
     return result;
 }
 
@@ -257,6 +502,12 @@ static PyMethodDef methods[] = {
      "Greatest-fixed-point elimination; returns (alive, rounds, checks, exceeded)\n"
      "and leaves the witness table in wit, an array('i') of len(states) * n\n"
      "items (see ekdom._kernel.pure)."},
+    {"certificate_rows", (PyCFunction)(void (*)(void))certificate_rows,
+     METH_VARARGS | METH_KEYWORDS,
+     "certificate_rows($module, /, n, k, dist, states, alive, wit, cap)\n"
+     "--\n\n"
+     "Close the least survivor under best responses; returns (members, rows),\n"
+     "or None past cap members (see ekdom._kernel.pure)."},
     {NULL, NULL, 0, NULL}
 };
 

@@ -1,4 +1,5 @@
-"""Pure-Python elimination kernel (reference twin of ``_ckernel.c``).
+"""Pure-Python elimination kernel and certificate closure (reference twins
+of ``_ckernel.c``).
 
 Given all size-q dominating configurations of a graph, keep deleting every
 configuration that cannot answer some attacked vertex with a surviving
@@ -51,14 +52,18 @@ lexicographic order from ``enumerate_dominating_configs``, so this is
 the lexicographically least such survivor.  Other entries (dead i,
 occupied v) are leftovers of the sweep, and when ``exceeded`` is set the
 whole table means nothing.
+
+Certificate closure: ``certificate_rows`` closes the least survivor
+under best responses, reading unoccupied attacks off that table; its
+contract is in its docstring, and the compiled twin returns the same
+``(members, rows)``.
 """
 from __future__ import annotations
 
 from array import array
 
 from ..configs import _match
-
-DEFAULT_BUDGET = 5_000_000
+from . import DEFAULT_BUDGET
 
 
 def _matcher(n: int, k: int, dist: list[int], states: list[tuple]):
@@ -141,3 +146,79 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
             if exceeded:
                 break
     return alive, rounds, checks, exceeded
+
+
+def certificate_rows(n: int, k: int, dist: list[int], states: list[tuple],
+                     alive: bytearray, wit: array, cap: int):
+    """Close the least survivor under best responses, as certificate rows.
+
+    ``alive`` and ``wit`` are what ``run_elimination`` left for
+    ``states`` (lexicographically ordered).  The response to (member i,
+    attack v) is the least live state holding v that i reaches in one
+    step: for an unoccupied v the witness table names it; for an occupied
+    v the live holders of v are scanned in ascending order, a scan that
+    ends at i itself.  Breadth-first from the least live state, each
+    response is matched once with ``configs._match`` run in full (a state
+    can reach itself by a non-identity assignment, and the rows record
+    the assignment).
+
+    Returns ``(members, rows)``: ``members`` lists the closure's state
+    indices in ascending order, and ``rows[r * n + v]`` is
+    ``[next, t_1, ..., t_q]`` for the r-th member attacked at v, where
+    guard p (its p-th post) walks to the vertex at post ``t_p`` of member
+    ``next``, written as that vertex's first post.  Returns None when the
+    closure has more than ``cap`` members, and ``([], [])`` when nothing
+    is alive.  Raises ValueError when the table names no live state that
+    answers an attack.
+    """
+    S = len(states)
+    if len(alive) != S:
+        raise ValueError("alive must hold len(states) flags")
+    if len(wit) != S * n:
+        raise ValueError("wit must hold len(states) * n items")
+    live = [i for i in range(S) if alive[i]]
+    if not live:
+        return [], []
+    dist_rows = [dist[u * n:(u + 1) * n] for u in range(n)]
+    holders: list[list[int]] = [[] for _ in range(n)]
+    for i in live:
+        for v in set(states[i]):
+            holders[v].append(i)
+    order = [live[0]]  # members in order of discovery
+    slot = {live[0]: 0}
+    answers = []  # per member found: its n rows, next still a state index
+    for i in order:
+        if len(order) > cap:
+            return None
+        cur = states[i]
+        out = []
+        for v in range(n):
+            if v in cur:
+                tries = holders[v]
+            else:
+                w = wit[i * n + v]
+                tries = (w,) if 0 <= w < S and alive[w] else ()
+            for j in tries:
+                owner = _match(dist_rows, cur, states[j], k)
+                if owner is not None:
+                    break
+            else:
+                raise ValueError(f"no live state answers attack {v} on state {i}: "
+                                 "the witness table does not fit alive")
+            dst = states[j]
+            row = [j] + [0] * len(cur)
+            for c, p in enumerate(owner):
+                row[1 + p] = dst.index(dst[c])
+            out.append(row)
+            if j not in slot:
+                slot[j] = len(order)
+                order.append(j)
+        answers.append(out)
+    members = sorted(order)
+    rank = {i: r for r, i in enumerate(members)}
+    rows = []
+    for i in members:
+        for row in answers[slot[i]]:
+            row[0] = rank[row[0]]
+            rows.append(row)
+    return members, rows

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json  # module-level: e2ebench/tracer.py swaps ekdom.cli.json
 import sys
+import warnings
 
 from . import _kernel
 from .domination import gamma_k
@@ -28,10 +29,18 @@ EXIT_VERIFY = 3
 
 
 def _load_graph(path: str) -> Graph:
+    """Parse a graph file, printing each parser warning as one stderr line."""
     if path == "-":
-        return parse_graph(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = parse_graph(text)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return g
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,6 +133,7 @@ def _cmd_gamma(args) -> int:
 def _cmd_eternal(args) -> int:
     g = _load_graph(args.file)
     report = eternal_number(g, args.k, q_max=args.qmax, budget=args.max_states)
+    c = report.certificate
     payload = {
         "k": args.k,
         "gamma_eternal": report.gamma_eternal,
@@ -134,6 +144,8 @@ def _cmd_eternal(args) -> int:
         "per_q": [{"q": s.q, "configs": s.num_configs, "rounds": s.rounds,
                    "checks": s.checks, "survivors": s.survivors}
                   for s in report.per_q],
+        "certificate": None if c is None else {"family": len(c.family),
+                                               "responses": len(c.rows)},
     }
     if args.json:
         print(json.dumps(payload))
@@ -142,18 +154,17 @@ def _cmd_eternal(args) -> int:
         for s in report.per_q:
             print(f"  q={s.q}: {s.num_configs} configurations, "
                   f"{s.rounds} rounds, {s.survivors} survive")
-        if report.certificate is not None:
-            c = report.certificate
+        if c is not None:
             print(f"  certificate: family of {len(c.family)}, "
-                  f"{len(c.response)} responses")
+                  f"{len(c.rows)} responses")
     else:
         reason = "unresolved" if report.budget_exceeded else f"stopped at --qmax {args.qmax}"
         print(f"{reason}: eternal number in [{report.lower_bound}, {report.upper_bound}]")
     if args.certificate:
-        if report.certificate is not None:
+        if c is not None:
             # One dumps call runs json's C encoder; dump streams the pure
             # Python one, a write per token.
-            doc = certificate_to_json(report.certificate, g)
+            doc = certificate_to_json(c, g)
             with open(args.certificate, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(doc, separators=(",", ":")))
             print(f"  certificate written to {args.certificate}")

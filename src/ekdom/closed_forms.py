@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph, all_pairs_distances, diameter, is_connected
+from .graph import Graph
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -106,18 +106,3 @@ def cycle_number(n: int, k: int) -> int:
         raise ValueError("need n >= 3 and k >= 1")
     return _ceil_div(n, 2 * k + 1)
 
-
-def hamiltonian_upper_bound(n: int, k: int) -> int:
-    """Upper bound for any Hamiltonian graph on n vertices.
-
-    Guards patrol a Hamilton cycle, so the cycle value bounds the graph.
-    Hamiltonicity is the caller's assertion; it is not checked here.
-    """
-    return cycle_number(n, k)
-
-
-def diameter_rule(g: Graph, k: int) -> int | None:
-    """1 when one guard reaches everything (diameter <= k), else None."""
-    if not is_connected(g):
-        raise ValueError("diameter rule needs a connected graph")
-    return 1 if diameter(all_pairs_distances(g)) <= k else None

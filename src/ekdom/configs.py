@@ -120,8 +120,3 @@ def transform_assignment(dist: DistMatrix, src: Config, dst: Config,
     for c, p in enumerate(owner):
         moves[p] = (src[p], dst[c])
     return tuple(moves)
-
-
-def transforms(dist: DistMatrix, src: Config, dst: Config, k: int) -> bool:
-    """True iff every guard of src can reach its own target in dst."""
-    return transform_assignment(dist, src, dst, k) is not None

@@ -140,16 +140,6 @@ def components(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
-def neighborhood_k(dist: DistMatrix, x: int, k: int, closed: bool = True) -> frozenset[int]:
-    """Vertices within distance k of x (closed) or at distance exactly k (open)."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    row = dist[x]
-    if closed:
-        return frozenset(v for v, d in enumerate(row) if d <= k)
-    return frozenset(v for v, d in enumerate(row) if d == k)
-
-
 def eccentricity(dist: DistMatrix, u: int) -> int:
     row = dist[u]
     if UNREACHABLE in row:
@@ -188,13 +178,6 @@ def delete_vertices(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int,
     idmap = {old: new for new, old in enumerate(keep)}
     edges = [(idmap[u], idmap[v]) for u, v in g.edges() if u in idmap and v in idmap]
     return Graph.build(len(keep), edges, tuple(g.labels[v] for v in keep)), idmap
-
-
-def delete_edge(g: Graph, u: int, v: int) -> Graph:
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    edges = [e for e in g.edges() if e != (min(u, v), max(u, v))]
-    return Graph.build(g.n, edges, g.labels)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:

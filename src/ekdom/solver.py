@@ -10,11 +10,12 @@ above, so the loop always terminates.
 
 Alongside the number, the solver extracts an explicit certificate: a
 family of configurations plus, for every (family member, attacked vertex)
-pair, a successor member containing the attack and a per-guard move list
-realising the transition.  ``verify_certificate`` re-checks such an
-object from scratch using only distances and multiset arithmetic, with no
-access to solver internals, so solver and verifier form independent
-routes to the same claim.
+pair, one row naming a successor member that contains the attack and the
+post each guard walks to.  The kernel layer builds the rows
+(``_kernel.certificate_rows``); ``verify_certificate`` re-checks them
+from scratch using only distances and multiset arithmetic, with no
+access to solver or kernel internals, so solver and verifier form
+independent routes to the same claim.
 
 State budget: each guard count gets a configurable number of
 (configuration, attack) checks (default five million).  A guard count
@@ -27,14 +28,13 @@ established so far.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable
 
 from . import _kernel
-from .configs import Config, canonical, enumerate_dominating_configs, transform_assignment
+from .configs import Config, canonical, enumerate_dominating_configs
 from .domination import gamma_k, is_distance_k_dominating
 from .graph import Graph, all_pairs_distances, induced_subgraph, is_connected, components
 
@@ -62,16 +62,16 @@ class QStats:
 class EternalCertificate:
     """Explicit defense strategy at guard count q.
 
-    ``response[(i, v)]`` names the successor family index and the guard
-    move list used when the family member i faces an attack at vertex v.
+    ``family`` lists the members as sorted posts.  ``rows[i * n + v]``
+    answers an attack at vertex v on member i, for a graph of n
+    vertices: it is ``[next, t_1, ..., t_q]``, and guard p of member i
+    (its p-th post) walks to the vertex at post ``t_p`` of
+    ``family[next]``.  These are the rows of the JSON ``response`` field.
     """
     k: int
     q: int
     family: tuple[Config, ...]
-    response: dict
-
-    def __post_init__(self):
-        self.response = dict(self.response)
+    rows: list
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,9 @@ def _flat_distances(g: Graph) -> list:
 
 def _eliminate(g: Graph, k: int, q: int, budget: int) -> tuple[frozenset, QStats, tuple | None]:
     """Survivors, statistics and, for a non-empty fixed point, the kernel's
-    ``(states, alive, wit)`` from which ``_build_certificate`` reads its
-    responses; empty, refused and over-budget guard counts keep no table.
+    ``(states, alive, wit)`` from which ``_kernel.certificate_rows`` reads
+    its responses; empty, refused and over-budget guard counts keep no
+    table.
     """
     dist = all_pairs_distances(g)
     states = enumerate_dominating_configs(dist, k, q, limit=budget // max(g.n, 1))
@@ -192,9 +193,7 @@ def eternal_number(g: Graph, k: int, q_max: int | None = None,
             exceeded = True
             break
         if survivors:
-            cert = None
-            if want_certificate:
-                cert = _build_certificate(g, k, q, *table)
+            cert = _certificate(g, k, q, *table) if want_certificate else None
             return SolveReport(k, q, q, q, gk, gh, per_q, cert, False)
         lower = q + 1
     if not exceeded and q_max is None:
@@ -271,109 +270,90 @@ def is_eternal_set(g: Graph, k: int, guards: Iterable[int],
 # Certificates.
 # ---------------------------------------------------------------------------
 
-def _build_certificate(g: Graph, k: int, q: int, states: list[Config],
-                       alive: bytearray, wit: array) -> EternalCertificate | None:
+def _certificate(g: Graph, k: int, q: int, states: list[Config],
+                 alive: bytearray, wit: array) -> EternalCertificate | None:
     """Close the lexicographically least survivor under best responses.
 
     The response to (member, attack) is the lexicographically smallest
     survivor containing the attack and reachable in one step; closing
     under that choice yields a family that is closed by construction and
-    usually far smaller than the full survivor set.  ``states`` are in
-    lexicographic order, so "smallest" is "least index".  For an
-    unoccupied attack the kernel's witness table (see ``ekdom._kernel``)
-    already names that survivor; an occupied attack, at most q per
-    member, scans the survivors holding the vertex, which end at the
-    member itself.  Returns None when the closure exceeds
-    ``CERTIFICATE_CAP`` members.
+    usually far smaller than the full survivor set.  The kernel layer
+    runs the closure (see ``_kernel.pure.certificate_rows``).  Returns
+    None when the closure exceeds ``CERTIFICATE_CAP`` members.
     """
-    dist = all_pairs_distances(g)
-    n = g.n
-    live = [i for i in range(len(states)) if alive[i]]
-    holders: list[list[int]] = [[] for _ in range(n)]
-    for i in live:
-        for v in set(states[i]):
-            holders[v].append(i)
-
-    family: dict[int, None] = {}
-    response: dict[tuple[int, int], tuple[int, tuple]] = {}
-    queue = deque([live[0]])
-    while queue:
-        i = queue.popleft()
-        if i in family:
-            continue
-        family[i] = None
-        if len(family) > CERTIFICATE_CAP:
-            return None
-        cur = states[i]
-        for v in range(n):
-            if v in cur:
-                for j in holders[v]:
-                    moves = transform_assignment(dist, cur, states[j], k)
-                    if moves is not None:
-                        break
-            else:
-                j = wit[i * n + v]
-                moves = transform_assignment(dist, cur, states[j], k)
-                if moves is None:  # unreachable: the kernel checked this move
-                    raise AssertionError("witness cannot answer an attack")
-            response[(i, v)] = (j, moves)
-            if j not in family:
-                queue.append(j)
-    members = sorted(family)
-    index = {i: r for r, i in enumerate(members)}
-    packed = {(index[i], v): (index[j], moves)
-              for (i, v), (j, moves) in response.items()}
-    return EternalCertificate(k, q, tuple(states[i] for i in members), packed)
+    closure = _kernel.certificate_rows(g.n, k, _flat_distances(g), states, alive,
+                                       wit, CERTIFICATE_CAP)
+    if closure is None:
+        return None
+    members, rows = closure
+    return EternalCertificate(k, q, tuple(states[i] for i in members), rows)
 
 
 def verify_certificate(g: Graph, cert: EternalCertificate
                        ) -> tuple[bool, CertificateViolation | None]:
     """Re-derive every certificate invariant from scratch.
 
-    Uses only distances and multiset comparisons (never the solver), and
-    returns the first violation in (member index, vertex id) scan order.
+    Uses only distances and multiset comparisons (never the solver or
+    the kernels).  Checks run in stages (the family, the number of rows,
+    their shape, their indices, then each row's moves), and each stage
+    reports its first violation in (member index, vertex id) scan order.
     Violations are return values, not exceptions.
     """
     dist = all_pairs_distances(g)
-    n = g.n
+    n, q, k, family, rows = g.n, cert.q, cert.k, cert.family, cert.rows
 
     def bad(state, attack_id, reason):
         attack = g.labels[attack_id] if attack_id is not None else None
         return False, CertificateViolation(state, attack, reason)
 
-    if cert.q < 1 or cert.k < 1:
+    if q < 1 or k < 1:
         return bad(None, None, "q and k must be positive")
-    if not cert.family:
+    if not family:
         return bad(None, None, "empty family")
-    for i, member in enumerate(cert.family):
-        if len(member) != cert.q:
-            return bad(i, None, f"member {i} has size {len(member)}, expected {cert.q}")
+    for i, member in enumerate(family):
+        if len(member) != q:
+            return bad(i, None, f"member {i} has size {len(member)}, expected {q}")
         if any(not (0 <= u < n) for u in member):
             return bad(i, None, f"member {i} names a vertex out of range")
         if tuple(sorted(member)) != tuple(member):
             return bad(i, None, f"member {i} is not in canonical sorted form")
-        if not is_distance_k_dominating(dist, member, cert.k):
-            return bad(i, None, f"member {i} is not distance-{cert.k} dominating")
-    for i, member in enumerate(cert.family):
+        if not is_distance_k_dominating(dist, member, k):
+            return bad(i, None, f"member {i} is not distance-{k} dominating")
+    m = len(family)
+    if len(rows) != m * n:
+        return bad(None, None, f"{len(rows)} response rows for {m} members "
+                               f"x {n} vertices")
+    columns = _int_columns(rows, q)
+    if columns is None:
+        r = next(r for r, row in enumerate(rows)
+                 if type(row) is not list or len(row) != q + 1
+                 or any(type(x) is not int for x in row))
+        return bad(r // n, r % n, f"response is not {q + 1} integers "
+                                  f"[next, t_1, ..., t_q]: {rows[r]!r}")
+    nexts, posts = columns
+    if not (0 <= min(nexts, default=0) and max(nexts, default=0) < m):
+        r = next(r for r, j in enumerate(nexts) if not 0 <= j < m)
+        return bad(r // n, r % n, f"successor index {nexts[r]} outside the family")
+    if not (0 <= min(posts, default=0) and max(posts, default=0) < q):
+        r = next(r for r, t in enumerate(posts) if not 0 <= t < q) // q
+        return bad(r // n, r % n, f"a post index is outside {q} guards")
+    held = [set(member) for member in family]
+    for i, member in enumerate(family):
+        reach = [dist[u] for u in member]
+        passed = set()  # rows of member i already checked, less the attack
         for v in range(n):
-            entry = cert.response.get((i, v))
-            if entry is None:
-                return bad(i, v, "missing response")
-            j, moves = entry
-            if not (0 <= j < len(cert.family)):
-                return bad(i, v, f"successor index {j} outside the family")
-            if len(moves) != cert.q:
-                return bad(i, v, f"{len(moves)} moves for {cert.q} guards")
-            sources = tuple(sorted(m[0] for m in moves))
-            if sources != member:
-                return bad(i, v, "move sources do not match the member")
-            for a, b in moves:
-                if not (0 <= b < n) or dist[a][b] > cert.k:
-                    return bad(i, v, f"move {a}->{b} longer than k={cert.k}")
-            targets = tuple(sorted(m[1] for m in moves))
-            if targets != cert.family[j]:
-                return bad(i, v, "move targets do not match the successor")
-            if v not in cert.family[j]:
+            row = rows[i * n + v]
+            key = tuple(row)
+            if key not in passed:
+                succ = family[row[0]]
+                targets = [succ[t] for t in row[1:]]
+                for a, b, d in zip(member, targets, reach):
+                    if d[b] > k:
+                        return bad(i, v, f"move {a}->{b} longer than k={k}")
+                if tuple(sorted(targets)) != succ:
+                    return bad(i, v, "move targets do not match the successor")
+                passed.add(key)
+            if v not in held[row[0]]:
                 return bad(i, v, "successor does not occupy the attacked vertex")
     return True, None
 
@@ -382,36 +362,19 @@ def certificate_to_json(cert: EternalCertificate, g: Graph) -> dict:
     """External JSON form (format 2, labels for vertices); see the CLI.
 
     ``vertices`` lists every label once and fixes the order of attacks;
-    ``family`` lists each member's posts.  ``response`` has one row per
-    (member, attack) pair, member-major: row ``i * n + a`` is
+    ``family`` lists each member's posts.  ``response`` is the
+    certificate's own row list, not a copy: row ``i * n + a`` is
     ``[next, t_1, ..., t_q]``, where guard p of member i (its p-th post)
-    walks to the vertex at post ``t_p`` of ``family[next]``, written as
-    that vertex's first post.  Each move list must name the member's
-    guards in order, as ``transform_assignment`` does, and land on the
-    successor's posts; raises ValueError otherwise, since the rows do not
-    store the sources.
+    walks to the vertex at post ``t_p`` of ``family[next]``.
     """
-    first = [{v: member.index(v) for v in member} for member in cert.family]
-    rows = []
-    for i, member in enumerate(cert.family):
-        for v in range(g.n):
-            j, moves = cert.response[(i, v)]
-            sources, targets = zip(*moves)
-            if sources != member:
-                raise ValueError(f"moves of member {i} at attack {g.labels[v]} "
-                                 "do not list its guards in order")
-            try:
-                rows.append([j, *map(first[j].__getitem__, targets)])
-            except KeyError:
-                raise ValueError(f"moves of member {i} at attack {g.labels[v]} "
-                                 f"leave the posts of member {j}") from None
+    labels = g.labels
     return {
         "format": CERTIFICATE_FORMAT,
         "k": cert.k,
         "q": cert.q,
-        "vertices": list(g.labels),
-        "family": [[g.labels[u] for u in member] for member in cert.family],
-        "response": rows,
+        "vertices": list(labels),
+        "family": [[labels[u] for u in member] for member in cert.family],
+        "response": cert.rows,
     }
 
 
@@ -438,24 +401,54 @@ def _row_fault(row, q: int, members: int) -> str | None:
     return None
 
 
+def _int_columns(rows: list, q: int) -> tuple[list, list] | None:
+    """The ``next`` and post columns when every row is a list of q + 1
+    ints (not bools), else None; the tests run at C speed."""
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {q + 1}:
+        posts = list(chain.from_iterable(rows))
+        nexts = posts[::q + 1]
+        del posts[::q + 1]
+        if set(map(type, nexts)) | set(map(type, posts)) <= {int}:
+            return nexts, posts
+    return None
+
+
 def _check_rows(rows: list, q: int, members: int) -> None:
     """Raise ValueError naming the first malformed response row.
 
     Whole columns are tested at C speed; only a document that fails
     there is scanned row by row to locate the fault.
     """
-    if rows and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {q + 1}:
-        targets = list(chain.from_iterable(rows))
-        nexts = targets[::q + 1]
-        del targets[::q + 1]
-        if (set(map(type, nexts)) | set(map(type, targets)) <= {int}
-                and 0 <= min(nexts) and max(nexts) < members
-                and 0 <= min(targets, default=0) and max(targets, default=0) < q):
+    columns = _int_columns(rows, q)
+    if columns is not None:
+        nexts, posts = columns
+        if (0 <= min(nexts, default=0) and max(nexts, default=0) < members
+                and 0 <= min(posts, default=0) and max(posts, default=0) < q):
             return
     for r, row in enumerate(rows):
         fault = _row_fault(row, q, members)
         if fault is not None:
             raise ValueError(f"response entry {r} {fault}")
+
+
+def _relist(rows: list, ids: list[int], listed: list[list[int]],
+            family: tuple[Config, ...]) -> list:
+    """Rows of a document rewritten to attack order by vertex id and to
+    guards and posts in sorted order.
+
+    Guard p of a listed member becomes the guard at that guard's place in
+    the member's stable sort, and a target post becomes the first sorted
+    post on the same vertex.
+    """
+    n = len(ids)
+    order = [sorted(range(len(posts)), key=posts.__getitem__) for posts in listed]
+    first = [{u: member.index(u) for u in member} for member in family]
+    out = [None] * len(rows)
+    for i, guards in enumerate(order):
+        for a, v in enumerate(ids):
+            j, *posts = rows[i * n + a]
+            out[i * n + v] = [j, *(first[j][listed[j][posts[p]]] for p in guards)]
+    return out
 
 
 def certificate_from_json(doc: dict, g: Graph) -> EternalCertificate:
@@ -466,9 +459,12 @@ def certificate_from_json(doc: dict, g: Graph) -> EternalCertificate:
     ``q`` must be JSON integers), names a label the graph lacks, does not
     list every label once in ``vertices``, lists a member with other than
     q posts, or has other than ``len(family) * len(vertices)`` response
-    rows, each q + 1 integers in range.  Moves are ``(member[p],
-    successor[t_p])`` in the member's listed order; whether their targets
-    make up the successor is left to ``verify_certificate``.
+    rows, each q + 1 integers in range.  The validated rows become the
+    certificate's rows as they are when ``vertices`` lists the graph's
+    labels in id order and every member lists its posts sorted;
+    otherwise they are rewritten to that order (``_relist``).  Whether
+    their moves are short and land on the successor is left to
+    ``verify_certificate``.
     """
     if not isinstance(doc, dict):
         raise ValueError("certificate document must be a JSON object")
@@ -495,12 +491,10 @@ def certificate_from_json(doc: dict, g: Graph) -> EternalCertificate:
             raise ValueError(f"'response' has {len(rows)} entries, expected "
                              f"{m} members x {n} vertices = {m * n}")
         _check_rows(rows, q, m)
-        response = {
-            (i, v): (row[0], tuple(zip(src, map(listed[row[0]].__getitem__, row[1:]))))
-            for i, src in enumerate(listed)
-            for v, row in zip(ids, rows[i * n:(i + 1) * n])}
         family = tuple(tuple(sorted(posts)) for posts in listed)
-        return EternalCertificate(k, q, family, response)
+        if ids != list(range(n)) or any(tuple(p) != f for p, f in zip(listed, family)):
+            rows = _relist(rows, ids, listed, family)
+        return EternalCertificate(k, q, family, rows)
     except KeyError as exc:
         raise ValueError(f"certificate document missing field {exc}") from exc
     except TypeError as exc:

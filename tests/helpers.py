@@ -6,6 +6,9 @@ enumeration), so the package never certifies itself in the tests that
 matter.  Two exceptions drive package code a different way:
 ``reverse_sweep_survivors`` runs the kernel in the other sweep order, and
 ``reference_certificate`` builds a certificate by matching every survivor.
+The graph and movement utilities that only the tests use (edge deletion,
+k-neighbourhoods, the movement predicate, the diameter rule and the
+Hamiltonian bound) live here too, not in the package.
 """
 from __future__ import annotations
 
@@ -17,8 +20,9 @@ from itertools import combinations, permutations, product
 from typing import Iterator
 
 from ekdom._kernel import run_elimination
+from ekdom.closed_forms import cycle_number
 from ekdom.configs import enumerate_dominating_configs, transform_assignment
-from ekdom.graph import Graph, all_pairs_distances
+from ekdom.graph import Graph, all_pairs_distances, diameter, is_connected
 from ekdom.solver import BudgetExceededError, EternalCertificate
 
 DEFAULT_SEED = 20240811
@@ -71,6 +75,46 @@ def random_graph(n: int, extra: float, rng: random.Random, connected: bool) -> G
     right = random_connected_graph(n - split, extra, rng)
     edges = list(left.edges()) + [(u + split, v + split) for u, v in right.edges()]
     return Graph.build(n, edges)
+
+
+# -- small graph and movement utilities the package itself does not need -----
+
+def delete_edge(g: Graph, u: int, v: int) -> Graph:
+    if not g.has_edge(u, v):
+        raise ValueError(f"({u}, {v}) is not an edge")
+    edges = [e for e in g.edges() if e != (min(u, v), max(u, v))]
+    return Graph.build(g.n, edges, g.labels)
+
+
+def neighborhood_k(dist, x: int, k: int, closed: bool = True) -> frozenset[int]:
+    """Vertices within distance k of x (closed) or at distance exactly k (open)."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    row = dist[x]
+    if closed:
+        return frozenset(v for v, d in enumerate(row) if d <= k)
+    return frozenset(v for v, d in enumerate(row) if d == k)
+
+
+def transforms(dist, src, dst, k: int) -> bool:
+    """True iff every guard of src can reach its own target in dst."""
+    return transform_assignment(dist, src, dst, k) is not None
+
+
+def hamiltonian_upper_bound(n: int, k: int) -> int:
+    """Upper bound for any Hamiltonian graph on n vertices.
+
+    Guards patrol a Hamilton cycle, so the cycle value bounds the graph.
+    Hamiltonicity is the caller's assertion; it is not checked here.
+    """
+    return cycle_number(n, k)
+
+
+def diameter_rule(g: Graph, k: int) -> int | None:
+    """1 when one guard reaches everything (diameter <= k), else None."""
+    if not is_connected(g):
+        raise ValueError("diameter rule needs a connected graph")
+    return 1 if diameter(all_pairs_distances(g)) <= k else None
 
 
 # -- oracles ------------------------------------------------------------------
@@ -247,12 +291,14 @@ def reverse_sweep_survivors(g: Graph, k: int, q: int) -> frozenset:
 
 def reference_certificate(g: Graph, k: int, q: int,
                           survivors: frozenset) -> EternalCertificate:
-    """The certificate closure without the kernel's witness table.
+    """The certificate closure without the kernels or their witness table.
 
     Closes the lexicographically least survivor under responses found by
     trying every survivor that holds the attacked vertex, in
     lexicographic order, until one is reachable in one step; this is the
-    closure ``_build_certificate`` must reproduce from the table.
+    closure both kernels' ``certificate_rows`` must reproduce from the
+    table.  Guard p's target is named by the successor's first post on
+    that vertex.
     """
     dist = all_pairs_distances(g)
     ordered = sorted(survivors)
@@ -279,6 +325,9 @@ def reference_certificate(g: Graph, k: int, q: int,
             queue.append(nxt)
     members = sorted(family)
     index = {cfg: i for i, cfg in enumerate(members)}
-    packed = {(index[cur], v): (index[nxt], moves)
-              for (cur, v), (nxt, moves) in response.items()}
-    return EternalCertificate(k, q, tuple(members), packed)
+    rows = []
+    for cur in members:
+        for v in range(g.n):
+            nxt, moves = response[(cur, v)]
+            rows.append([index[nxt], *(nxt.index(b) for _, b in moves)])
+    return EternalCertificate(k, q, tuple(members), rows)

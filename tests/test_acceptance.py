@@ -18,7 +18,7 @@ from ekdom.closed_forms import (build_p_n_ell, build_subdivided_star,
                                 cycle_graph, path_graph, star_graph,
                                 spider_graph)
 from ekdom.domination import gamma_k
-from ekdom.graph import all_pairs_distances, delete_edge, graph_power, is_connected
+from ekdom.graph import all_pairs_distances, graph_power, is_connected
 from ekdom.mary import MaryTreeSpec, build_perfect_mary, mary_number_piecewise, \
     mary_number_recursive
 from ekdom.reductions import (apply_doublebranch_trim, apply_endpath_reduction,
@@ -28,7 +28,7 @@ from ekdom.solver import (BudgetExceededError, certificate_from_json,
                           certificate_to_json, eternal_number, eternal_survivors,
                           is_eternal_set, verify_certificate)
 
-from helpers import (oracle_gamma, random_connected_graph, random_tree,
+from helpers import (delete_edge, oracle_gamma, random_connected_graph, random_tree,
                      reverse_sweep_survivors)
 
 SEED = 987654321
@@ -242,36 +242,40 @@ def test_criterion_10_certificate_soundness():
         doc = certificate_to_json(cert, g)
         dist = all_pairs_distances(g)
 
+        # Drop the last member and its rows: rows still point at it.
         dropped = certificate_from_json(doc, g)
         dropped.family = dropped.family[:-1]
+        dropped.rows = dropped.rows[:-g.n]
         if verify_certificate(g, dropped)[0]:
             problems.append(("drop-member accepted", k))
 
-        # Stretch a move past k: needs a guard with some vertex beyond k.
+        # Stretch a move past k: send a guard to a post of its successor
+        # farther than k away.
         stretched = certificate_from_json(doc, g)
         site = None
-        for key, (nxt, moves) in sorted(stretched.response.items()):
-            for i, (src, _) in enumerate(moves):
-                far = max(range(g.n), key=lambda v: dist[src][v])
-                if dist[src][far] > k:
-                    site = (key, nxt, moves, i, src, far)
+        for r, row in enumerate(stretched.rows):
+            member, succ = stretched.family[r // g.n], stretched.family[row[0]]
+            for p, src in enumerate(member):
+                far = max(range(len(succ)), key=lambda t: dist[src][succ[t]])
+                if dist[src][succ[far]] > k:
+                    site = (r, p, far)
                     break
             if site:
                 break
         if site is None:
             problems.append(("no stretchable move exists", k, list(g.edges())))
         else:
-            key, nxt, moves, i, src, far = site
-            mutated = moves[:i] + ((src, far),) + moves[i + 1:]
-            stretched.response[key] = (nxt, mutated)
+            r, p, far = site
+            row = list(stretched.rows[r])
+            row[1 + p] = far
+            stretched.rows = stretched.rows[:r] + [row] + stretched.rows[r + 1:]
             ok, violation = verify_certificate(g, stretched)
             if ok or "longer than k" not in violation.reason:
                 problems.append(("stretched move accepted", k))
 
         outside = certificate_from_json(doc, g)
-        key = next(iter(sorted(outside.response)))
-        nxt, moves = outside.response[key]
-        outside.response[key] = (len(outside.family), moves)
+        row = outside.rows[0]
+        outside.rows = [[len(outside.family), *row[1:]]] + outside.rows[1:]
         if verify_certificate(g, outside)[0]:
             problems.append(("outside-family response accepted", k))
     _verdict("10", not problems,

@@ -100,6 +100,38 @@ def test_eternal_json_and_budget_exit(tmp_path, capsys):
     assert code == 0 and "stopped at --qmax 2: eternal number in [3, 3]" in out
 
 
+def test_eternal_reports_certificate_size(tmp_path, capsys):
+    graph_file = tmp_path / "p9.edges"
+    cert_file = tmp_path / "cert.json"
+    _, out, _ = run(capsys, "gen", "path", "9")
+    graph_file.write_text(out)
+    code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file), "--json",
+                       "--certificate", str(cert_file))
+    assert code == 0
+    size = json.loads(out.splitlines()[0])["certificate"]
+    doc = json.loads(cert_file.read_text())
+    assert size == {"family": len(doc["family"]), "responses": len(doc["response"])}
+    assert size["responses"] == 9 * size["family"]
+
+    code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file))
+    assert (f"certificate: family of {size['family']}, {size['responses']} responses"
+            in out)
+
+    # Stopped below the answer: no certificate.
+    code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file), "--json",
+                       "--qmax", "2")
+    assert code == 0 and json.loads(out)["certificate"] is None
+
+
+def test_parse_warnings_print_one_line_each(tmp_path, capsys):
+    graph_file = tmp_path / "dup.edges"
+    graph_file.write_text("a b\na b\nb c\nc a\nc b\n")  # a triangle
+    code, out, err = run(capsys, "eternal", "-k", "1", str(graph_file))
+    assert code == 0 and "= 1" in out
+    assert err.splitlines() == ["warning: line 2: duplicate edge a b ignored",
+                                "warning: line 5: duplicate edge c b ignored"]
+
+
 @pytest.mark.parametrize("qmax,text", [
     ("1", "stopped at --qmax 1: eternal number in ["),
     ("4", "stopped at --qmax 4: eternal number in [5, 5]"),

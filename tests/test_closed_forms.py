@@ -2,12 +2,13 @@
 import pytest
 
 from ekdom.closed_forms import (build_p_n_ell, build_subdivided_star,
-                                cycle_graph, cycle_number, diameter_rule,
-                                hamiltonian_upper_bound, path_graph,
+                                cycle_graph, cycle_number, path_graph,
                                 path_number, star_graph)
 from ekdom.domination import gamma_k
 from ekdom.graph import all_pairs_distances, diameter
 from ekdom.solver import eternal_number
+
+from helpers import diameter_rule, hamiltonian_upper_bound
 
 
 def solve(g, k):

@@ -5,12 +5,11 @@ from math import comb
 import pytest
 
 from ekdom.closed_forms import path_graph
-from ekdom.configs import (canonical, enumerate_dominating_configs,
-                           transform_assignment, transforms)
+from ekdom.configs import canonical, enumerate_dominating_configs, transform_assignment
 from ekdom.graph import all_pairs_distances
 
 from helpers import (DEFAULT_SEED, oracle_dominating_multisets,
-                     oracle_transforms, random_connected_graph)
+                     oracle_transforms, random_connected_graph, transforms)
 
 
 def test_canonical_sorts_and_rejects_empty():

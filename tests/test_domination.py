@@ -6,10 +6,10 @@ import pytest
 
 from ekdom.closed_forms import cycle_graph, path_graph, star_graph
 from ekdom.domination import gamma_k, is_distance_k_dominating
-from ekdom.graph import Graph, all_pairs_distances, delete_edge
+from ekdom.graph import Graph, all_pairs_distances
 
-from helpers import (DEFAULT_SEED, oracle_dominating_multisets, oracle_gamma,
-                     random_connected_graph)
+from helpers import (DEFAULT_SEED, delete_edge, oracle_dominating_multisets,
+                     oracle_gamma, random_connected_graph)
 
 
 def test_predicate_examples():

@@ -4,12 +4,13 @@ import random
 import pytest
 
 from ekdom.graph import (DisconnectedGraphError, Graph, ParseError, UNREACHABLE,
-                         all_pairs_distances, delete_edge, delete_vertices,
-                         diameter, eccentricity, format_dot, format_edge_list,
-                         graph_power, is_tree, neighborhood_k, parse_graph)
+                         all_pairs_distances, delete_vertices, diameter,
+                         eccentricity, format_dot, format_edge_list,
+                         graph_power, is_tree, parse_graph)
 from ekdom.closed_forms import cycle_graph, path_graph, star_graph
 
-from helpers import DEFAULT_SEED, oracle_distances, random_connected_graph
+from helpers import (DEFAULT_SEED, delete_edge, neighborhood_k, oracle_distances,
+                     random_connected_graph)
 
 
 def test_parse_edge_list_path():

@@ -1,5 +1,5 @@
 """The compiled and pure kernels must agree byte for byte, witness tables
-included.
+and certificate rows included.
 
 When the extension is not built, ``_ckernel.c`` is compiled into a
 temporary directory and loaded from there, outside the package, so the
@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 from ekdom._kernel import pure
 from ekdom.closed_forms import cycle_graph, path_graph
 from ekdom.configs import enumerate_dominating_configs
+from ekdom.domination import gamma_k
 from ekdom.graph import all_pairs_distances
 from ekdom.mary import build_perfect_mary
 
-from helpers import DEFAULT_SEED, random_connected_graph
+from helpers import DEFAULT_SEED, random_connected_graph, reference_certificate
 
 try:
     from ekdom._kernel import _ckernel
@@ -86,6 +87,16 @@ def _assert_agree(compiled, n, k, flat, states, budget):
     assert type(got_c[0]) is bytearray and bytes(got_c[0]) == bytes(got_py[0])
     assert got_c[1:] == got_py[1:]
     assert wit_c == wit_py
+    if not got_c[3]:
+        _assert_rows_agree(compiled, n, k, flat, states, got_c[0], wit_c)
+    return got_c
+
+
+def _assert_rows_agree(compiled, n, k, flat, states, alive, wit, cap=20_000):
+    """Both kernels' certificate closures; they must be equal."""
+    got_c = compiled.certificate_rows(n, k, flat, states, alive, wit, cap)
+    got_py = pure.certificate_rows(n, k, flat, states, alive, wit, cap)
+    assert got_c == got_py
     return got_c
 
 
@@ -110,6 +121,33 @@ def test_kernels_agree_on_random_graphs(compiled, n, extra, rng, k, q, reverse, 
     g = random_connected_graph(n, extra, rng)
     n, k, flat, states = _instance(g, k, q)
     _assert_agree(compiled, n, k, flat, states[::-1] if reverse else states, budget)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(n=st.integers(2, 9), extra=st.floats(0.0, 0.5), rng=st.randoms(use_true_random=False),
+       k=st.integers(1, 3), extra_guard=st.integers(0, 1))
+def test_certificate_rows_match_the_survivor_scan(compiled, n, extra, rng, k, extra_guard):
+    # q runs from gamma_k (often 1 at k = 3) to gamma_k + 1, where
+    # multisets with a repeated post dominate too.
+    g = random_connected_graph(n, extra, rng)
+    q = gamma_k(g, k).gamma + extra_guard
+    n, k, flat, states = _instance(g, k, q)
+    wit = array("i", [0]) * (len(states) * n)
+    alive, _, _, exceeded = pure.run_elimination(n, k, flat, states, wit)
+    assert not exceeded
+    got = _assert_rows_agree(compiled, n, k, flat, states, alive, wit)
+    survivors = frozenset(st for st, live in zip(states, alive) if live)
+    if not survivors:
+        assert got == ([], [])
+        return
+    members, rows = got
+    expected = reference_certificate(g, k, q, survivors)
+    assert tuple(states[i] for i in members) == expected.family
+    assert rows == expected.rows
+    # One member short of the closure: both kernels give up.
+    for kernel in (compiled, pure):
+        assert kernel.certificate_rows(n, k, flat, states, alive, wit, len(members) - 1) is None
+        assert kernel.certificate_rows(n, k, flat, states, alive, wit, len(members)) == got
 
 
 def test_compiled_kernel_rejects_malformed_input(compiled):
@@ -149,3 +187,37 @@ def test_selection_layer_solves_graphs_past_64_vertices():
     wide = path_graph(70)
     assert is_eternal_set(wide, 69, [0])   # diameter 69: one guard reaches all
     assert not is_eternal_set(wide, 3, [35])
+
+
+def test_certificate_rows_reject_malformed_input(compiled):
+    n, k, flat, states = _instance(path_graph(5), 2, 2)
+    size = len(states) * n
+    wit = array("i", [0]) * size
+    alive, _, _, _ = pure.run_elimination(n, k, flat, states, wit)
+    both = [
+        (ValueError, alive[:-1], wit),                     # alive one flag short
+        (ValueError, alive + b"\x01", wit),                 # alive one flag long
+        (ValueError, alive, array("i", [0]) * (size - 1)),  # wit one item short
+        (ValueError, alive, array("i", [0]) * (size + 1)),  # wit one item long
+        (ValueError, alive, array("i", [-1]) * size),      # no witness answers
+        (ValueError, alive, array("i", [len(states)]) * size),  # witness past the end
+    ]
+    for kernel in (compiled, pure):
+        for error, flags, table in both:
+            with pytest.raises(error):
+                kernel.certificate_rows(n, k, flat, states, flags, table, 100)
+    compiled_only = [
+        (TypeError, alive, array("q", [0]) * size),   # 8-byte witness items
+        (TypeError, list(alive), wit),                # alive not a buffer
+        (TypeError, array("i", list(alive)), wit),    # 4-byte flags
+        (ValueError, alive, memoryview(wit)[:-1]),    # a view one item short
+    ]
+    for error, flags, table in compiled_only:
+        with pytest.raises(error):
+            compiled.certificate_rows(n, k, flat, states, flags, table, 100)
+    with pytest.raises(ValueError):
+        compiled.certificate_rows(n, k, flat[:-1], states, alive, wit, 100)
+    # Read-only buffers are fine: the closure only reads them.
+    got = compiled.certificate_rows(n, k, flat, states, bytes(alive),
+                                    memoryview(wit).toreadonly(), 100)
+    assert got == pure.certificate_rows(n, k, flat, states, alive, wit, 100)

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from ekdom.closed_forms import (cycle_graph, cycle_number, path_graph,
                                 path_number, star_graph)
-from ekdom.configs import enumerate_dominating_configs, transforms
+from ekdom.configs import enumerate_dominating_configs
 from ekdom.domination import gamma_k
-from ekdom.graph import (Graph, all_pairs_distances, delete_edge, diameter,
-                         is_connected)
+from ekdom.graph import Graph, all_pairs_distances, diameter, is_connected
 from ekdom.mary import build_perfect_mary, mary_number_recursive
 from ekdom.reductions import eternal_one_tree
 from ekdom.solver import (BudgetExceededError, certificate_from_json,
@@ -19,8 +18,9 @@ from ekdom.solver import (BudgetExceededError, certificate_from_json,
                           eternal_survivors, is_eternal_set,
                           verify_certificate)
 
-from helpers import (DEFAULT_SEED, all_trees_exactly, random_connected_graph,
-                     random_tree, reference_certificate, reverse_sweep_survivors)
+from helpers import (DEFAULT_SEED, all_trees_exactly, delete_edge,
+                     random_connected_graph, random_tree, reference_certificate,
+                     reverse_sweep_survivors, transforms)
 
 
 def naive_survivors(g, k, q):
@@ -137,24 +137,28 @@ def test_certificate_round_trip_and_mutations():
     again = certificate_from_json(doc, p5)
     assert verify_certificate(p5, again)[0]
 
-    # Drop a family member: responses point past the end.
+    # Drop a family member and its rows: responses point past the end.
     broken = certificate_from_json(doc, p5)
     broken.family = broken.family[:-1]
+    broken.rows = broken.rows[:-p5.n]
     ok, violation = verify_certificate(p5, broken)
     assert not ok
 
-    # Stretch a move beyond k.
+    # Stretch a move beyond k: the first guard walks to its successor's
+    # farthest post.
+    dist = all_pairs_distances(p5)
+    r, row = next((r, row) for r, row in enumerate(cert.rows)
+                  if max(dist[cert.family[r // 5][0]][u] for u in cert.family[row[0]]) > 2)
+    src, succ = cert.family[r // 5][0], cert.family[row[0]]
+    far = max(range(len(succ)), key=lambda t: dist[src][succ[t]])
     broken = certificate_from_json(doc, p5)
-    (key, (nxt, moves)) = next(iter(sorted(broken.response.items())))
-    src = moves[0][0]
-    far = max(range(5), key=lambda v: all_pairs_distances(p5)[src][v])
-    broken.response[key] = (nxt, ((src, far),) + moves[1:])
+    broken.rows = broken.rows[:r] + [[row[0], far, *row[2:]]] + broken.rows[r + 1:]
     ok, violation = verify_certificate(p5, broken)
     assert not ok and "longer than k" in violation.reason
 
     # Point a response outside the family.
     broken = certificate_from_json(doc, p5)
-    broken.response[key] = (len(broken.family) + 3, moves)
+    broken.rows = [[len(broken.family) + 3, *broken.rows[0][1:]]] + broken.rows[1:]
     ok, violation = verify_certificate(p5, broken)
     assert not ok and "outside the family" in violation.reason
 
@@ -163,7 +167,7 @@ def test_certificate_responses_cover_every_vertex():
     c6 = cycle_graph(6)
     report = eternal_number(c6, 1)
     cert = report.certificate
-    assert set(v for _, v in cert.response) == set(range(6))
+    assert len(cert.rows) == 6 * len(cert.family)
     assert verify_certificate(c6, cert)[0]
 
 
@@ -179,7 +183,7 @@ def test_certificate_matches_the_survivor_scan(n, extra, rng, k):
     expected = reference_certificate(g, k, q, eternal_survivors(g, k, q))
     cert = report.certificate
     assert (cert.k, cert.q, cert.family) == (expected.k, expected.q, expected.family)
-    assert cert.response == expected.response
+    assert cert.rows == expected.rows
     assert verify_certificate(g, cert) == (True, None)
 
 
@@ -198,6 +202,15 @@ def relisted(doc, rng):
                 family=[member[::-1] for member in doc["family"]], response=out)
 
 
+def moves(cert):
+    """Per row: the successor and the guards' (source, target) pairs as a
+    multiset, which fixes a row up to the order of guards on one post."""
+    n = len(cert.rows) // len(cert.family)
+    return [(row[0], sorted(zip(cert.family[r // n], map(cert.family[row[0]].__getitem__,
+                                                          row[1:]))))
+            for r, row in enumerate(cert.rows)]
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(n=st.integers(2, 9), extra=st.floats(0.0, 0.5), rng=st.randoms(use_true_random=False),
        k=st.integers(1, 3))
@@ -211,15 +224,16 @@ def test_certificate_json_round_trip(n, extra, rng, k):
     doc = json.loads(json.dumps(certificate_to_json(cert, g)))
     again = certificate_from_json(doc, g)
     assert (again.k, again.q, again.family) == (cert.k, cert.q, cert.family)
-    assert again.response == cert.response
+    assert again.rows == cert.rows
     assert verify_certificate(g, again) == (True, None)
 
-    # The reader follows the document's attack order and post listings:
-    # guards now come in reverse.
+    # The reader follows the document's attack order and post listings and
+    # normalises them: guards came in reverse, so guards on one post may
+    # swap targets, and the moves are otherwise the same.
     shuffled = certificate_from_json(relisted(doc, rng), g)
     assert shuffled.family == cert.family
-    assert shuffled.response == {key: (j, moves[::-1])
-                                 for key, (j, moves) in cert.response.items()}
+    assert moves(shuffled) == moves(cert)
+    assert verify_certificate(g, shuffled) == (True, None)
 
 
 def test_disconnected_graphs_sum_components():
