@@ -1,9 +1,11 @@
 """Kernel selection: compiled extension when it was built.
 
-``run_elimination`` and ``certificate_rows`` dispatch to the C extension
-``_ckernel`` when it imported, otherwise to the pure-Python twin.  Both
-run the same Gauss-Seidel sweeps, in the order of ``states``, and the same
-certificate closure, on graphs of any size, and return identical results.
+``run_elimination`` and ``certificate_rows`` are the C extension
+``_ckernel``'s functions when it imported, otherwise the pure-Python
+twin's.  Both run the same Gauss-Seidel sweeps, in the order of
+``states``, with one movement test (a full matching of the two states'
+guards), and the same certificate closure, on graphs of any size, and
+return identical results.
 
 The caller passes ``wit``, an ``array('i')`` of ``len(states) * n``
 items, which receives the final witness table: for a surviving state i
@@ -28,14 +30,10 @@ except ImportError:  # extension not built; pure fallback
     _NAME = "pure"
 
 
+run_elimination = _impl.run_elimination
+certificate_rows = _impl.certificate_rows
+
+
 def active_kernel() -> str:
     """Name of the kernel ``run_elimination`` uses."""
     return _NAME
-
-
-def run_elimination(n, k, dist, states, wit, budget=DEFAULT_BUDGET):
-    return _impl.run_elimination(n, k, dist, states, wit, budget=budget)
-
-
-def certificate_rows(n, k, dist, states, alive, wit, cap):
-    return _impl.certificate_rows(n, k, dist, states, alive, wit, cap)

@@ -6,16 +6,15 @@
    run_elimination: the same Gauss-Seidel sweep, in input order, as the
    pure kernel: candidate lists per distinct guard post in ascending state
    order, the pos/wit cursors, one budget test per check and
-   augmenting-path matching with the i == j or q == 1 shortcut.  The two
-   therefore return byte-for-byte equal (alive, rounds, checks, exceeded)
-   and leave equal witness tables; see pure.py for the algorithm notes and
-   the meaning of the table.
+   augmenting-path matching.  The two therefore return byte-for-byte equal
+   (alive, rounds, checks, exceeded) and leave equal witness tables; see
+   pure.py for the algorithm notes and the meaning of the table.
 
    certificate_rows: the breadth-first closure of the least survivor,
    answering each attack with the witness table or, on an occupied
    vertex, with the least live holder reachable in one step, and matching
-   each response once with the same augmenting paths run in full.  It
-   returns the same (members, rows) as the pure twin.
+   each response once with the same augmenting paths.  It returns the
+   same (members, rows) as the pure twin.
 
    Whether a vertex is occupied is read off the sorted state by a merge
    walk, so the number of vertices is unbounded.
@@ -75,14 +74,6 @@ match(Matching *m, const int *st, Py_ssize_t i, Py_ssize_t j)
             return 0;
     }
     return 1;
-}
-
-/* The elimination's movement test.  Its shortcuts skip the assignment,
-   which the certificate closure needs, so the closure calls match(). */
-static int
-feasible(Matching *m, const int *st, Py_ssize_t i, Py_ssize_t j)
-{
-    return i == j || m->q == 1 || match(m, st, i, j);
 }
 
 /* Copy one state into out[0..q); it must be a sorted sequence of q ints
@@ -305,7 +296,7 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
                     continue;
                 const int *cv = cand + off[v];
                 int top = (int)(off[v + 1] - off[v]), p = pos_i[v];
-                while (p < top && !(alive[cv[p]] && feasible(&m, st, i, cv[p])))
+                while (p < top && !(alive[cv[p]] && match(&m, st, i, cv[p])))
                     p++;
                 pos_i[v] = p;
                 if (p < top) {

@@ -25,9 +25,7 @@ point is unique, so the visiting order changes only ``rounds`` and
 
 Movement feasibility between two configurations is a perfect matching on
 the q x q "guard can walk there" grid, decided by ``configs._match``.
-Pair verdicts are static and memoised.  The input configurations must all
-dominate the graph (as ``enumerate_dominating_configs`` yields them): a
-lone guard then reaches every vertex, so at q = 1 every move is feasible.
+Pair verdicts are static and memoised.
 
 The compiled twin runs the same sweep, cursors, budget test and matching
 on C arrays, so the two agree byte for byte; this module is the reference
@@ -68,14 +66,11 @@ from . import DEFAULT_BUDGET
 
 def _matcher(n: int, k: int, dist: list[int], states: list[tuple]):
     """Build the memoised pairwise movement test."""
-    q = len(states[0])
     S = len(states)
     rows = [dist[u * n:(u + 1) * n] for u in range(n)]
     memo: dict[int, bool] = {}
 
     def feasible(i: int, j: int) -> bool:
-        if i == j or q == 1:
-            return True
         key = i * S + j
         hit = memo.get(key)
         if hit is None:
@@ -158,9 +153,9 @@ def certificate_rows(n: int, k: int, dist: list[int], states: list[tuple],
     step: for an unoccupied v the witness table names it; for an occupied
     v the live holders of v are scanned in ascending order, a scan that
     ends at i itself.  Breadth-first from the least live state, each
-    response is matched once with ``configs._match`` run in full (a state
-    can reach itself by a non-identity assignment, and the rows record
-    the assignment).
+    response is matched once with ``configs._match`` (a state can reach
+    itself by a non-identity assignment, and the rows record the
+    assignment).
 
     Returns ``(members, rows)``: ``members`` lists the closure's state
     indices in ascending order, and ``rows[r * n + v]`` is

@@ -34,23 +34,6 @@ from .solver import (DEFAULT_BUDGET, BudgetExceededError, eternal_number,
 
 
 @dataclass(frozen=True)
-class DecompositionPart:
-    root: int
-    vertices: tuple[int, ...]  # all within k of root inside the part
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    k: int
-    parts: tuple[DecompositionPart, ...]
-
-    def to_json(self, g: Graph) -> list[dict]:
-        return [{"root": g.labels[p.root],
-                 "vertices": [g.labels[v] for v in p.vertices]}
-                for p in self.parts]
-
-
-@dataclass(frozen=True)
 class PowerEquivalenceReport:
     k: int
     gamma_direct: int
@@ -126,36 +109,21 @@ def spanning_tree_upper_bound(g: Graph, k: int, budget: int = DEFAULT_BUDGET) ->
 
 # -- rooted-tree decompositions ----------------------------------------------
 
-def depth_rooted_decomposition_number(g: Graph, k: int) -> tuple[int, Decomposition]:
-    """Minimum parts in a partition where each part carries a BFS tree of
-    depth at most k from its root, with one such partition.
-
-    The minimum is gamma_k (see the module docstring); the parts are the
-    nearest-witness cells of ``gamma_k``'s witness, sorted by root.
-    """
-    dom = gamma_k(g, k)
-    dist = all_pairs_distances(g)
-    cells: dict[int, list[int]] = {r: [] for r in dom.witness}
-    for v in range(g.n):
-        cells[min(dom.witness, key=lambda r: (dist[v][r], r))].append(v)
-    parts = tuple(DecompositionPart(r, tuple(cells[r])) for r in dom.witness)
-    return dom.gamma, Decomposition(k, parts)
-
-
-def decomposition_bound(g: Graph, k: int) -> tuple[int, Decomposition]:
+def decomposition_bound(g: Graph, k: int) -> tuple[int, list[tuple[int, list[int]]]]:
     """min(2 * gamma_k, gamma_floor(k/2)), with the radius-k decomposition
     that witnesses the first term.
 
     Two guards defend any radius-k rooted tree (attacked vertex gets the
     root guard, the other guard refills the root); one guard suffices at
-    radius floor(k/2).
+    radius floor(k/2).  The decomposition is the nearest-witness cells of
+    ``gamma_k``'s witness (see the module docstring), gamma_k
+    ``(root, vertices)`` pairs in witness order.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    full, witness = depth_rooted_decomposition_number(g, k)
-    return min(2 * full, gamma_k(g, k // 2).gamma), witness
-
-
-def decomposition_upper_bound(g: Graph, k: int) -> int:
-    """``decomposition_bound`` without its witness."""
-    return decomposition_bound(g, k)[0]
+    dom = gamma_k(g, k)
+    dist = all_pairs_distances(g)
+    cells: dict[int, list[int]] = {r: [] for r in dom.witness}
+    for v in range(g.n):
+        cells[min(dom.witness, key=lambda r: (dist[v][r], r))].append(v)
+    return min(2 * dom.gamma, gamma_k(g, k // 2).gamma), list(cells.items())

@@ -250,7 +250,7 @@ def _cmd_bounds(args) -> int:
                             want_certificate=False)
     low, high = report.gamma_k_value, report.gamma_half_value
     spanning = spanning_tree_upper_bound(g, args.k, budget=args.max_states)
-    decomposition, witness = decomposition_bound(g, args.k)
+    decomposition, cells = decomposition_bound(g, args.k)
     payload = {
         "gamma_k": low,
         "gamma_half_k": high,
@@ -258,7 +258,9 @@ def _cmd_bounds(args) -> int:
         "eternal_bounds": [report.lower_bound, report.upper_bound],
         "spanning_tree": spanning,
         "decomposition": decomposition,
-        "decomposition_parts": witness.to_json(g),
+        "decomposition_parts": [{"root": g.labels[r],
+                                 "vertices": [g.labels[v] for v in part]}
+                                for r, part in cells],
     }
     if args.json:
         print(json.dumps(payload))

@@ -31,11 +31,6 @@ branch, path, eccentricity and diameter is read off the cached
 ``reduce_tree`` composes these greedily (cheapest tests first, smallest
 anchor vertex on ties) and converts the surviving core into two-sided
 bounds through the static domination sandwich.
-
-The k = 1 specialisations (shear a vertex's leaf cluster, prune a
-degree-two vertex with its single leaf) implement the classical
-linear-time computation for ordinary eternal domination on trees and are
-used as an independent oracle for the engine at k = 1.
 """
 from __future__ import annotations
 
@@ -340,53 +335,3 @@ def reduce_tree(t: Graph, k: int) -> ReductionTrace:
         upper_bound=hi + gamma_k(cur, k // 2).gamma,
     )
 
-
-# -- k = 1 classics, used as an independent oracle ---------------------------
-
-def apply_leaf_cluster_trim(t: Graph) -> tuple[Graph, ReductionStep] | None:
-    """k = 1: shear every leaf off a vertex that has at least two of them
-    and exactly one non-leaf neighbor.  Eternal number drops by one."""
-    _require_tree(t)
-    for x in range(t.n):
-        leaves = [w for w in t.adj[x] if t.degree(w) == 1]
-        others = [w for w in t.adj[x] if t.degree(w) >= 2]
-        if len(leaves) >= 2 and len(others) == 1:
-            step = _step(t, "leafcluster", set(leaves), [("x", x)], 1, 1)
-            return _cut(t, leaves), step
-    return None
-
-
-def apply_pendant_pair_trim(t: Graph) -> tuple[Graph, ReductionStep] | None:
-    """k = 1: remove a degree-two vertex together with its single leaf.
-    Eternal number drops by one."""
-    _require_tree(t)
-    for x in range(t.n):
-        if t.degree(x) != 2:
-            continue
-        leaves = [w for w in t.adj[x] if t.degree(w) == 1]
-        if len(leaves) == 1:
-            step = _step(t, "pendantpair", {x, leaves[0]}, [("x", x)], 1, 1)
-            return _cut(t, [x, leaves[0]]), step
-    return None
-
-
-def eternal_one_tree(t: Graph) -> int:
-    """Ordinary (k = 1) eternal domination number of a tree, by trimming.
-
-    Reduces with the two classical rules until a star or a one- or
-    two-vertex tree remains; every trim costs exactly one guard, stars
-    cost two, trivial trees one.
-    """
-    _require_tree(t)
-    trims = 0
-    cur = t
-    while True:
-        if cur.n <= 2:
-            return trims + 1
-        if max(cur.degree(v) for v in range(cur.n)) == cur.n - 1:
-            return trims + 2  # star
-        hit = apply_leaf_cluster_trim(cur) or apply_pendant_pair_trim(cur)
-        if hit is None:
-            raise AssertionError("irreducible non-star tree; trimming rules are incomplete")
-        cur = hit[0]
-        trims += 1

@@ -294,10 +294,10 @@ def verify_certificate(g: Graph, cert: EternalCertificate
     """Re-derive every certificate invariant from scratch.
 
     Uses only distances and multiset comparisons (never the solver or
-    the kernels).  Checks run in stages (the family, the number of rows,
-    their shape, their indices, then each row's moves), and each stage
-    reports its first violation in (member index, vertex id) scan order.
-    Violations are return values, not exceptions.
+    the kernels).  Checks run in stages (the format's structural rules,
+    which the JSON reader applies too, then the members, then each row's
+    moves), and each stage reports its first violation in (member index,
+    vertex id) scan order.  Violations are return values, not exceptions.
     """
     dist = all_pairs_distances(g)
     n, q, k, family, rows = g.n, cert.q, cert.k, cert.family, cert.rows
@@ -310,33 +310,16 @@ def verify_certificate(g: Graph, cert: EternalCertificate
         return bad(None, None, "q and k must be positive")
     if not family:
         return bad(None, None, "empty family")
+    fault = _structure_fault(family, rows, q, n)
+    if fault is not None:
+        return bad(*fault)
     for i, member in enumerate(family):
-        if len(member) != q:
-            return bad(i, None, f"member {i} has size {len(member)}, expected {q}")
         if any(not (0 <= u < n) for u in member):
             return bad(i, None, f"member {i} names a vertex out of range")
         if tuple(sorted(member)) != tuple(member):
             return bad(i, None, f"member {i} is not in canonical sorted form")
         if not is_distance_k_dominating(dist, member, k):
             return bad(i, None, f"member {i} is not distance-{k} dominating")
-    m = len(family)
-    if len(rows) != m * n:
-        return bad(None, None, f"{len(rows)} response rows for {m} members "
-                               f"x {n} vertices")
-    columns = _int_columns(rows, q)
-    if columns is None:
-        r = next(r for r, row in enumerate(rows)
-                 if type(row) is not list or len(row) != q + 1
-                 or any(type(x) is not int for x in row))
-        return bad(r // n, r % n, f"response is not {q + 1} integers "
-                                  f"[next, t_1, ..., t_q]: {rows[r]!r}")
-    nexts, posts = columns
-    if not (0 <= min(nexts, default=0) and max(nexts, default=0) < m):
-        r = next(r for r, j in enumerate(nexts) if not 0 <= j < m)
-        return bad(r // n, r % n, f"successor index {nexts[r]} outside the family")
-    if not (0 <= min(posts, default=0) and max(posts, default=0) < q):
-        r = next(r for r, t in enumerate(posts) if not 0 <= t < q) // q
-        return bad(r // n, r % n, f"a post index is outside {q} guards")
     held = [set(member) for member in family]
     for i, member in enumerate(family):
         reach = [dist[u] for u in member]
@@ -387,48 +370,57 @@ def _json_int(obj: dict, field: str) -> int:
     return value
 
 
-def _row_fault(row, q: int, members: int) -> str | None:
-    """Why one response row is malformed, or None."""
-    if type(row) is not list or len(row) != q + 1:
-        return f"is not a list of {q + 1} integers [next, t_1, ..., t_q]: {row!r}"
-    if any(type(x) is not int for x in row):
-        return f"holds a non-integer: {row!r}"
-    if not 0 <= row[0] < members:
-        return f"names next {row[0]}, outside a family of {members}"
-    for t in row[1:]:
-        if not 0 <= t < q:
-            return f"names post {t}, outside {q} guards"
-    return None
+def _array(value, name: str):
+    """``value``, which must be a JSON array.
+
+    A number, bool or null already fails when iterated; a string or an
+    object would iterate as characters or keys, so it is refused here.
+    """
+    if isinstance(value, (str, dict)):
+        raise TypeError(f"{name} must be an array, not {value!r}")
+    return value
 
 
-def _int_columns(rows: list, q: int) -> tuple[list, list] | None:
-    """The ``next`` and post columns when every row is a list of q + 1
-    ints (not bools), else None; the tests run at C speed."""
+def _structure_fault(members, rows: list, q: int, n: int
+                     ) -> tuple[int | None, int | None, str] | None:
+    """The first fault against the certificate format's structural rules,
+    as ``(member, attack, reason)``, or None.
+
+    Every member lists q posts, there are ``len(members) * n`` rows, and
+    each row is q + 1 ints (not bools) ``[next, t_1, ..., t_q]`` with
+    ``next`` in ``range(len(members))`` and each ``t_p`` in ``range(q)``.
+    A row fault names row r as member ``r // n`` and attack ``r % n``.
+    Whole columns are tested at C speed; only rows that fail there are
+    scanned one by one to locate the fault.
+    """
+    for i, member in enumerate(members):
+        if len(member) != q:
+            return i, None, f"family member {i} lists {len(member)} posts, expected q={q}"
+    m = len(members)
+    if len(rows) != m * n:
+        return None, None, (f"'response' has {len(rows)} entries, expected "
+                            f"{m} members x {n} vertices = {m * n}")
     if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {q + 1}:
         posts = list(chain.from_iterable(rows))
         nexts = posts[::q + 1]
         del posts[::q + 1]
-        if set(map(type, nexts)) | set(map(type, posts)) <= {int}:
-            return nexts, posts
-    return None
-
-
-def _check_rows(rows: list, q: int, members: int) -> None:
-    """Raise ValueError naming the first malformed response row.
-
-    Whole columns are tested at C speed; only a document that fails
-    there is scanned row by row to locate the fault.
-    """
-    columns = _int_columns(rows, q)
-    if columns is not None:
-        nexts, posts = columns
-        if (0 <= min(nexts, default=0) and max(nexts, default=0) < members
+        if (set(map(type, nexts)) | set(map(type, posts)) <= {int}
+                and 0 <= min(nexts, default=0) and max(nexts, default=0) < m
                 and 0 <= min(posts, default=0) and max(posts, default=0) < q):
-            return
+            return None
     for r, row in enumerate(rows):
-        fault = _row_fault(row, q, members)
-        if fault is not None:
-            raise ValueError(f"response entry {r} {fault}")
+        if type(row) is not list or len(row) != q + 1:
+            fault = f"is not a list of {q + 1} integers [next, t_1, ..., t_q]: {row!r}"
+        elif any(type(x) is not int for x in row):
+            fault = f"holds a non-integer: {row!r}"
+        elif not 0 <= row[0] < m:
+            fault = f"names next {row[0]}, outside a family of {m}"
+        else:
+            t = next((t for t in row[1:] if not 0 <= t < q), None)
+            if t is None:
+                continue
+            fault = f"names post {t}, outside {q} guards"
+        return r // n, r % n, f"response entry {r} {fault}"
 
 
 def _relist(rows: list, ids: list[int], listed: list[list[int]],
@@ -456,15 +448,16 @@ def certificate_from_json(doc: dict, g: Graph) -> EternalCertificate:
 
     A document is malformed when it is not an object, is not format 2,
     lacks a field or has one of the wrong type (``format``, ``k`` and
-    ``q`` must be JSON integers), names a label the graph lacks, does not
-    list every label once in ``vertices``, lists a member with other than
-    q posts, or has other than ``len(family) * len(vertices)`` response
-    rows, each q + 1 integers in range.  The validated rows become the
-    certificate's rows as they are when ``vertices`` lists the graph's
-    labels in id order and every member lists its posts sorted;
-    otherwise they are rewritten to that order (``_relist``).  Whether
-    their moves are short and land on the successor is left to
-    ``verify_certificate``.
+    ``q`` must be JSON integers, ``vertices`` and each ``family`` member
+    arrays of labels), names a label the graph lacks, does not list every
+    label once in ``vertices``, or breaks the structural rules that
+    ``verify_certificate`` applies too (``_structure_fault``: q posts per
+    member, ``len(family) * len(vertices)`` response rows, each q + 1
+    integers in range).  The validated rows become the certificate's rows
+    as they are when ``vertices`` lists the graph's labels in id order and
+    every member lists its posts sorted; otherwise they are rewritten to
+    that order (``_relist``).  Whether their moves are short and land on
+    the successor is left to ``verify_certificate``.
     """
     if not isinstance(doc, dict):
         raise ValueError("certificate document must be a JSON object")
@@ -474,25 +467,20 @@ def certificate_from_json(doc: dict, g: Graph) -> EternalCertificate:
                          f"expected format {CERTIFICATE_FORMAT}")
     try:
         k, q = _json_int(doc, "k"), _json_int(doc, "q")
-        ids = [g.id_of(label) for label in doc["vertices"]]
+        ids = [g.id_of(label) for label in _array(doc["vertices"], "'vertices'")]
         if len(ids) != g.n or len(set(ids)) != g.n:
             raise ValueError(f"'vertices' must list each of the graph's {g.n} "
                              "labels exactly once")
-        listed = [[g.id_of(u) for u in member] for member in doc["family"]]
-        for i, posts in enumerate(listed):
-            if len(posts) != q:
-                raise ValueError(f"family member {i} lists {len(posts)} posts, "
-                                 f"expected q={q}")
+        listed = [[g.id_of(u) for u in _array(member, f"family member {i}")]
+                  for i, member in enumerate(_array(doc["family"], "'family'"))]
         rows = doc["response"]
         if not isinstance(rows, list):
             raise ValueError("certificate field 'response' must be a list")
-        n, m = g.n, len(listed)
-        if len(rows) != m * n:
-            raise ValueError(f"'response' has {len(rows)} entries, expected "
-                             f"{m} members x {n} vertices = {m * n}")
-        _check_rows(rows, q, m)
+        fault = _structure_fault(listed, rows, q, g.n)
+        if fault is not None:
+            raise ValueError(fault[2])
         family = tuple(tuple(sorted(posts)) for posts in listed)
-        if ids != list(range(n)) or any(tuple(p) != f for p, f in zip(listed, family)):
+        if ids != list(range(g.n)) or any(tuple(p) != f for p, f in zip(listed, family)):
             rows = _relist(rows, ids, listed, family)
         return EternalCertificate(k, q, family, rows)
     except KeyError as exc:

@@ -7,8 +7,9 @@ matter.  Two exceptions drive package code a different way:
 ``reverse_sweep_survivors`` runs the kernel in the other sweep order, and
 ``reference_certificate`` builds a certificate by matching every survivor.
 The graph and movement utilities that only the tests use (edge deletion,
-k-neighbourhoods, the movement predicate, the diameter rule and the
-Hamiltonian bound) live here too, not in the package.
+k-neighbourhoods, the movement predicate, the diameter rule, the
+Hamiltonian bound and the classical k = 1 tree trimming) live here too,
+not in the package.
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ from typing import Iterator
 from ekdom._kernel import run_elimination
 from ekdom.closed_forms import cycle_number
 from ekdom.configs import enumerate_dominating_configs, transform_assignment
-from ekdom.graph import Graph, all_pairs_distances, diameter, is_connected
+from ekdom.graph import (Graph, all_pairs_distances, delete_vertices, diameter,
+                         is_connected, is_tree)
 from ekdom.solver import BudgetExceededError, EternalCertificate
 
 DEFAULT_SEED = 20240811
@@ -331,3 +333,51 @@ def reference_certificate(g: Graph, k: int, q: int,
             nxt, moves = response[(cur, v)]
             rows.append([index[nxt], *(nxt.index(b) for _, b in moves)])
     return EternalCertificate(k, q, tuple(members), rows)
+
+
+# -- ordinary (k = 1) eternal domination on trees -----------------------------
+
+def apply_leaf_cluster_trim(t: Graph) -> Graph | None:
+    """k = 1: shear every leaf off a vertex that has at least two of them
+    and exactly one non-leaf neighbor.  Eternal number drops by one."""
+    for x in range(t.n):
+        leaves = [w for w in t.adj[x] if t.degree(w) == 1]
+        others = [w for w in t.adj[x] if t.degree(w) >= 2]
+        if len(leaves) >= 2 and len(others) == 1:
+            return delete_vertices(t, leaves)[0]
+    return None
+
+
+def apply_pendant_pair_trim(t: Graph) -> Graph | None:
+    """k = 1: remove a degree-two vertex together with its single leaf.
+    Eternal number drops by one."""
+    for x in range(t.n):
+        if t.degree(x) != 2:
+            continue
+        leaves = [w for w in t.adj[x] if t.degree(w) == 1]
+        if len(leaves) == 1:
+            return delete_vertices(t, [x, leaves[0]])[0]
+    return None
+
+
+def eternal_one_tree(t: Graph) -> int:
+    """Ordinary (k = 1) eternal domination number of a tree, by trimming.
+
+    The classical linear-time computation, an oracle for the engine at
+    k = 1: reduces with the two trims until a star or a one- or
+    two-vertex tree remains; every trim costs exactly one guard, stars
+    cost two, trivial trees one.
+    """
+    if not is_tree(t):
+        raise ValueError("trimming is defined on trees")
+    trims = 0
+    cur = t
+    while True:
+        if cur.n <= 2:
+            return trims + 1
+        if max(cur.degree(v) for v in range(cur.n)) == cur.n - 1:
+            return trims + 2  # star
+        cur = apply_leaf_cluster_trim(cur) or apply_pendant_pair_trim(cur)
+        if cur is None:
+            raise AssertionError("irreducible non-star tree; trimming rules are incomplete")
+        trims += 1

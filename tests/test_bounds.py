@@ -1,11 +1,11 @@
 """Power equivalence, spanning-tree and decomposition bounds."""
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekdom.bounds import (bfs_spanning_tree, decomposition_upper_bound,
-                          depth_rooted_decomposition_number,
+from ekdom.bounds import (bfs_spanning_tree, decomposition_bound,
                           power_equivalence_check, spanning_tree_upper_bound)
 from ekdom.closed_forms import (complete_graph, cycle_graph, path_graph,
                                 path_number)
@@ -67,38 +67,37 @@ def test_spanning_tree_bound_is_valid_on_random_graphs():
 
 
 def test_decomposition_number_examples():
-    count, dec = depth_rooted_decomposition_number(path_graph(5), 2)
-    assert count == 1 and dec.parts[0].root == 2
-    count, _ = depth_rooted_decomposition_number(path_graph(6), 2)
-    assert count == 2  # no single root reaches all six vertices within two
-    count, _ = depth_rooted_decomposition_number(path_graph(5), 1)
-    assert count == 2
+    _, cells = decomposition_bound(path_graph(5), 2)
+    assert len(cells) == 1 and cells[0][0] == 2
+    _, cells = decomposition_bound(path_graph(6), 2)
+    assert len(cells) == 2  # no single root reaches all six vertices within two
+    _, cells = decomposition_bound(path_graph(5), 1)
+    assert len(cells) == 2
 
 
-def _assert_partition(g, k, count, dec):
-    assert count == len(dec.parts)
-    covered = sorted(v for p in dec.parts for v in p.vertices)
+def _assert_partition(g, k, cells):
+    covered = sorted(v for _, part in cells for v in part)
     assert covered == list(range(g.n))
-    for part in dec.parts:
-        assert oracle_reaches_within(g, part.root, part.vertices, k)
+    for root, part in cells:
+        assert oracle_reaches_within(g, root, part, k)
 
 
 def test_decomposition_parts_are_witnessed():
     g = random_connected_graph(9, 0.25, random.Random(DEFAULT_SEED + 2))
-    count, dec = depth_rooted_decomposition_number(g, 2)
-    _assert_partition(g, 2, count, dec)
+    _, cells = decomposition_bound(g, 2)
+    _assert_partition(g, 2, cells)
 
 
 def test_large_graphs_get_the_exact_count():
     # No size limit: P13 needs ceil(13 / 5) = 3 parts at radius 2.
-    count, dec = depth_rooted_decomposition_number(path_graph(13), 2)
-    assert count == 3
-    _assert_partition(path_graph(13), 2, count, dec)
+    _, cells = decomposition_bound(path_graph(13), 2)
+    assert len(cells) == 3
+    _assert_partition(path_graph(13), 2, cells)
     binary = build_perfect_mary(2, 3)  # 15 vertices
-    count, dec = depth_rooted_decomposition_number(binary, 1)
-    assert count == oracle_gamma(binary, 1) == 5
-    _assert_partition(binary, 1, count, dec)
-    assert decomposition_upper_bound(binary, 1) == 10  # 2 * gamma_1 < gamma_0 = 15
+    bound, cells = decomposition_bound(binary, 1)
+    assert len(cells) == oracle_gamma(binary, 1) == 5
+    _assert_partition(binary, 1, cells)
+    assert bound == 10  # 2 * gamma_1 < gamma_0 = 15
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -106,27 +105,32 @@ def test_large_graphs_get_the_exact_count():
                    rng=st.randoms(use_true_random=False), connected=st.booleans()),
        k=st.integers(0, 3))
 def test_decomposition_number_matches_partition_oracle(g, k):
-    count, dec = depth_rooted_decomposition_number(g, k)
-    assert count == oracle_partition_number(g, k) == oracle_gamma(g, k)
-    _assert_partition(g, k, count, dec)
-    if k >= 1 and is_connected(g):
-        assert solve(g, k) <= decomposition_upper_bound(g, k)
+    if k == 0:  # no bound at radius 0, but the fewest parts are still gamma_0
+        assert oracle_partition_number(g, k) == oracle_gamma(g, k)
+        with pytest.raises(ValueError):
+            decomposition_bound(g, k)
+        return
+    bound, cells = decomposition_bound(g, k)
+    assert len(cells) == oracle_partition_number(g, k) == oracle_gamma(g, k)
+    _assert_partition(g, k, cells)
+    if is_connected(g):
+        assert solve(g, k) <= bound
 
 
 def test_decomposition_bound_examples():
-    assert decomposition_upper_bound(path_graph(5), 2) == 2 == solve(path_graph(5), 2)
+    assert decomposition_bound(path_graph(5), 2)[0] == 2 == solve(path_graph(5), 2)
     wide = build_perfect_mary(3, 2)  # 13 vertices, radius 2 from the root
-    assert decomposition_upper_bound(wide, 2) == 2
+    assert decomposition_bound(wide, 2)[0] == 2
     assert solve(wide, 2) == 2
     # Diameter within half the radius: a single part at radius k//2.
-    assert decomposition_upper_bound(complete_graph(5), 4) == 1
+    assert decomposition_bound(complete_graph(5), 4)[0] == 1
 
 
 def test_decomposition_bound_is_valid_on_random_graphs():
     rng = random.Random(DEFAULT_SEED + 3)
     for _ in range(8):
         g = random_connected_graph(rng.randint(3, 9), 0.3, rng)
-        assert solve(g, 2) <= decomposition_upper_bound(g, 2)
+        assert solve(g, 2) <= decomposition_bound(g, 2)[0]
 
 
 def test_sandwich_documented_by_reports():
@@ -139,5 +143,5 @@ def test_sandwich_documented_by_reports():
 
 def test_wide_mary_tree_single_part_at_radius_two():
     wide = build_perfect_mary(3, 2)  # 13 vertices
-    count, dec = depth_rooted_decomposition_number(wide, 2)
-    assert count == 1 and dec.parts[0].root == 0
+    _, cells = decomposition_bound(wide, 2)
+    assert len(cells) == 1 and cells[0][0] == 0

@@ -10,6 +10,7 @@ import pytest
 import ekdom
 from ekdom.cli import main
 from ekdom.graph import all_pairs_distances, parse_graph
+from ekdom.solver import certificate_from_json, verify_certificate
 
 
 def run(capsys, *argv):
@@ -217,49 +218,97 @@ def _replace_entry(doc, r, entry):
     return dict(doc, response=doc["response"][:r] + [entry] + doc["response"][r + 1:])
 
 
-@pytest.mark.parametrize("mutate,reason", [
-    (lambda doc: doc["family"], "JSON object"),
-    (lambda doc: dict(doc, family=7), "wrong type"),
-    (lambda doc: _replace_entry(doc, 0, 5), "response entry 0 is not a list of 3 integers"),
-    (lambda doc: dict(doc, response=doc["response"] + doc["response"][:1]),
-     "'response' has 21 entries, expected 4 members x 5 vertices = 20"),
-    (lambda doc: dict(doc, vertices=["zz"] + doc["vertices"][1:]),
-     "unknown vertex label 'zz'"),
-    (lambda doc: _replace_entry(doc, 0, [0, 0.9, 0]), "response entry 0 holds a non-integer"),
-    (lambda doc: dict(doc, k=2.7), "'k' must be an integer"),
-    (lambda doc: _replace_entry(doc, 0, ["3", 0, 1]), "response entry 0 holds a non-integer"),
-    (lambda doc: dict(doc, k=True), "'k' must be an integer"),
-    (lambda doc: {key: value for key, value in doc.items() if key != "format"},
-     "format None is not supported"),
-    (lambda doc: {"k": doc["k"], "q": doc["q"], "family": doc["family"],
-                  "response": [{"state": 0, "attack": doc["vertices"][0], "next": 0,
-                                "moves": [["0", "2"], ["2", "0"]]}]},
-     "format None is not supported"),
-    (lambda doc: dict(doc, format=True), "format True is not supported"),
-    (lambda doc: dict(doc, vertices=doc["vertices"][:1] + doc["vertices"][:-1]),
-     "'vertices' must list each of the graph's 5 labels exactly once"),
-    (lambda doc: dict(doc, vertices=doc["vertices"][:-1]),
-     "'vertices' must list each of the graph's 5 labels exactly once"),
-    (lambda doc: dict(doc, response=doc["response"][:-1]),
-     "'response' has 19 entries, expected 4 members x 5 vertices = 20"),
-    (lambda doc: _replace_entry(doc, 7, [0, 1]), "response entry 7 is not a list of 3"),
-    (lambda doc: _replace_entry(doc, 7, [0, 1, True]), "response entry 7 holds a non-integer"),
-    (lambda doc: _replace_entry(doc, 7, [-1, 0, 1]), "response entry 7 names next -1, outside a family of 4"),
-    (lambda doc: _replace_entry(doc, 7, [4, 0, 1]), "response entry 7 names next 4, outside a family of 4"),
-    (lambda doc: _replace_entry(doc, 7, [0, 0, 2]), "response entry 7 names post 2, outside 2 guards"),
-    (lambda doc: dict(doc, family=doc["family"][:1] + [doc["family"][1][:1]]
-                      + doc["family"][2:]), "family member 1 lists 1 posts, expected q=2"),
-], ids=["top-level-list", "family-not-list", "moves-not-list", "duplicate-response",
-        "unknown-label", "post-float", "k-float", "next-string", "k-bool",
-        "format-missing", "old-format", "format-bool", "vertices-repeated",
-        "vertices-short", "last-entry-popped", "entry-short", "post-bool",
-        "next-negative", "next-past-family", "post-past-q", "member-short"])
+MALFORMED = [
+    pytest.param(lambda doc: doc["family"], "JSON object", id="top-level-list"),
+    pytest.param(lambda doc: dict(doc, family=7), "wrong type", id="family-not-list"),
+    pytest.param(lambda doc: _replace_entry(doc, 0, 5),
+                 "response entry 0 is not a list of 3 integers", id="moves-not-list"),
+    pytest.param(lambda doc: dict(doc, response=doc["response"] + doc["response"][:1]),
+                 "'response' has 21 entries, expected 4 members x 5 vertices = 20",
+                 id="duplicate-response"),
+    pytest.param(lambda doc: dict(doc, vertices=["zz"] + doc["vertices"][1:]),
+                 "unknown vertex label 'zz'", id="unknown-label"),
+    pytest.param(lambda doc: _replace_entry(doc, 0, [0, 0.9, 0]),
+                 "response entry 0 holds a non-integer", id="post-float"),
+    pytest.param(lambda doc: dict(doc, k=2.7), "'k' must be an integer", id="k-float"),
+    pytest.param(lambda doc: _replace_entry(doc, 0, ["3", 0, 1]),
+                 "response entry 0 holds a non-integer", id="next-string"),
+    pytest.param(lambda doc: dict(doc, k=True), "'k' must be an integer", id="k-bool"),
+    pytest.param(lambda doc: {key: value for key, value in doc.items() if key != "format"},
+                 "format None is not supported", id="format-missing"),
+    pytest.param(lambda doc: {"k": doc["k"], "q": doc["q"], "family": doc["family"],
+                              "response": [{"state": 0, "attack": doc["vertices"][0],
+                                            "next": 0, "moves": [["0", "2"], ["2", "0"]]}]},
+                 "format None is not supported", id="old-format"),
+    pytest.param(lambda doc: dict(doc, format=True), "format True is not supported",
+                 id="format-bool"),
+    pytest.param(lambda doc: dict(doc, vertices=doc["vertices"][:1] + doc["vertices"][:-1]),
+                 "'vertices' must list each of the graph's 5 labels exactly once",
+                 id="vertices-repeated"),
+    pytest.param(lambda doc: dict(doc, vertices=doc["vertices"][:-1]),
+                 "'vertices' must list each of the graph's 5 labels exactly once",
+                 id="vertices-short"),
+    pytest.param(lambda doc: dict(doc, response=doc["response"][:-1]),
+                 "'response' has 19 entries, expected 4 members x 5 vertices = 20",
+                 id="last-entry-popped"),
+    pytest.param(lambda doc: _replace_entry(doc, 7, [0, 1]),
+                 "response entry 7 is not a list of 3", id="entry-short"),
+    pytest.param(lambda doc: _replace_entry(doc, 7, [0, 1, True]),
+                 "response entry 7 holds a non-integer", id="post-bool"),
+    pytest.param(lambda doc: _replace_entry(doc, 7, [-1, 0, 1]),
+                 "response entry 7 names next -1, outside a family of 4", id="next-negative"),
+    pytest.param(lambda doc: _replace_entry(doc, 7, [4, 0, 1]),
+                 "response entry 7 names next 4, outside a family of 4",
+                 id="next-past-family"),
+    pytest.param(lambda doc: _replace_entry(doc, 7, [0, 0, 2]),
+                 "response entry 7 names post 2, outside 2 guards", id="post-past-q"),
+    pytest.param(lambda doc: dict(doc, family=doc["family"][:1] + [doc["family"][1][:1]]
+                                  + doc["family"][2:]),
+                 "family member 1 lists 1 posts, expected q=2", id="member-short"),
+    # Strings and objects iterate, so each of these read as P5's own
+    # certificate until arrays were required.
+    pytest.param(lambda doc: dict(doc, vertices="".join(doc["vertices"])),
+                 "'vertices' must be an array, not '01234'", id="vertices-string"),
+    pytest.param(lambda doc: dict(doc, vertices={v: i for i, v in enumerate(doc["vertices"])}),
+                 "'vertices' must be an array", id="vertices-object"),
+    pytest.param(lambda doc: dict(doc, family=["".join(doc["family"][0])] + doc["family"][1:]),
+                 "family member 0 must be an array, not '02'", id="member-string"),
+    pytest.param(lambda doc: dict(doc, family=[dict.fromkeys(doc["family"][0], 0)]
+                                  + doc["family"][1:]),
+                 "family member 0 must be an array, not {'0': 0, '2': 0}", id="member-object"),
+]
+
+# Faults against the format's structural rules, which the reader and the
+# verifier share.
+STRUCTURAL = {"moves-not-list", "duplicate-response", "post-float", "next-string",
+              "last-entry-popped", "entry-short", "post-bool", "next-negative",
+              "next-past-family", "post-past-q", "member-short"}
+
+
+@pytest.mark.parametrize("mutate,reason", MALFORMED)
 def test_verify_rejects_malformed_certificate(tmp_path, capsys, mutate, reason):
     graph_file, cert_file, doc = _write_p5_certificate(tmp_path, capsys)
     assert (doc["format"], doc["q"], len(doc["family"]), len(doc["vertices"])) == (2, 2, 4, 5)
     cert_file.write_text(json.dumps(mutate(doc)))
     code, out, _ = run(capsys, "verify", str(cert_file), str(graph_file))
     assert code == 3 and "rejected" in out and reason in out
+
+
+@pytest.mark.parametrize("mutate,reason", [p for p in MALFORMED if p.id in STRUCTURAL])
+def test_verifier_rejects_structural_faults_in_the_readers_words(tmp_path, capsys,
+                                                                 mutate, reason):
+    # The same fault, put into a decoded certificate in memory.
+    graph_file, _, doc = _write_p5_certificate(tmp_path, capsys)
+    g = parse_graph(graph_file.read_text())
+    broken = mutate(doc)
+    with pytest.raises(ValueError) as exc:
+        certificate_from_json(broken, g)
+    cert = certificate_from_json(doc, g)
+    cert.family = tuple(tuple(map(g.id_of, member)) for member in broken["family"])
+    cert.rows = broken["response"]
+    ok, violation = verify_certificate(g, cert)
+    assert not ok and violation.reason == str(exc.value)
+    assert reason in violation.reason
 
 
 @pytest.mark.parametrize("argv", [

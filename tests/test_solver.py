@@ -12,13 +12,12 @@ from ekdom.configs import enumerate_dominating_configs
 from ekdom.domination import gamma_k
 from ekdom.graph import Graph, all_pairs_distances, diameter, is_connected
 from ekdom.mary import build_perfect_mary, mary_number_recursive
-from ekdom.reductions import eternal_one_tree
 from ekdom.solver import (BudgetExceededError, certificate_from_json,
                           certificate_to_json, eternal_number,
                           eternal_survivors, is_eternal_set,
                           verify_certificate)
 
-from helpers import (DEFAULT_SEED, all_trees_exactly, delete_edge,
+from helpers import (DEFAULT_SEED, all_trees_exactly, delete_edge, eternal_one_tree,
                      random_connected_graph, random_tree, reference_certificate,
                      reverse_sweep_survivors, transforms)
 
@@ -160,7 +159,7 @@ def test_certificate_round_trip_and_mutations():
     broken = certificate_from_json(doc, p5)
     broken.rows = [[len(broken.family) + 3, *broken.rows[0][1:]]] + broken.rows[1:]
     ok, violation = verify_certificate(p5, broken)
-    assert not ok and "outside the family" in violation.reason
+    assert not ok and "outside a family of 4" in violation.reason
 
 
 def test_certificate_responses_cover_every_vertex():
