@@ -142,7 +142,8 @@ def _cmd_eternal(args) -> int:
         "gamma_half_k": report.gamma_half_value,
         "kernel": _kernel.active_kernel(),
         "per_q": [{"q": s.q, "configs": s.num_configs, "rounds": s.rounds,
-                   "checks": s.checks, "survivors": s.survivors}
+                   "checks": s.checks, "survivors": s.survivors,
+                   "exceeded": s.exceeded}
                   for s in report.per_q],
         "certificate": None if c is None else {"family": len(c.family),
                                                "responses": len(c.rows)},

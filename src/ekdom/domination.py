@@ -21,15 +21,13 @@ same order and returns the same witness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import DistMatrix, Graph, all_pairs_distances
 
 
-@dataclass(frozen=True)
-class DominationResult:
+class DominationResult(NamedTuple):
     gamma: int
     witness: tuple[int, ...]
 

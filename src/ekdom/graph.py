@@ -6,18 +6,19 @@ BFS hop counts; vertices in different components sit at the
 :data:`UNREACHABLE` sentinel, chosen large enough that any ``<= k`` radius
 test against it fails.
 
-Graphs and distance matrices are plain immutable values (tuples all the
-way down), hashable, and safe to share between threads.  Everything in
-this module is a pure function of its inputs; the distance matrix of a
-graph is computed once and cached.
+A graph is a ``typing.NamedTuple`` of its vertex count, adjacency and
+labels, so graphs and distance matrices are plain immutable values
+(tuples all the way down), hashable with value equality, and safe to
+share between threads.  Everything in this module is a pure function of
+its inputs; the distance matrix and the label index of a graph are
+computed once and cached.
 """
 from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 #: Distance reported between vertices in different components.
 UNREACHABLE = 1 << 30
@@ -39,9 +40,9 @@ class DisconnectedGraphError(ValueError):
     """Raised by operations that are only defined on connected graphs."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph: no loops, no multi-edges, symmetric adjacency."""
+class Graph(NamedTuple):
+    """Simple undirected graph: no loops, no multi-edges, symmetric adjacency,
+    distinct labels."""
 
     n: int
     adj: tuple[tuple[int, ...], ...]
@@ -59,6 +60,9 @@ class Graph:
             labels = tuple(labels)
             if len(labels) != n:
                 raise ValueError("label count does not match vertex count")
+            if len(set(labels)) != n:
+                dup = next(x for i, x in enumerate(labels) if x in labels[:i])
+                raise ValueError(f"vertex label {dup!r} is repeated")
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -86,18 +90,16 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    @cached_property
-    def _label_index(self) -> dict:
-        index = {}
-        for i, name in enumerate(self.labels):
-            index.setdefault(name, i)
-        return index
-
     def id_of(self, label: str) -> int:
         try:
-            return self._label_index[label]
+            return _label_index(self.labels)[label]
         except KeyError:
             raise ValueError(f"unknown vertex label {label!r}") from None
+
+
+@lru_cache(maxsize=None)
+def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
+    return {name: i for i, name in enumerate(labels)}
 
 
 def _bfs_row(g: Graph, src: int) -> tuple[int, ...]:

@@ -28,10 +28,9 @@ established so far.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import _kernel
 from .configs import Config, canonical, enumerate_dominating_configs
@@ -47,9 +46,12 @@ class BudgetExceededError(RuntimeError):
     """The configured (configuration, attack) check budget ran out."""
 
 
-@dataclass(frozen=True)
-class QStats:
-    """Elimination statistics for one guard count."""
+class QStats(NamedTuple):
+    """Elimination statistics for one guard count.
+
+    ``exceeded`` marks a guard count the budget refused or stopped; its
+    ``num_configs`` may then be only a lower bound.
+    """
     q: int
     num_configs: int
     rounds: int
@@ -58,7 +60,6 @@ class QStats:
     exceeded: bool
 
 
-@dataclass
 class EternalCertificate:
     """Explicit defense strategy at guard count q.
 
@@ -68,31 +69,38 @@ class EternalCertificate:
     (its p-th post) walks to the vertex at post ``t_p`` of
     ``family[next]``.  These are the rows of the JSON ``response`` field.
     """
-    k: int
-    q: int
-    family: tuple[Config, ...]
-    rows: list
+    __slots__ = ("k", "q", "family", "rows")
+
+    def __init__(self, k: int, q: int, family: tuple[Config, ...], rows: list):
+        self.k, self.q, self.family, self.rows = k, q, family, rows
 
 
-@dataclass(frozen=True)
-class CertificateViolation:
+class CertificateViolation(NamedTuple):
     state: int | None
     attack: str | None
     reason: str
 
 
-@dataclass
 class SolveReport:
-    k: int
-    gamma_eternal: int | None
-    lower_bound: int
-    upper_bound: int
-    gamma_k_value: int
-    gamma_half_value: int
-    per_q: list[QStats]
-    certificate: EternalCertificate | None
-    budget_exceeded: bool
-    component_reports: list["SolveReport"] | None = None
+    __slots__ = ("k", "gamma_eternal", "lower_bound", "upper_bound", "gamma_k_value",
+                 "gamma_half_value", "per_q", "certificate", "budget_exceeded",
+                 "component_reports")
+
+    def __init__(self, k: int, gamma_eternal: int | None, lower_bound: int,
+                 upper_bound: int, gamma_k_value: int, gamma_half_value: int,
+                 per_q: list[QStats], certificate: EternalCertificate | None,
+                 budget_exceeded: bool,
+                 component_reports: list[SolveReport] | None = None):
+        self.k = k
+        self.gamma_eternal = gamma_eternal
+        self.lower_bound = lower_bound
+        self.upper_bound = upper_bound
+        self.gamma_k_value = gamma_k_value
+        self.gamma_half_value = gamma_half_value
+        self.per_q = per_q
+        self.certificate = certificate
+        self.budget_exceeded = budget_exceeded
+        self.component_reports = component_reports
 
     @property
     def resolved(self) -> bool:

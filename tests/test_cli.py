@@ -91,10 +91,18 @@ def test_eternal_json_and_budget_exit(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["gamma_eternal"] == 3
+    assert [s["exceeded"] for s in payload["per_q"]] == [False, False]
 
     code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file),
                        "--max-states", "30")
     assert code == 2 and "unresolved" in out
+
+    # A refused guard count says so; its configs count is only a lower bound.
+    code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file), "--json",
+                       "--max-states", "0")
+    assert code == 2
+    assert json.loads(out)["per_q"] == [{"q": 2, "configs": 1, "rounds": 0, "checks": 0,
+                                         "survivors": 0, "exceeded": True}]
 
     # A --qmax cap is not a budget trip.
     code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file), "--qmax", "2")
@@ -326,9 +334,11 @@ def test_usage_errors_exit_with_parse_code(capsys, argv):
 
 
 def test_cli_import_leaves_other_subcommands_modules_out():
-    # eternal and verify start without the modules only other subcommands use.
+    # eternal and verify start without the modules only other subcommands
+    # use, and without dataclasses and the inspect and ast modules it loads.
     code = ("import sys, ekdom.cli; print(sorted(m for m in ('ekdom.bounds', "
-            "'ekdom.closed_forms', 'ekdom.mary', 'ekdom.reductions') if m in sys.modules))")
+            "'ekdom.closed_forms', 'ekdom.mary', 'ekdom.reductions', 'dataclasses', "
+            "'inspect', 'ast') if m in sys.modules))")
     src = str(Path(ekdom.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

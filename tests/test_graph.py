@@ -26,6 +26,12 @@ def test_parse_triangle_by_labels():
     assert g.id_of("c") == 2
 
 
+def test_build_rejects_repeated_labels():
+    with pytest.raises(ValueError, match="'a' is repeated"):
+        Graph.build(3, [(0, 1), (1, 2)], ["a", "a", "b"])
+    assert Graph.build(3, [(0, 1), (1, 2)], ["a", "b", "c"]).id_of("b") == 1
+
+
 def test_parse_dot_subset_equivalent_to_edge_list():
     g1 = parse_graph("0 1\n1 2")
     g2 = parse_graph("graph { 0 -- 1; 1 -- 2; }")
