@@ -48,9 +48,9 @@ def power_equivalence_check(g: Graph, k: int,
     """Solve (G, k) and (G^k, 1) and compare numbers and survivor sets."""
     if not is_connected(g):
         raise DisconnectedGraphError("survivor sets are defined per connected graph")
-    direct = eternal_number(g, k, budget=budget, want_certificate=False)
-    power = eternal_number(graph_power(g, k), 1, budget=budget,
-                           want_certificate=False)
+    g_power = graph_power(g, k)
+    direct = eternal_number(g, k, budget=budget)
+    power = eternal_number(g_power, 1, budget=budget)
     if not (direct.resolved and power.resolved):
         raise BudgetExceededError("one side of the power check ran out of budget")
     numbers_equal = direct.gamma_eternal == power.gamma_eternal
@@ -59,7 +59,7 @@ def power_equivalence_check(g: Graph, k: int,
     if numbers_equal:
         q = direct.gamma_eternal
         s_direct = eternal_survivors(g, k, q, budget=budget)
-        s_power = eternal_survivors(graph_power(g, k), 1, q, budget=budget)
+        s_power = eternal_survivors(g_power, 1, q, budget=budget)
         survivors_equal = s_direct == s_power
         if not survivors_equal:
             mismatch = min(s_direct.symmetric_difference(s_power))
@@ -87,7 +87,7 @@ def bfs_spanning_tree(g: Graph, root: int) -> Graph:
 
 
 def _tree_upper(t: Graph, k: int, budget: int) -> int:
-    report = eternal_number(t, k, budget=budget, want_certificate=False)
+    report = eternal_number(t, k, budget=budget)
     if report.resolved:
         return report.gamma_eternal
     return reduce_tree(t, k).upper_bound

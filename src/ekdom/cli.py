@@ -178,7 +178,11 @@ def _cmd_eternal(args) -> int:
 def _cmd_verify(args) -> int:
     g = _load_graph(args.file)
     with open(args.certificate, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"cannot parse {args.certificate}: JSON nested "
+                             "too deeply") from None
     try:
         cert = certificate_from_json(doc, g)
     except (ValueError, KeyError) as exc:
@@ -247,8 +251,7 @@ def _cmd_bounds(args) -> int:
     g = _load_graph(args.file)
     if not is_connected(g):
         raise DisconnectedGraphError("bounds need a connected graph")
-    report = eternal_number(g, args.k, budget=args.max_states,
-                            want_certificate=False)
+    report = eternal_number(g, args.k, budget=args.max_states)
     low, high = report.gamma_k_value, report.gamma_half_value
     spanning = spanning_tree_upper_bound(g, args.k, budget=args.max_states)
     decomposition, cells = decomposition_bound(g, args.k)

@@ -8,10 +8,13 @@ number is the least q whose survivor set is non-empty; q starts at the
 static domination number and Prop-style sandwich bounds cap it from
 above, so the loop always terminates.
 
-Alongside the number, the solver extracts an explicit certificate: a
-family of configurations plus, for every (family member, attacked vertex)
-pair, one row naming a successor member that contains the attack and the
-post each guard walks to.  The kernel layer builds the rows
+Each guard count is solved once per process, by the cached ``_solve_q``:
+it runs the elimination and, for a non-empty fixed point, builds an
+explicit certificate, so every public function reads its numbers,
+survivor sets and certificates from that one solve.  A certificate is a
+family of configurations plus, for every (family member, attacked
+vertex) pair, one row naming a successor member that contains the attack
+and the post each guard walks to.  The kernel layer builds the rows
 (``_kernel.certificate_rows``); ``verify_certificate`` re-checks them
 from scratch using only distances and multiset arithmetic, with no
 access to solver or kernel internals, so solver and verifier form
@@ -60,7 +63,7 @@ class QStats(NamedTuple):
     exceeded: bool
 
 
-class EternalCertificate:
+class EternalCertificate(NamedTuple):
     """Explicit defense strategy at guard count q.
 
     ``family`` lists the members as sorted posts.  ``rows[i * n + v]``
@@ -68,11 +71,16 @@ class EternalCertificate:
     vertices: it is ``[next, t_1, ..., t_q]``, and guard p of member i
     (its p-th post) walks to the vertex at post ``t_p`` of
     ``family[next]``.  These are the rows of the JSON ``response`` field.
-    """
-    __slots__ = ("k", "q", "family", "rows")
 
-    def __init__(self, k: int, q: int, family: tuple[Config, ...], rows: list):
-        self.k, self.q, self.family, self.rows = k, q, family, rows
+    A solved certificate is shared: the solve cache keeps it, every
+    caller of that guard count gets the same object, and
+    ``certificate_to_json``'s document holds its row list.  Derive a
+    variant with ``_replace`` and new lists; never edit rows in place.
+    """
+    k: int
+    q: int
+    family: tuple[Config, ...]
+    rows: list
 
 
 class CertificateViolation(NamedTuple):
@@ -81,26 +89,17 @@ class CertificateViolation(NamedTuple):
     reason: str
 
 
-class SolveReport:
-    __slots__ = ("k", "gamma_eternal", "lower_bound", "upper_bound", "gamma_k_value",
-                 "gamma_half_value", "per_q", "certificate", "budget_exceeded",
-                 "component_reports")
-
-    def __init__(self, k: int, gamma_eternal: int | None, lower_bound: int,
-                 upper_bound: int, gamma_k_value: int, gamma_half_value: int,
-                 per_q: list[QStats], certificate: EternalCertificate | None,
-                 budget_exceeded: bool,
-                 component_reports: list[SolveReport] | None = None):
-        self.k = k
-        self.gamma_eternal = gamma_eternal
-        self.lower_bound = lower_bound
-        self.upper_bound = upper_bound
-        self.gamma_k_value = gamma_k_value
-        self.gamma_half_value = gamma_half_value
-        self.per_q = per_q
-        self.certificate = certificate
-        self.budget_exceeded = budget_exceeded
-        self.component_reports = component_reports
+class SolveReport(NamedTuple):
+    k: int
+    gamma_eternal: int | None
+    lower_bound: int
+    upper_bound: int
+    gamma_k_value: int
+    gamma_half_value: int
+    per_q: list[QStats]
+    certificate: EternalCertificate | None
+    budget_exceeded: bool
+    component_reports: list[SolveReport] | None = None
 
     @property
     def resolved(self) -> bool:
@@ -112,41 +111,41 @@ def _flat_distances(g: Graph) -> list:
     return [d for row in all_pairs_distances(g) for d in row]
 
 
-def _eliminate(g: Graph, k: int, q: int, budget: int) -> tuple[frozenset, QStats, tuple | None]:
-    """Survivors, statistics and, for a non-empty fixed point, the kernel's
-    ``(states, alive, wit)`` from which ``_kernel.certificate_rows`` reads
-    its responses; empty, refused and over-budget guard counts keep no
-    table.
+@lru_cache(maxsize=None)
+def _solve_q(g: Graph, k: int, q: int, budget: int
+             ) -> tuple[frozenset, QStats, EternalCertificate | None]:
+    """Survivors, statistics and certificate of guard count q.
+
+    A non-empty fixed point is closed into a certificate while the
+    kernel's witness table is in scope, so the cache keeps the rows but
+    never the table.  The closure starts from the lexicographically least
+    survivor and answers each (member, attack) with the least survivor
+    that holds the attack and is reachable in one step (see
+    ``_kernel.pure.certificate_rows``).  Empty, refused and over-budget
+    guard counts, and closures past ``CERTIFICATE_CAP`` members, have no
+    certificate.
     """
     dist = all_pairs_distances(g)
     states = enumerate_dominating_configs(dist, k, q, limit=budget // max(g.n, 1))
-    table = None
     if len(states) * g.n > budget:
         # Refused before elimination; the enumeration stopped at its limit,
         # so num_configs is a lower bound on the true count.
-        survivors: frozenset = frozenset()
-        stats = QStats(q, len(states), 0, 0, 0, True)
-    else:
-        wit = array("i", [-1]) * (len(states) * g.n)
-        alive, rounds, checks, exceeded = _kernel.run_elimination(
-            g.n, k, _flat_distances(g), states, wit, budget=budget)
-        survivors = frozenset() if exceeded else frozenset(
-            states[i] for i in range(len(states)) if alive[i])
-        stats = QStats(q, len(states), rounds, checks, len(survivors), exceeded)
-        if survivors:
-            table = (states, alive, wit)
-    return survivors, stats, table
-
-
-@lru_cache(maxsize=None)
-def _solve_q(g: Graph, k: int, q: int, budget: int) -> tuple[frozenset, QStats]:
-    """``_eliminate`` memoised for the callers that build no certificate.
-
-    The witness table is dropped, so this process-wide cache keeps no more
-    than the survivors and the statistics.
-    """
-    survivors, stats, _ = _eliminate(g, k, q, budget)
-    return survivors, stats
+        return frozenset(), QStats(q, len(states), 0, 0, 0, True), None
+    flat = _flat_distances(g)
+    wit = array("i", [-1]) * (len(states) * g.n)
+    alive, rounds, checks, exceeded = _kernel.run_elimination(
+        g.n, k, flat, states, wit, budget=budget)
+    survivors = frozenset() if exceeded else frozenset(
+        states[i] for i in range(len(states)) if alive[i])
+    stats = QStats(q, len(states), rounds, checks, len(survivors), exceeded)
+    cert = None
+    if survivors:
+        closure = _kernel.certificate_rows(g.n, k, flat, states, alive, wit,
+                                           CERTIFICATE_CAP)
+        if closure is not None:
+            members, rows = closure
+            cert = EternalCertificate(k, q, tuple(states[i] for i in members), rows)
+    return survivors, stats, cert
 
 
 def eternal_survivors(g: Graph, k: int, q: int, budget: int = DEFAULT_BUDGET) -> frozenset:
@@ -156,7 +155,7 @@ def eternal_survivors(g: Graph, k: int, q: int, budget: int = DEFAULT_BUDGET) ->
     """
     if not is_connected(g):
         raise ValueError("survivor sets are defined per connected graph")
-    survivors, stats = _solve_q(g, k, q, budget)
+    survivors, stats, _ = _solve_q(g, k, q, budget)
     if stats.exceeded:
         if stats.checks:
             raise BudgetExceededError(
@@ -168,14 +167,14 @@ def eternal_survivors(g: Graph, k: int, q: int, budget: int = DEFAULT_BUDGET) ->
 
 
 def eternal_number(g: Graph, k: int, q_max: int | None = None,
-                   budget: int = DEFAULT_BUDGET,
-                   want_certificate: bool = True) -> SolveReport:
+                   budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Exact eternal distance-k domination number with certificate.
 
     Guard counts are tried upward from the static domination number; the
     first non-empty fixed point wins.  On disconnected input the
     components are solved independently and summed (guards can never
-    cross components), with per-component reports attached.
+    cross components), with per-component reports attached; each of
+    those carries its component's certificate, and the sum has none.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -192,16 +191,12 @@ def eternal_number(g: Graph, k: int, q_max: int | None = None,
     lower = gk  # only completed empty fixed points may lift this
     exceeded = False
     for q in range(gk, q_hi + 1):
-        if want_certificate:  # uncached, so the table dies with this call
-            survivors, stats, table = _eliminate(g, k, q, budget)
-        else:
-            survivors, stats = _solve_q(g, k, q, budget)
+        survivors, stats, cert = _solve_q(g, k, q, budget)
         per_q.append(stats)
         if stats.exceeded:
             exceeded = True
             break
         if survivors:
-            cert = _certificate(g, k, q, *table) if want_certificate else None
             return SolveReport(k, q, q, q, gk, gh, per_q, cert, False)
         lower = q + 1
     if not exceeded and q_max is None:
@@ -225,8 +220,7 @@ def _solve_components(g: Graph, k: int, q_max: int | None,
     reports = []
     for sub, low in zip(subs, lows):
         cap = None if q_max is None else q_max - (sum(lows) - low)
-        reports.append(eternal_number(sub, k, q_max=cap, budget=budget,
-                                      want_certificate=False))
+        reports.append(eternal_number(sub, k, q_max=cap, budget=budget))
     gamma = None
     lower = sum(r.lower_bound for r in reports)
     upper = sum(r.upper_bound for r in reports)
@@ -277,25 +271,6 @@ def is_eternal_set(g: Graph, k: int, guards: Iterable[int],
 # ---------------------------------------------------------------------------
 # Certificates.
 # ---------------------------------------------------------------------------
-
-def _certificate(g: Graph, k: int, q: int, states: list[Config],
-                 alive: bytearray, wit: array) -> EternalCertificate | None:
-    """Close the lexicographically least survivor under best responses.
-
-    The response to (member, attack) is the lexicographically smallest
-    survivor containing the attack and reachable in one step; closing
-    under that choice yields a family that is closed by construction and
-    usually far smaller than the full survivor set.  The kernel layer
-    runs the closure (see ``_kernel.pure.certificate_rows``).  Returns
-    None when the closure exceeds ``CERTIFICATE_CAP`` members.
-    """
-    closure = _kernel.certificate_rows(g.n, k, _flat_distances(g), states, alive,
-                                       wit, CERTIFICATE_CAP)
-    if closure is None:
-        return None
-    members, rows = closure
-    return EternalCertificate(k, q, tuple(states[i] for i in members), rows)
-
 
 def verify_certificate(g: Graph, cert: EternalCertificate
                        ) -> tuple[bool, CertificateViolation | None]:

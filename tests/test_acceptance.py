@@ -40,7 +40,7 @@ def _verdict(num: str, ok: bool, detail: str) -> None:
 
 
 def solve(g, k):
-    report = eternal_number(g, k, want_certificate=False)
+    report = eternal_number(g, k)
     return report
 
 
@@ -244,8 +244,7 @@ def test_criterion_10_certificate_soundness():
 
         # Drop the last member and its rows: rows still point at it.
         dropped = certificate_from_json(doc, g)
-        dropped.family = dropped.family[:-1]
-        dropped.rows = dropped.rows[:-g.n]
+        dropped = dropped._replace(family=dropped.family[:-1], rows=dropped.rows[:-g.n])
         if verify_certificate(g, dropped)[0]:
             problems.append(("drop-member accepted", k))
 
@@ -268,14 +267,15 @@ def test_criterion_10_certificate_soundness():
             r, p, far = site
             row = list(stretched.rows[r])
             row[1 + p] = far
-            stretched.rows = stretched.rows[:r] + [row] + stretched.rows[r + 1:]
+            stretched = stretched._replace(
+                rows=stretched.rows[:r] + [row] + stretched.rows[r + 1:])
             ok, violation = verify_certificate(g, stretched)
             if ok or "longer than k" not in violation.reason:
                 problems.append(("stretched move accepted", k))
 
         outside = certificate_from_json(doc, g)
         row = outside.rows[0]
-        outside.rows = [[len(outside.family), *row[1:]]] + outside.rows[1:]
+        outside = outside._replace(rows=[[len(outside.family), *row[1:]]] + outside.rows[1:])
         if verify_certificate(g, outside)[0]:
             problems.append(("outside-family response accepted", k))
     _verdict("10", not problems,

@@ -18,7 +18,7 @@ from helpers import (DEFAULT_SEED, oracle_gamma, oracle_partition_number,
 
 
 def solve(g, k):
-    return eternal_number(g, k, want_certificate=False).gamma_eternal
+    return eternal_number(g, k).gamma_eternal
 
 
 def test_power_equivalence_examples():
@@ -137,7 +137,7 @@ def test_sandwich_documented_by_reports():
     rng = random.Random(DEFAULT_SEED + 4)
     for _ in range(6):
         g = random_connected_graph(rng.randint(3, 8), 0.3, rng)
-        report = eternal_number(g, 2, want_certificate=False)
+        report = eternal_number(g, 2)
         assert report.gamma_k_value <= report.gamma_eternal <= report.gamma_half_value
 
 

@@ -302,6 +302,19 @@ def test_verify_rejects_malformed_certificate(tmp_path, capsys, mutate, reason):
     assert code == 3 and "rejected" in out and reason in out
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"format": 2, "k": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["top-level", "in-field"])
+def test_verify_reports_deeply_nested_json_as_unparseable(tmp_path, capsys, text):
+    # Nesting past the recursion limit is an unparseable file, not a crash.
+    graph_file, cert_file, _ = _write_p5_certificate(tmp_path, capsys)
+    cert_file.write_text(text)
+    code, out, err = run(capsys, "verify", str(cert_file), str(graph_file))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("mutate,reason", [p for p in MALFORMED if p.id in STRUCTURAL])
 def test_verifier_rejects_structural_faults_in_the_readers_words(tmp_path, capsys,
                                                                  mutate, reason):
@@ -311,9 +324,9 @@ def test_verifier_rejects_structural_faults_in_the_readers_words(tmp_path, capsy
     broken = mutate(doc)
     with pytest.raises(ValueError) as exc:
         certificate_from_json(broken, g)
-    cert = certificate_from_json(doc, g)
-    cert.family = tuple(tuple(map(g.id_of, member)) for member in broken["family"])
-    cert.rows = broken["response"]
+    cert = certificate_from_json(doc, g)._replace(
+        family=tuple(tuple(map(g.id_of, member)) for member in broken["family"]),
+        rows=broken["response"])
     ok, violation = verify_certificate(g, cert)
     assert not ok and violation.reason == str(exc.value)
     assert reason in violation.reason

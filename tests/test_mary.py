@@ -47,8 +47,7 @@ def test_engine_confirms_small_trees():
                 if expected > 3:
                     continue
                 swept += 1
-                got = eternal_number(build_perfect_mary(m, d), k,
-                                     want_certificate=False).gamma_eternal
+                got = eternal_number(build_perfect_mary(m, d), k).gamma_eternal
                 assert got == expected, (m, d, k)
     assert swept >= 30
 

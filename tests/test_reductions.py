@@ -16,7 +16,7 @@ from helpers import (DEFAULT_SEED, apply_leaf_cluster_trim, apply_pendant_pair_t
 
 
 def solve(g, k):
-    return eternal_number(g, k, want_certificate=False).gamma_eternal
+    return eternal_number(g, k).gamma_eternal
 
 
 def double_spider(legs=3):

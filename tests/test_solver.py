@@ -1,6 +1,7 @@
 """The game engine against naive fixed points, formulas and mutations."""
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from ekdom.closed_forms import (cycle_graph, cycle_number, path_graph,
                                 path_number, star_graph)
 from ekdom.configs import enumerate_dominating_configs
 from ekdom.domination import gamma_k
-from ekdom.graph import Graph, all_pairs_distances, diameter, is_connected
+import ekdom._kernel
+from ekdom.graph import (Graph, all_pairs_distances, components, diameter,
+                         induced_subgraph, is_connected)
 from ekdom.mary import build_perfect_mary, mary_number_recursive
 from ekdom.solver import (BudgetExceededError, certificate_from_json,
                           certificate_to_json, eternal_number,
@@ -50,17 +53,15 @@ def test_single_guard_on_p5_fails_two_succeed():
 def test_small_paths_and_cycles_match_formulas():
     for n in range(1, 11):
         for k in (1, 2, 3):
-            assert eternal_number(path_graph(n), k,
-                                  want_certificate=False).gamma_eternal == path_number(n, k)
+            assert eternal_number(path_graph(n), k).gamma_eternal == path_number(n, k)
     for n in range(3, 12):
         for k in (1, 2, 3):
-            got = eternal_number(cycle_graph(n), k,
-                                 want_certificate=False).gamma_eternal
+            got = eternal_number(cycle_graph(n), k).gamma_eternal
             assert got == cycle_number(n, k) == gamma_k(cycle_graph(n), k).gamma
 
 
 def test_star_needs_one_guard_at_k2():
-    assert eternal_number(star_graph(4), 2, want_certificate=False).gamma_eternal == 1
+    assert eternal_number(star_graph(4), 2).gamma_eternal == 1
 
 
 def test_diameter_at_most_k_means_any_single_guard_survives():
@@ -88,7 +89,7 @@ def test_sandwich_on_random_graphs():
     for _ in range(10):
         g = random_connected_graph(rng.randint(2, 8), 0.3, rng)
         for k in (2, 3):
-            report = eternal_number(g, k, want_certificate=False)
+            report = eternal_number(g, k)
             assert report.gamma_k_value <= report.gamma_eternal <= report.gamma_half_value
 
 
@@ -96,33 +97,30 @@ def test_edge_removal_never_decreases_the_number():
     rng = random.Random(DEFAULT_SEED + 3)
     for _ in range(6):
         g = random_connected_graph(rng.randint(3, 7), 0.35, rng)
-        base = eternal_number(g, 2, want_certificate=False).gamma_eternal
+        base = eternal_number(g, 2).gamma_eternal
         for u, v in g.edges():
             smaller = delete_edge(g, u, v)
             if not is_connected(smaller):
                 continue
-            assert eternal_number(smaller, 2,
-                                  want_certificate=False).gamma_eternal >= base
+            assert eternal_number(smaller, 2).gamma_eternal >= base
 
 
 def test_k1_agrees_with_classical_tree_trimming():
     # Exhaustive through 8 vertices, sampled at 9.
     for n in range(1, 9):
         for tree in all_trees_exactly(n):
-            assert eternal_number(tree, 1,
-                                  want_certificate=False).gamma_eternal == eternal_one_tree(tree)
+            assert eternal_number(tree, 1).gamma_eternal == eternal_one_tree(tree)
     rng = random.Random(DEFAULT_SEED + 4)
     for _ in range(25):
         tree = random_tree(9, rng)
-        assert eternal_number(tree, 1,
-                              want_certificate=False).gamma_eternal == eternal_one_tree(tree)
+        assert eternal_number(tree, 1).gamma_eternal == eternal_one_tree(tree)
 
 
 def test_elimination_order_does_not_change_the_fixed_point():
     rng = random.Random(DEFAULT_SEED + 5)
     for _ in range(8):
         g = random_connected_graph(rng.randint(3, 7), 0.3, rng)
-        q = eternal_number(g, 2, want_certificate=False).gamma_eternal
+        q = eternal_number(g, 2).gamma_eternal
         assert eternal_survivors(g, 2, q) == reverse_sweep_survivors(g, 2, q)
 
 
@@ -138,8 +136,7 @@ def test_certificate_round_trip_and_mutations():
 
     # Drop a family member and its rows: responses point past the end.
     broken = certificate_from_json(doc, p5)
-    broken.family = broken.family[:-1]
-    broken.rows = broken.rows[:-p5.n]
+    broken = broken._replace(family=broken.family[:-1], rows=broken.rows[:-p5.n])
     ok, violation = verify_certificate(p5, broken)
     assert not ok
 
@@ -151,13 +148,15 @@ def test_certificate_round_trip_and_mutations():
     src, succ = cert.family[r // 5][0], cert.family[row[0]]
     far = max(range(len(succ)), key=lambda t: dist[src][succ[t]])
     broken = certificate_from_json(doc, p5)
-    broken.rows = broken.rows[:r] + [[row[0], far, *row[2:]]] + broken.rows[r + 1:]
+    broken = broken._replace(rows=broken.rows[:r] + [[row[0], far, *row[2:]]]
+                             + broken.rows[r + 1:])
     ok, violation = verify_certificate(p5, broken)
     assert not ok and "longer than k" in violation.reason
 
     # Point a response outside the family.
     broken = certificate_from_json(doc, p5)
-    broken.rows = [[len(broken.family) + 3, *broken.rows[0][1:]]] + broken.rows[1:]
+    broken = broken._replace(rows=[[len(broken.family) + 3, *broken.rows[0][1:]]]
+                             + broken.rows[1:])
     ok, violation = verify_certificate(p5, broken)
     assert not ok and "outside a family of 4" in violation.reason
 
@@ -238,12 +237,42 @@ def test_certificate_json_round_trip(n, extra, rng, k):
 def test_disconnected_graphs_sum_components():
     g = Graph.build(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7)])
     report = eternal_number(g, 2)
-    expected = (eternal_number(path_graph(3), 2, want_certificate=False).gamma_eternal
-                + eternal_number(path_graph(5), 2, want_certificate=False).gamma_eternal)
+    expected = (eternal_number(path_graph(3), 2).gamma_eternal
+                + eternal_number(path_graph(5), 2).gamma_eternal)
     assert report.gamma_eternal == expected
-    assert len(report.component_reports) == 2
+    # Each component report certifies its own induced subgraph; the sum
+    # has no certificate.
+    assert report.certificate is None
+    subs = [induced_subgraph(g, comp)[0] for comp in components(g)]
+    assert len(report.component_reports) == len(subs) == 2
+    for sub, part in zip(subs, report.component_reports):
+        assert part.certificate is not None
+        assert verify_certificate(sub, part.certificate) == (True, None)
     assert not is_eternal_set(g, 2, [1, 4])      # second component underguarded
     assert is_eternal_set(g, 2, [1, 4, 6])
+
+
+def test_repeated_queries_reuse_one_solve(monkeypatch):
+    # Survivors and membership at the answer come from the solve that
+    # found it, and no witness table outlives the solve that filled it.
+    tables = []  # a weak reference to each call's wit
+    run = ekdom._kernel.run_elimination
+
+    def spy(*args, **kwargs):
+        tables.append(weakref.ref(args[4]))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(ekdom._kernel, "run_elimination", spy)
+    # Labels no other graph uses, so no earlier solve is in the cache.
+    g = Graph.build(7, path_graph(7).edges(), [f"reuse{i}" for i in range(7)])
+    report = eternal_number(g, 2)
+    q, member = report.gamma_eternal, report.certificate.family[0]
+    solved = len(tables)
+    assert solved and q == path_number(7, 2)
+    assert member in eternal_survivors(g, 2, q)
+    assert is_eternal_set(g, 2, member)
+    assert len(tables) == solved
+    assert all(table() is None for table in tables)
 
 
 def test_disconnected_graphs_honour_the_q_range():
