@@ -11,7 +11,7 @@ from ekdom.closed_forms import (complete_graph, cycle_graph, path_graph,
                                 path_number)
 from ekdom.graph import graph_power, is_connected, is_tree
 from ekdom.mary import build_perfect_mary
-from ekdom.solver import eternal_number, is_eternal_set
+from ekdom.solver import eternal_number, eternal_survivors, is_eternal_set
 
 from helpers import (DEFAULT_SEED, oracle_gamma, oracle_partition_number,
                      oracle_reaches_within, random_connected_graph, random_graph)
@@ -38,6 +38,20 @@ def test_power_equivalence_random_graphs():
         for k in (2, 3):
             r = power_equivalence_check(g, k)
             assert r.numbers_equal and r.survivors_equal
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(g=st.builds(random_connected_graph, n=st.integers(2, 8), extra=st.floats(0.0, 0.5),
+                   rng=st.randoms(use_true_random=False)),
+       k=st.integers(1, 3))
+def test_power_equivalence_property(g, k):
+    # Radius k on G and radius 1 on G^k give the same number and, at the
+    # answer and one guard above it, the same survivor sets.
+    power = graph_power(g, k)
+    q = solve(g, k)
+    assert solve(power, 1) == q
+    for size in (q, q + 1):
+        assert eternal_survivors(g, k, size) == eternal_survivors(power, 1, size)
 
 
 def test_single_configuration_crosses_the_power_bridge():
