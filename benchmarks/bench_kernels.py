@@ -1,20 +1,40 @@
-"""Benchmark the compiled kernels against their pure-Python twins.
+"""Benchmark the elimination kernels and record times and work counters.
 
-Runs the same greatest-fixed-point eliminations through both kernels,
-each filling a witness table, then closes the same certificate from that
-table with both kernels' ``certificate_rows``; asserts the results, the
-tables and the certificate rows are identical, and reports wall times
-for both steps.
+Runs the same greatest-fixed-point eliminations through the compiled
+kernel and, on the six small instances, through its pure-Python twin;
+each run fills a witness table and the work counters (``KernelWork``).
+On the small instances both kernels' ``certificate_rows`` then close the
+same certificate from that table.  Results, tables, counters and
+certificate rows must be identical.  The four large instances run on the
+compiled kernel only.
 
-    python3 benchmarks/bench_kernels.py [--repeat N]
+With ``--parent DIR``, the root of another source tree whose compiled
+kernel is built (for example a ``git archive`` export of an earlier
+commit), that tree's compiled kernel runs every instance too, alternating
+with this tree's run by run, and must return the same (alive, rounds,
+checks, exceeded) and witness table.
+
+Times, counters and provenance go to ``--out`` (BENCH_kernel.json).
+
+    python3 setup.py build_ext --inplace
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat N] [--parent DIR]
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
 import time
 from array import array
+from pathlib import Path
 
-from ekdom._kernel import pure
+from ekdom._kernel import KernelWork, pure
 from ekdom.closed_forms import cycle_graph, path_graph
 from ekdom.configs import enumerate_dominating_configs
 from ekdom.graph import all_pairs_distances
@@ -25,71 +45,181 @@ try:
 except ImportError:
     _ckernel = None
 
+ROOT = Path(__file__).resolve().parent.parent
+KERNEL_DIR = Path("src") / "ekdom" / "_kernel"
+BUDGET = 50_000_000
+CAP = 20_000
 
-def instances():
-    cases = [
-        ("P12 k=1 q=6", path_graph(12), 1, 6),
-        ("P14 k=1 q=7", path_graph(14), 1, 7),
-        ("P14 k=2 q=5", path_graph(14), 2, 5),
-        ("C14 k=1 q=5", cycle_graph(14), 1, 5),
-        ("C12 k=2 q=3", cycle_graph(12), 2, 3),
-        ("binary d=3 k=2 q=3", build_perfect_mary(2, 3), 2, 3),
-    ]
-    for name, g, k, q in cases:
-        dist = all_pairs_distances(g)
-        flat = [d for row in dist for d in row]
-        states = enumerate_dominating_configs(dist, k, q)
-        yield name, g.n, k, flat, states
+SMALL = [  # both kernels, and both certificate closures
+    ("P12 k=1 q=6", lambda: path_graph(12), 1, 6),
+    ("P14 k=1 q=7", lambda: path_graph(14), 1, 7),
+    ("P14 k=2 q=5", lambda: path_graph(14), 2, 5),
+    ("C14 k=1 q=5", lambda: cycle_graph(14), 1, 5),
+    ("C12 k=2 q=3", lambda: cycle_graph(12), 2, 3),
+    ("binary d=3 k=2 q=3", lambda: build_perfect_mary(2, 3), 2, 3),
+]
+LARGE = [  # compiled kernel only
+    ("P16 k=2 q=6", lambda: path_graph(16), 2, 6),
+    ("P20 k=2 q=7", lambda: path_graph(20), 2, 7),
+    ("binary d=4 k=2 q=6", lambda: build_perfect_mary(2, 4), 2, 6),
+    ("binary d=5 k=2 q=11", lambda: build_perfect_mary(2, 5), 2, 11),
+]
 
 
-def time_one(fn, repeat, *args):
-    best = float("inf")
-    result = None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        result = fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+def load_kernel(tree: Path):
+    """The compiled kernel built in source tree ``tree``; refuses one older
+    than its ``_ckernel.c``, which would measure a stale build."""
+    src = tree / KERNEL_DIR / "_ckernel.c"
+    built = sorted((tree / KERNEL_DIR).glob("_ckernel*.so"))
+    if not built:
+        raise SystemExit(f"no compiled kernel in {tree}; run: python3 setup.py "
+                         "build_ext --inplace there")
+    if built[-1].stat().st_mtime < src.stat().st_mtime:
+        raise SystemExit(f"{built[-1]} is older than {src}; rebuild with "
+                         "python3 setup.py build_ext --inplace --force")
+    spec = importlib.util.spec_from_file_location("_ckernel", built[-1])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+def git(*args: str) -> str | None:
+    try:
+        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                             timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def host() -> dict:
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next(line.split(":", 1)[1].strip() for line in fh
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {"cpu": cpu, "nproc": os.cpu_count(), "python": platform.python_version()}
+
+
+def instance(build, k: int, q: int):
+    g = build()
+    dist = all_pairs_distances(g)
+    return g.n, [d for row in dist for d in row], enumerate_dominating_configs(dist, k, q)
+
+
+def eliminate(kernel, n, k, flat, states, counted=True):
+    """(seconds, result, witness table, work counters or None)."""
+    wit = array("i", [0]) * (len(states) * n)
+    work = array("q", KernelWork()) if counted else None
+    t0 = time.perf_counter()
+    if counted:
+        result = kernel.run_elimination(n, k, flat, states, wit, BUDGET, work=work)
+    else:
+        result = kernel.run_elimination(n, k, flat, states, wit, BUDGET)
+    return time.perf_counter() - t0, result, wit, work
+
+
+def same(a, b) -> bool:
+    return bytes(a[1][0]) == bytes(b[1][0]) and a[1][1:] == b[1][1:] and a[2] == b[2]
+
+
+def run_case(name, build, k, q, repeat, parent, with_pure) -> dict:
+    n, flat, states = instance(build, k, q)
+    times = {"compiled_s": [], "parent_compiled_s": [], "pure_s": []}
+    first = work = None
+    for r in range(repeat):
+        sides = [("compiled_s", _ckernel, True)]
+        if parent is not None:
+            sides.insert(1 - r % 2, ("parent_compiled_s", parent, False))
+        if with_pure:
+            sides.append(("pure_s", pure, True))
+        for key, kernel, counted in sides:
+            got = eliminate(kernel, n, k, flat, states, counted)
+            first = first or got
+            work = work or got[3]
+            assert same(got, first), f"{name}: {key} differs"
+            assert got[3] in (None, work), f"{name}: {key} counters differ"
+            times[key].append(round(got[0], 5))
+    _, (alive, rounds, checks, exceeded), wit, _ = first
+    assert not exceeded, f"{name}: budget exceeded"
+    row = {"name": name, "n": n, "k": k, "q": q, "states": len(states),
+           "rounds": rounds, "checks": checks, "survivors": sum(alive),
+           "work": KernelWork(*work)._asdict()}
+    for key, runs in times.items():
+        if runs:
+            row[key] = runs
+    if parent is not None:
+        row["parent_over_compiled"] = round(statistics.median(times["parent_compiled_s"])
+                                            / statistics.median(times["compiled_s"]), 2)
+    if with_pure:
+        cert = {}
+        for key, kernel in (("compiled_s", _ckernel), ("pure_s", pure)):
+            t0 = time.perf_counter()
+            rows = kernel.certificate_rows(n, k, flat, states, alive, wit, CAP)
+            cert[key] = round(time.perf_counter() - t0, 5)
+            cert.setdefault("rows", rows)
+            assert rows == cert["rows"], f"{name}: certificate rows differ"
+        cert["family"] = len(cert.pop("rows")[0]) if sum(alive) else 0
+        row["certificate"] = cert
+    return row
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeat", type=int, default=3)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=3,
+                        help="runs per kernel and instance (alternating with --parent)")
+    parser.add_argument("--parent", type=Path,
+                        help="source tree whose compiled kernel to time alongside")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_kernel.json")
     args = parser.parse_args()
 
     if _ckernel is None:
         print("compiled kernel not built; run: python3 setup.py build_ext --inplace")
         return 1
+    load_kernel(ROOT)  # refuses a stale build
+    parent = load_kernel(args.parent) if args.parent else None
 
-    header = (f"{'instance':<22}{'configs':>9}{'elim pure':>12}{'compiled':>12}{'speedup':>9}"
-              f"{'family':>8}{'cert pure':>12}{'compiled':>12}{'speedup':>9}")
-    print(header)
-    print("-" * len(header))
-    budget = 50_000_000
-    cap = 20_000
-    for name, n, k, flat, states in instances():
-        wit_py = array("i", [0]) * (len(states) * n)
-        wit_c = array("i", [0]) * (len(states) * n)
-        t_py, r_py = time_one(pure.run_elimination, args.repeat,
-                              n, k, flat, states, wit_py, budget)
-        t_c, r_c = time_one(_ckernel.run_elimination, args.repeat,
-                            n, k, flat, states, wit_c, budget)
-        assert bytes(r_py[0]) == bytes(r_c[0]) and r_py[1:] == r_c[1:], name
-        assert wit_py == wit_c, name
-        alive = r_c[0]
-        c_py, cert_py = time_one(pure.certificate_rows, args.repeat,
-                                 n, k, flat, states, alive, wit_c, cap)
-        c_c, cert_c = time_one(_ckernel.certificate_rows, args.repeat,
-                               n, k, flat, states, alive, wit_c, cap)
-        assert cert_py == cert_c, name
-        family = len(cert_c[0]) if cert_c else 0
-        print(f"{name:<22}{len(states):>9}{t_py:>11.4f}s{t_c:>11.4f}s"
-              f"{t_py / t_c:>8.1f}x{family:>8}{c_py:>11.4f}s{c_c:>11.4f}s"
-              f"{c_py / c_c:>8.1f}x")
-    print("results, witness tables and certificate rows identical across kernels "
-          "on every instance")
+    rows = []
+    print(f"{'instance':<22}{'states':>8}{'compiled':>11}{'parent':>11}{'pure':>11}"
+          f"{'matchings':>12}{'matched':>10}{'jumped':>12}")
+    for cases, with_pure in ((SMALL, True), (LARGE, False)):
+        for name, build, k, q in cases:
+            row = run_case(name, build, k, q, args.repeat, parent, with_pure)
+            rows.append(row)
+            med = {key: f"{statistics.median(row[key]):.4f}s" if key in row else "-"
+                   for key in ("compiled_s", "parent_compiled_s", "pure_s")}
+            w = row["work"]
+            print(f"{name:<22}{row['states']:>8}{med['compiled_s']:>11}"
+                  f"{med['parent_compiled_s']:>11}{med['pure_s']:>11}"
+                  f"{w['matchings']:>12}{w['matched']:>10}{w['jumped']:>12}", flush=True)
+    doc = {
+        "what": "Elimination kernel wall times (seconds per run) and work counters; "
+                "on the small instances also the certificate closure of both kernels.",
+        "command": "PYTHONPATH=src python3 benchmarks/bench_kernels.py --repeat "
+                   f"{args.repeat}" + (" --parent PARENT_TREE" if parent else ""),
+        "commit": git("rev-parse", "HEAD"),
+        "dirty": bool(git("status", "--porcelain", "--", "src", "benchmarks")),
+        "kernel_sha256": {f: digest(ROOT / KERNEL_DIR / f) for f in ("_ckernel.c", "pure.py")},
+        "host": host(),
+        "budget": BUDGET,
+        "instances": rows,
+    }
+    if parent is not None:
+        doc["parent"] = {"kernel_sha256": {"_ckernel.c": digest(args.parent / KERNEL_DIR
+                                                                 / "_ckernel.c")},
+                         "order": "runs alternate: this tree first on even runs, "
+                                  "the parent first on odd runs"}
+    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(f"results, witness tables, counters and certificate rows identical; "
+          f"wrote {args.out}")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(main())

@@ -3,9 +3,10 @@
 ``run_elimination`` and ``certificate_rows`` are the C extension
 ``_ckernel``'s functions when it imported, otherwise the pure-Python
 twin's.  Both run the same Gauss-Seidel sweeps, in the order of
-``states``, with one movement test (a full matching of the two states'
-guards), and the same certificate closure, on graphs of any size, and
-return identical results.
+``states``, with one movement test (a target-side prefix matcher whose
+failures skip every candidate sharing the failed prefix), and the same
+certificate closure, on graphs of any size, and return identical
+results.
 
 The caller passes ``wit``, an ``array('i')`` of ``len(states) * n``
 items, which receives the final witness table: for a surviving state i
@@ -13,12 +14,28 @@ and a vertex v that i leaves unoccupied, ``wit[i * n + v]`` is the least
 index of a surviving state that occupies v and is reachable from i in one
 step.  Other entries are leftovers, and nothing in the table means
 anything when the budget was exceeded.  ``certificate_rows`` reads that
-table to close the least survivor into certificate rows.  The full
-contracts are in ``pure``.
+table to close the least survivor into certificate rows.  An optional
+``work``, an ``array('q')`` of 5 items, receives the sweep's work
+counters (``KernelWork``).  The full contracts are in ``pure``.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 DEFAULT_BUDGET = 5_000_000  # checks per elimination; the C kernel's default too
+
+
+class KernelWork(NamedTuple):
+    """The work counters ``run_elimination`` leaves in ``work``, in order.
+
+    ``array("q", KernelWork())`` is a zeroed buffer to pass, and
+    ``KernelWork(*work)`` reads it back; ``pure`` defines each counter.
+    """
+    probes: int = 0
+    dead: int = 0
+    matchings: int = 0
+    matched: int = 0
+    jumped: int = 0
 
 # The pure twin is imported only as the fallback, so a process that runs
 # without cached bytecode does not compile it.

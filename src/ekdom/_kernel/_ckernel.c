@@ -5,24 +5,28 @@
 
    run_elimination: the same Gauss-Seidel sweep, in input order, as the
    pure kernel: candidate lists per distinct guard post in ascending state
-   order, the pos/wit cursors, one budget test per check and
-   augmenting-path matching.  The two therefore return byte-for-byte equal
-   (alive, rounds, checks, exceeded) and leave equal witness tables; see
-   pure.py for the algorithm notes and the meaning of the table.
+   order, the pos/wit cursors, one budget test per check, and the same
+   target-side prefix matcher with its run skips and prefix reuse.  The
+   two therefore return byte-for-byte equal (alive, rounds, checks,
+   exceeded), leave equal witness tables and count the same work; see
+   pure.py for the algorithm notes, the skip and reuse rules, and the
+   meaning of the table and the counters.
 
    certificate_rows: the breadth-first closure of the least survivor,
    answering each attack with the witness table or, on an occupied
    vertex, with the least live holder reachable in one step, and matching
-   each response once with the same augmenting paths.  It returns the
-   same (members, rows) as the pure twin.
+   each response once from the source side with the same augmenting
+   paths as configs._match, so the rows record the same assignments.  It
+   returns the same (members, rows) as the pure twin.
 
    Whether a vertex is occupied is read off the sorted state by a merge
    walk, so the number of vertices is unbounded.
 
    The witness table travels in ``wit``, an array('i') of len(states) * n
-   items; run_elimination writes it in place, so the table costs no copy.
-   Every buffer's size and item type (and, where written, writability) is
-   checked before it is used.
+   items, and the work counters in the optional ``work``, an array('q')
+   of 5 items; run_elimination writes both in place, so neither costs a
+   copy.  Every buffer's size and item type (and, where written,
+   writability) is checked before it is used.
 
        python3 setup.py build_ext --inplace
 */
@@ -74,6 +78,71 @@ match(Matching *m, const int *st, Py_ssize_t i, Py_ssize_t j)
             return 0;
     }
     return 1;
+}
+
+/* Target-side prefix matcher for the sweep: place the posts of a
+   candidate b, in order, on distinct guards of the swept state a.  The
+   matching of the previous candidate is kept: posts it shares with b,
+   up to the ones it placed, keep their guards. */
+typedef struct {
+    const long *dist;   /* n x n hop distances, row-major */
+    const int *a, *b;   /* swept state's guards; last candidate's posts or NULL */
+    Py_ssize_t n;
+    long k;
+    int q;
+    int placed;         /* posts 0..placed-1 of b hold guards */
+    int *holder;        /* holder[p]: post held by guard p of a, or -1 */
+    int *guard;         /* guard[c]: guard of a holding post c < placed */
+    unsigned char *seen;
+} Prefix;
+
+static int
+place(Prefix *m, int c)
+{
+    const int t = m->b[c];
+    for (int p = 0; p < m->q; p++) {
+        if (!m->seen[p] && m->dist[(size_t)m->a[p] * (size_t)m->n + t] <= m->k) {
+            m->seen[p] = 1;
+            if (m->holder[p] < 0 || place(m, m->holder[p])) {
+                m->holder[p] = c;
+                m->guard[c] = p;
+                return 1;
+            }
+        }
+    }
+    return 0;
+}
+
+/* Start sweeping state a: no post is placed. */
+static void
+prefix_reset(Prefix *m, const int *a)
+{
+    for (int p = 0; p < m->q; p++)
+        m->holder[p] = -1;
+    m->a = a;
+    m->b = NULL;
+    m->placed = 0;
+}
+
+/* -1 when every post of b finds its own guard of a, else the first post
+   t that cannot be placed.  A failed augmenting path changes no
+   assignment, so t does not depend on the kept matching. */
+static int
+prefix_match(Prefix *m, const int *b)
+{
+    int c = 0;
+    if (m->b != NULL)
+        while (c < m->placed && b[c] == m->b[c])
+            c++;
+    for (int d = c; d < m->placed; d++)
+        m->holder[m->guard[d]] = -1;
+    m->b = b;
+    for (m->placed = c; m->placed < m->q; m->placed++) {
+        memset(m->seen, 0, (size_t)m->q);
+        if (!place(m, m->placed))
+            return m->placed;
+    }
+    return -1;
 }
 
 /* Copy one state into out[0..q); it must be a sorted sequence of q ints
@@ -213,47 +282,70 @@ build_holders(Instance *in, const unsigned char *live)
     return 0;
 }
 
-/* Borrow the witness table: an array('i') of S * n items. */
+/* Borrow an array(code) of exactly items items (size names that count),
+   e.g. the witness table, an array('i') of S * n items. */
 static int
-get_wit(PyObject *obj, Py_buffer *view, int flags, Py_ssize_t items)
+get_array(PyObject *obj, Py_buffer *view, int flags, const char *name, const char *code,
+          Py_ssize_t itemsize, Py_ssize_t items, const char *size)
 {
     if (PyObject_GetBuffer(obj, view, flags | PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
         return -1;
-    if (view->itemsize != sizeof(int) || view->format == NULL
-            || strcmp(view->format, "i") != 0) {
-        PyErr_SetString(PyExc_TypeError, "wit must be an array('i')");
+    if (view->itemsize != itemsize || view->format == NULL
+            || strcmp(view->format, code) != 0) {
+        PyErr_Format(PyExc_TypeError, "%s must be an array('%s')", name, code);
         return -1;
     }
-    if (view->len != (Py_ssize_t)sizeof(int) * items) {
-        PyErr_SetString(PyExc_ValueError, "wit must hold len(states) * n items");
+    if (view->len != itemsize * items) {
+        PyErr_Format(PyExc_ValueError, "%s must hold %s items", name, size);
         return -1;
     }
     return 0;
 }
 
+/* First index of cv[lo..hi) holding a state >= stop, or hi. */
+static int
+bisect(const int *cv, int lo, int hi, int stop)
+{
+    while (lo < hi) {
+        int mid = lo + (hi - lo) / 2;
+        if (cv[mid] < stop)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+enum { WORK_ITEMS = 5 };   /* probes, dead, matchings, matched, jumped */
+
 static PyObject *
 run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "k", "dist", "states", "wit", "budget", NULL};
+    static char *kwlist[] = {"n", "k", "dist", "states", "wit", "budget", "work", NULL};
     Py_ssize_t n, S, q, i, v;
     long k;
-    long long budget = 5000000, checks = 0;
-    PyObject *dist_obj, *states_obj, *wit_obj, *result = NULL;
-    Py_buffer view = {0};
+    long long budget = 5000000, checks = 0, work[WORK_ITEMS] = {0};
+    PyObject *dist_obj, *states_obj, *wit_obj, *work_obj = Py_None, *result = NULL;
+    Py_buffer view = {0}, wview = {0};
     Instance in = {0};
-    int *pos = NULL, *wit;
+    int *pos = NULL, *wit, *skip = NULL, *holder = NULL, *guard = NULL;
     const int *st, *cand;
     const Py_ssize_t *off;
     unsigned char *alive = NULL;
-    Matching m;
+    Prefix m;
     int changed = 1, exceeded = 0;
     Py_ssize_t rounds = 0;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nlOOO|L:run_elimination", kwlist,
-                                     &n, &k, &dist_obj, &states_obj, &wit_obj, &budget))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nlOOO|LO:run_elimination", kwlist,
+                                     &n, &k, &dist_obj, &states_obj, &wit_obj, &budget,
+                                     &work_obj))
         return NULL;
     if (read_instance(&in, n, dist_obj, states_obj) < 0
-            || get_wit(wit_obj, &view, PyBUF_WRITABLE, in.S * n) < 0
+            || get_array(wit_obj, &view, PyBUF_WRITABLE, "wit", "i", sizeof(int), in.S * n,
+                         "len(states) * n") < 0
+            || (work_obj != Py_None
+                && get_array(work_obj, &wview, PyBUF_WRITABLE, "work", "q",
+                             sizeof(long long), WORK_ITEMS, "5") < 0)
             || build_holders(&in, NULL) < 0)
         goto done;
     S = in.S;
@@ -263,13 +355,28 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
     off = in.off;
     pos = NEW(int, (size_t)S * n);
     alive = NEW(unsigned char, S);
-    if (!pos || !alive) {
+    skip = NEW(int, (size_t)S * q);
+    holder = NEW(int, q);
+    guard = NEW(int, q);
+    if (!pos || !alive || !skip || !holder || !guard) {
         PyErr_NoMemory();
         goto done;
     }
     wit = (int *)view.buf;
 
-    m = (Matching){in.dist, NULL, NULL, n, k, (int)q, in.owner, in.seen};
+    /* skip[j * q + t]: the first state after j, in input order, whose
+       first t + 1 posts differ from j's. */
+    for (i = S - 1; i >= 0; i--) {
+        const int *s = st + (size_t)i * q;
+        Py_ssize_t same = 0, t;
+        if (i + 1 < S)
+            while (same < q && s[same] == s[q + same])
+                same++;
+        for (t = 0; t < q; t++)
+            skip[i * q + t] = t < same ? skip[(i + 1) * q + t] : (int)i + 1;
+    }
+
+    m = (Prefix){in.dist, NULL, NULL, n, k, (int)q, 0, holder, guard, in.seen};
     memset(alive, 1, (size_t)S);
     for (i = 0; i < S * n; i++)
         wit[i] = -1;
@@ -282,6 +389,7 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
             const int *post = st + (size_t)i * q;
             int *pos_i = pos + (size_t)i * n, *wit_i = wit + (size_t)i * n;
             Py_ssize_t t = 0;
+            prefix_reset(&m, post);
             for (v = 0; v < n; v++) {
                 while (t < q && post[t] < v)
                     t++;
@@ -296,8 +404,24 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
                     continue;
                 const int *cv = cand + off[v];
                 int top = (int)(off[v + 1] - off[v]), p = pos_i[v];
-                while (p < top && !(alive[cv[p]] && match(&m, st, i, cv[p])))
-                    p++;
+                while (p < top) {
+                    int j = cv[p], fail;
+                    work[0]++;
+                    if (!alive[j]) {
+                        work[1]++;
+                        p++;
+                        continue;
+                    }
+                    work[2]++;
+                    if ((fail = prefix_match(&m, st + (size_t)j * q)) < 0) {
+                        work[3]++;
+                        break;
+                    }
+                    /* No state sharing j's first fail + 1 posts is reachable. */
+                    int next = bisect(cv, p + 1, top, skip[(size_t)j * q + fail]);
+                    work[4] += next - p - 1;
+                    p = next;
+                }
                 pos_i[v] = p;
                 if (p < top) {
                     wit_i[v] = cv[p];
@@ -309,14 +433,21 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
             }
         }
     }
+    if (wview.obj != NULL)
+        memcpy(wview.buf, work, sizeof work);
     result = Py_BuildValue("(NnLO)", PyByteArray_FromStringAndSize((char *)alive, S),
                            rounds, checks, exceeded ? Py_True : Py_False);
 done:
     free_instance(&in);
     if (view.obj != NULL)
         PyBuffer_Release(&view);
+    if (wview.obj != NULL)
+        PyBuffer_Release(&wview);
     PyMem_Free(pos);
     PyMem_Free(alive);
+    PyMem_Free(skip);
+    PyMem_Free(holder);
+    PyMem_Free(guard);
     return result;
 }
 
@@ -368,7 +499,8 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
         goto done;
     }
     alive = (const unsigned char *)aview.buf;
-    if (get_wit(wit_obj, &wview, 0, in.S * n) < 0 || build_holders(&in, alive) < 0)
+    if (get_array(wit_obj, &wview, 0, "wit", "i", sizeof(int), in.S * n,
+                  "len(states) * n") < 0 || build_holders(&in, alive) < 0)
         goto done;
     wit = (const int *)wview.buf;
     S = in.S;
@@ -488,11 +620,12 @@ done:
 static PyMethodDef methods[] = {
     {"run_elimination", (PyCFunction)(void (*)(void))run_elimination,
      METH_VARARGS | METH_KEYWORDS,
-     "run_elimination($module, /, n, k, dist, states, wit, budget=5000000)\n"
+     "run_elimination($module, /, n, k, dist, states, wit, budget=5000000, work=None)\n"
      "--\n\n"
-     "Greatest-fixed-point elimination; returns (alive, rounds, checks, exceeded)\n"
-     "and leaves the witness table in wit, an array('i') of len(states) * n\n"
-     "items (see ekdom._kernel.pure)."},
+     "Greatest-fixed-point elimination; returns (alive, rounds, checks, exceeded),\n"
+     "leaves the witness table in wit, an array('i') of len(states) * n items,\n"
+     "and, when given, the work counters in work, an array('q') of 5 items\n"
+     "(see ekdom._kernel.pure)."},
     {"certificate_rows", (PyCFunction)(void (*)(void))certificate_rows,
      METH_VARARGS | METH_KEYWORDS,
      "certificate_rows($module, /, n, k, dist, states, alive, wit, cap)\n"

@@ -24,19 +24,50 @@ point is unique, so the visiting order changes only ``rounds`` and
 ``states`` (``states[::-1]`` runs the reverse sweep).
 
 Movement feasibility between two configurations is a perfect matching on
-the q x q "guard can walk there" grid, decided by ``configs._match``.
-Pair verdicts are static and memoised.
+the q x q "guard can walk there" grid.  The sweep decides it from the
+target side, with a prefix matcher: the posts of candidate j are placed
+in order, each by an augmenting path, on distinct guards of i, and the
+matcher returns the first post t that cannot be placed (or success).
 
-The compiled twin runs the same sweep, cursors, budget test and matching
-on C arrays, so the two agree byte for byte; this module is the reference
-the parity tests compare it against and the kernel in use wherever the
-extension was not built.
+* *Run skip.*  With posts 0..t-1 placed, post t fails only when no
+  augmenting path exists, that is, when posts 0..t of j have no
+  placement on distinct guards of i at all (Berge): some of them have
+  fewer guards of i within reach than their number (Hall).  So no state
+  that shares j's first t + 1 posts is reachable from i.  A
+  table ``skip[j * q + t]`` holds the first index after j, in the order
+  ``states`` arrives in, whose (t + 1)-prefix differs from j's; the
+  cursor bisects the candidate list to it.  Every state it jumps over
+  shares that prefix, for any input order.
+* *Prefix reuse.*  While sweeping i, the matcher keeps the previous
+  candidate's assignment.  It restarts at the common prefix of that
+  candidate and j, capped at the posts it placed, and frees only the
+  guards that held later posts.  A failed augmenting path changes no
+  assignment, so whether post t can be placed depends only on posts
+  0..t, and the first failing post does not depend on this history.
+
+So the cursor still passes only states that are dead or unreachable
+from i, and the sweep, the witnesses and ``checks`` are those of a plain
+scan with one full matching per live candidate.
+
+The compiled twin runs the same sweep, cursors, budget test, prefix
+matcher and skips on C arrays, so the two agree byte for byte, work
+counters included; this module is the reference the parity tests
+compare it against and the kernel in use wherever the extension was not
+built.
 
 Both kernels return ``(alive, rounds, checks, exceeded)`` where ``alive``
 is a bytearray of 0/1 flags over the input configurations, ``rounds``
 counts full passes including the final quiet one, ``checks`` counts
 (configuration, attack) evaluations, and ``exceeded`` reports that the
 check budget ran out (in which case ``alive`` is meaningless).
+
+Work counters: when the caller passes ``work``, an ``array('q')`` of 5
+items whose contents on entry are ignored, both kernels leave there the
+candidate probes (``probes``: candidates the cursor looked at), the dead
+skips among them (``dead``), the prefix matchings attempted on the live
+ones (``matchings``, so ``probes == dead + matchings``), the matchings
+that placed every post (``matched``), and the candidates the run skips
+jumped over without a probe (``jumped``), in the order of ``KernelWork``.
 
 Witness table: the caller passes ``wit``, an ``array('i')`` of
 ``len(states) * n`` items whose contents on entry are ignored; both
@@ -59,35 +90,45 @@ contract is in its docstring, and the compiled twin returns the same
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 
 from ..configs import _match
-from . import DEFAULT_BUDGET
+from . import DEFAULT_BUDGET, KernelWork
 
 
-def _matcher(n: int, k: int, dist: list[int], states: list[tuple]):
-    """Build the memoised pairwise movement test."""
+def _skip_table(states: list[tuple], q: int) -> list[int]:
+    """``skip[j * q + t]``: the first index after j whose first t + 1
+    posts differ from those of ``states[j]``."""
     S = len(states)
-    rows = [dist[u * n:(u + 1) * n] for u in range(n)]
-    memo: dict[int, bool] = {}
-
-    def feasible(i: int, j: int) -> bool:
-        key = i * S + j
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = _match(rows, states[i], states[j], k) is not None
-        return hit
-
-    return feasible
+    skip = [0] * (S * q)
+    for j in range(S - 1, -1, -1):
+        cur = states[j]
+        same = 0
+        if j + 1 < S:
+            nxt = states[j + 1]
+            while same < q and cur[same] == nxt[same]:
+                same += 1
+        base = j * q
+        for t in range(q):
+            skip[base + t] = skip[base + q + t] if t < same else j + 1
+    return skip
 
 
 def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
-                    wit: array, budget: int = DEFAULT_BUDGET):
+                    wit: array, budget: int = DEFAULT_BUDGET, work: array | None = None):
     """Gauss-Seidel elimination: deletions take effect within the pass."""
     S = len(states)
     if len(wit) != S * n:
         raise ValueError("wit must hold len(states) * n items")
+    if work is not None and len(work) != len(KernelWork._fields):
+        raise ValueError("work must hold 5 items")
+    probes = dead = matchings = matched = jumped = 0
     if S == 0:
+        if work is not None:
+            work[:] = array("q", KernelWork())
         return bytearray(), 0, 0, False
+    q = len(states[0])
+    rows = [dist[u * n:(u + 1) * n] for u in range(n)]
     support = []
     cand: list[list[int]] = [[] for _ in range(n)]
     for i, st in enumerate(states):
@@ -96,10 +137,24 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
             sm |= 1 << u
             cand[u].append(i)
         support.append(sm)
-    feasible = _matcher(n, k, dist, states)
+    skip = _skip_table(states, q)
     alive = bytearray([1]) * S
     pos = [[0] * n for _ in range(S)]
     wit[:] = array("i", [-1]) * (S * n)
+    holder = [-1] * q  # holder[p]: post of the last candidate held by guard p of i
+    guard = [0] * q    # guard[c]: guard of i holding post c < placed
+
+    def place(near: list, dst: tuple, c: int, seen: list[bool]) -> bool:
+        t = dst[c]
+        for p in range(q):
+            if not seen[p] and near[p][t] <= k:
+                seen[p] = True
+                if holder[p] < 0 or place(near, dst, holder[p], seen):
+                    holder[p] = c
+                    guard[c] = p
+                    return True
+        return False
+
     checks = 0
     rounds = 0
     changed = True
@@ -110,9 +165,13 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
         for i in range(S):
             if not alive[i]:
                 continue
+            near = [rows[u] for u in states[i]]  # near[p][t]: guard p to vertex t
             sup_i = support[i]
             pos_i = pos[i]
             base = i * n
+            holder[:] = [-1] * q
+            last = None  # posts of the last candidate matched against i
+            placed = 0   # its posts 0..placed-1 hold guards
             for v in range(n):
                 if sup_i >> v & 1:
                     continue  # standing still answers an occupied vertex
@@ -128,9 +187,30 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
                 p = pos_i[v]
                 while p < top:
                     j = cv[p]
-                    if alive[j] and feasible(i, j):
+                    probes += 1
+                    if not alive[j]:
+                        dead += 1
+                        p += 1
+                        continue
+                    matchings += 1
+                    dst = states[j]
+                    c = 0
+                    if last is not None:
+                        while c < placed and dst[c] == last[c]:
+                            c += 1
+                    for d in range(c, placed):
+                        holder[guard[d]] = -1
+                    last = dst
+                    placed = c
+                    while placed < q and place(near, dst, placed, [False] * q):
+                        placed += 1
+                    if placed == q:
+                        matched += 1
                         break
-                    p += 1
+                    # No state sharing j's first placed + 1 posts is reachable.
+                    nxt = bisect_left(cv, skip[j * q + placed], p + 1, top)
+                    jumped += nxt - p - 1
+                    p = nxt
                 pos_i[v] = p
                 if p < top:
                     wit[base + v] = cv[p]
@@ -140,6 +220,8 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
                     break
             if exceeded:
                 break
+    if work is not None:
+        work[:] = array("q", [probes, dead, matchings, matched, jumped])
     return alive, rounds, checks, exceeded
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .graph import DistMatrix, Graph, all_pairs_distances
+from .graph import CACHE_SIZE, DistMatrix, Graph, all_pairs_distances
 
 
 class DominationResult(NamedTuple):
@@ -88,7 +88,7 @@ def gamma_k(g: Graph, k: int) -> DominationResult:
     return _gamma_k_cached(g, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _gamma_k_cached(g: Graph, k: int) -> DominationResult:
     dist = all_pairs_distances(g)
     n = g.n

@@ -11,7 +11,7 @@ labels, so graphs and distance matrices are plain immutable values
 (tuples all the way down), hashable with value equality, and safe to
 share between threads.  Everything in this module is a pure function of
 its inputs; the distance matrix and the label index of a graph are
-computed once and cached.
+computed once and cached, for the ``CACHE_SIZE`` graphs used last.
 """
 from __future__ import annotations
 
@@ -22,6 +22,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 #: Distance reported between vertices in different components.
 UNREACHABLE = 1 << 30
+
+#: Entries each per-graph cache of the package keeps (least recently used
+#: go first), so a caller that solves many graphs holds a bounded amount.
+CACHE_SIZE = 64
 
 DistMatrix = tuple  # tuple[tuple[int, ...], ...], symmetric, zero diagonal
 
@@ -97,7 +101,7 @@ class Graph(NamedTuple):
             raise ValueError(f"unknown vertex label {label!r}") from None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
     return {name: i for i, name in enumerate(labels)}
 
@@ -116,7 +120,7 @@ def _bfs_row(g: Graph, src: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def all_pairs_distances(g: Graph) -> DistMatrix:
     """Exact hop distances from every vertex, UNREACHABLE across components."""
     return tuple(_bfs_row(g, s) for s in range(g.n))

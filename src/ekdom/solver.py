@@ -8,13 +8,13 @@ number is the least q whose survivor set is non-empty; q starts at the
 static domination number and Prop-style sandwich bounds cap it from
 above, so the loop always terminates.
 
-Each guard count is solved once per process, by the cached ``_solve_q``:
-it runs the elimination and, for a non-empty fixed point, builds an
-explicit certificate, so every public function reads its numbers,
-survivor sets and certificates from that one solve.  A certificate is a
-family of configurations plus, for every (family member, attacked
-vertex) pair, one row naming a successor member that contains the attack
-and the post each guard walks to.  The kernel layer builds the rows
+Each guard count is solved by ``_solve_q``, which caches the last
+``graph.CACHE_SIZE`` solves: it runs the elimination and, for a
+non-empty fixed point, builds an explicit certificate, so every public
+function reads its numbers, survivor sets and certificates from that one
+solve.  A certificate is a family of configurations plus, for every
+(family member, attacked vertex) pair, one row naming a successor member
+that contains the attack and the post each guard walks to.  The kernel layer builds the rows
 (``_kernel.certificate_rows``); ``verify_certificate`` re-checks them
 from scratch using only distances and multiset arithmetic, with no
 access to solver or kernel internals, so solver and verifier form
@@ -36,9 +36,11 @@ from itertools import chain
 from typing import Iterable, NamedTuple
 
 from . import _kernel
+from ._kernel import KernelWork
 from .configs import Config, canonical, enumerate_dominating_configs
 from .domination import gamma_k, is_distance_k_dominating
-from .graph import Graph, all_pairs_distances, induced_subgraph, is_connected, components
+from .graph import (CACHE_SIZE, Graph, all_pairs_distances, components,
+                    induced_subgraph, is_connected)
 
 DEFAULT_BUDGET = _kernel.DEFAULT_BUDGET
 CERTIFICATE_CAP = 20_000  # larger defense families yield no certificate
@@ -53,7 +55,8 @@ class QStats(NamedTuple):
     """Elimination statistics for one guard count.
 
     ``exceeded`` marks a guard count the budget refused or stopped; its
-    ``num_configs`` may then be only a lower bound.
+    ``num_configs`` may then be only a lower bound.  ``work`` holds the
+    kernel's work counters (all zero for a refused guard count).
     """
     q: int
     num_configs: int
@@ -61,6 +64,7 @@ class QStats(NamedTuple):
     checks: int
     survivors: int
     exceeded: bool
+    work: KernelWork = KernelWork()
 
 
 class EternalCertificate(NamedTuple):
@@ -106,12 +110,12 @@ class SolveReport(NamedTuple):
         return self.gamma_eternal is not None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _flat_distances(g: Graph) -> list:
     return [d for row in all_pairs_distances(g) for d in row]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _solve_q(g: Graph, k: int, q: int, budget: int
              ) -> tuple[frozenset, QStats, EternalCertificate | None]:
     """Survivors, statistics and certificate of guard count q.
@@ -133,11 +137,13 @@ def _solve_q(g: Graph, k: int, q: int, budget: int
         return frozenset(), QStats(q, len(states), 0, 0, 0, True), None
     flat = _flat_distances(g)
     wit = array("i", [-1]) * (len(states) * g.n)
+    work = array("q", KernelWork())
     alive, rounds, checks, exceeded = _kernel.run_elimination(
-        g.n, k, flat, states, wit, budget=budget)
+        g.n, k, flat, states, wit, budget=budget, work=work)
     survivors = frozenset() if exceeded else frozenset(
         states[i] for i in range(len(states)) if alive[i])
-    stats = QStats(q, len(states), rounds, checks, len(survivors), exceeded)
+    stats = QStats(q, len(states), rounds, checks, len(survivors), exceeded,
+                   KernelWork(*work))
     cert = None
     if survivors:
         closure = _kernel.certificate_rows(g.n, k, flat, states, alive, wit,

@@ -3,9 +3,11 @@
 Everything here is deliberately naive: answers are recomputed straight
 from definitions (textbook BFS, exhaustive subset or permutation
 enumeration), so the package never certifies itself in the tests that
-matter.  Two exceptions drive package code a different way:
-``reverse_sweep_survivors`` runs the kernel in the other sweep order, and
-``reference_certificate`` builds a certificate by matching every survivor.
+matter.  Three exceptions drive package code a different way:
+``reverse_sweep_survivors`` runs the kernel in the other sweep order,
+``reference_elimination`` runs the kernels' sweep as a plain cursor scan
+with one full matching per live candidate, and ``reference_certificate``
+builds a certificate by matching every survivor.
 The graph and movement utilities that only the tests use (edge deletion,
 k-neighbourhoods, the movement predicate, the diameter rule, the
 Hamiltonian bound and the classical k = 1 tree trimming) live here too,
@@ -22,7 +24,7 @@ from typing import Iterator
 
 from ekdom._kernel import run_elimination
 from ekdom.closed_forms import cycle_number
-from ekdom.configs import enumerate_dominating_configs, transform_assignment
+from ekdom.configs import _match, enumerate_dominating_configs, transform_assignment
 from ekdom.graph import (Graph, all_pairs_distances, delete_vertices, diameter,
                          is_connected, is_tree)
 from ekdom.solver import BudgetExceededError, EternalCertificate
@@ -289,6 +291,54 @@ def reverse_sweep_survivors(g: Graph, k: int, q: int) -> frozenset:
     if exceeded:
         raise BudgetExceededError(f"q={q}: {checks} checks exceeded the budget")
     return frozenset(st for st, live in zip(states, alive) if live)
+
+
+def reference_elimination(n: int, k: int, dist: list[int], states: list[tuple],
+                          wit: array, budget: int):
+    """The kernels' Gauss-Seidel sweep as a plain cursor scan.
+
+    Same contract and results as ``_kernel.run_elimination``, but every
+    live candidate the cursor meets gets one full ``configs._match`` of
+    the two states: no run skip, no prefix reuse and no memo.
+    """
+    S = len(states)
+    rows = [dist[u * n:(u + 1) * n] for u in range(n)]
+    cand = [[i for i, st in enumerate(states) if v in st] for v in range(n)]
+    alive = bytearray([1]) * S
+    pos = [[0] * n for _ in range(S)]
+    wit[:] = array("i", [-1]) * (S * n)
+    checks = rounds = 0
+    changed, exceeded = S > 0, False
+    while changed and not exceeded:
+        changed = False
+        rounds += 1
+        for i in range(S):
+            if not alive[i]:
+                continue
+            for v in range(n):
+                if v in states[i]:
+                    continue
+                checks += 1
+                if checks > budget:
+                    exceeded = True
+                    break
+                if wit[i * n + v] >= 0 and alive[wit[i * n + v]]:
+                    continue
+                cv = cand[v]
+                p = pos[i][v]
+                while p < len(cv) and not (
+                        alive[cv[p]] and _match(rows, states[i], states[cv[p]], k) is not None):
+                    p += 1
+                pos[i][v] = p
+                if p < len(cv):
+                    wit[i * n + v] = cv[p]
+                else:
+                    alive[i] = 0
+                    changed = True
+                    break
+            if exceeded:
+                break
+    return alive, rounds, checks, exceeded
 
 
 def reference_certificate(g: Graph, k: int, q: int,

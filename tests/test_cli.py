@@ -92,6 +92,11 @@ def test_eternal_json_and_budget_exit(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["gamma_eternal"] == 3
     assert [s["exceeded"] for s in payload["per_q"]] == [False, False]
+    for s in payload["per_q"]:
+        work = s["work"]
+        assert list(work) == ["probes", "dead", "matchings", "matched", "jumped"]
+        assert work["probes"] == work["dead"] + work["matchings"] >= work["matched"]
+    assert payload["per_q"][-1]["work"]["matched"] > 0
 
     code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file),
                        "--max-states", "30")
@@ -101,8 +106,9 @@ def test_eternal_json_and_budget_exit(tmp_path, capsys):
     code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file), "--json",
                        "--max-states", "0")
     assert code == 2
+    zero = {"probes": 0, "dead": 0, "matchings": 0, "matched": 0, "jumped": 0}
     assert json.loads(out)["per_q"] == [{"q": 2, "configs": 1, "rounds": 0, "checks": 0,
-                                         "survivors": 0, "exceeded": True}]
+                                         "survivors": 0, "exceeded": True, "work": zero}]
 
     # A --qmax cap is not a budget trip.
     code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file), "--qmax", "2")

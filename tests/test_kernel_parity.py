@@ -1,5 +1,6 @@
-"""The compiled and pure kernels must agree byte for byte, witness tables
-and certificate rows included.
+"""The compiled and pure kernels must agree byte for byte, witness tables,
+work counters and certificate rows included, and their sweep must equal
+the plain cursor scan of ``helpers.reference_elimination``.
 
 When the extension is not built, ``_ckernel.c`` is compiled into a
 temporary directory and loaded from there, outside the package, so the
@@ -17,14 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekdom._kernel import pure
+from ekdom._kernel import KernelWork, pure
 from ekdom.closed_forms import cycle_graph, path_graph
 from ekdom.configs import enumerate_dominating_configs
 from ekdom.domination import gamma_k
 from ekdom.graph import all_pairs_distances
 from ekdom.mary import build_perfect_mary
 
-from helpers import DEFAULT_SEED, random_connected_graph, reference_certificate
+from helpers import (DEFAULT_SEED, random_connected_graph, reference_certificate,
+                     reference_elimination)
 
 try:
     from ekdom._kernel import _ckernel
@@ -82,14 +84,19 @@ def _assert_agree(compiled, n, k, flat, states, budget):
     # Different fill values: each kernel must overwrite every entry.
     wit_c = array("i", [7]) * (len(states) * n)
     wit_py = array("i", [-7]) * (len(states) * n)
-    got_c = compiled.run_elimination(n, k, flat, states, wit_c, budget)
-    got_py = pure.run_elimination(n, k, flat, states, wit_py, budget)
+    work_c = array("q", [3]) * len(KernelWork._fields)
+    work_py = array("q", [-3]) * len(KernelWork._fields)
+    got_c = compiled.run_elimination(n, k, flat, states, wit_c, budget, work=work_c)
+    got_py = pure.run_elimination(n, k, flat, states, wit_py, budget, work=work_py)
     assert type(got_c[0]) is bytearray and bytes(got_c[0]) == bytes(got_py[0])
     assert got_c[1:] == got_py[1:]
     assert wit_c == wit_py
+    assert work_c == work_py
+    probes, dead, matchings, matched, jumped = work_c
+    assert probes == dead + matchings and 0 <= matched <= matchings and jumped >= 0
     if not got_c[3]:
         _assert_rows_agree(compiled, n, k, flat, states, got_c[0], wit_c)
-    return got_c
+    return got_c, wit_c
 
 
 def _assert_rows_agree(compiled, n, k, flat, states, alive, wit, cap=20_000):
@@ -109,18 +116,26 @@ def test_kernels_agree_exactly(compiled):
 
 def test_kernels_agree_when_budget_trips(compiled):
     n, k, flat, states = _instance(path_graph(10), 2, 4)
-    got = _assert_agree(compiled, n, k, flat, states, 100)
+    got, _ = _assert_agree(compiled, n, k, flat, states, 100)
     assert got[3] is True
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None)
 @given(n=st.integers(2, 10), extra=st.floats(0.0, 0.5), rng=st.randoms(use_true_random=False),
-       k=st.integers(1, 3), q=st.integers(1, 3), reverse=st.booleans(),
-       budget=st.one_of(st.integers(0, 200), st.just(5_000_000)))
+       k=st.integers(1, 3), q=st.integers(1, 4), reverse=st.booleans(),
+       budget=st.one_of(st.integers(0, 300), st.just(5_000_000)))
 def test_kernels_agree_on_random_graphs(compiled, n, extra, rng, k, q, reverse, budget):
+    # The run skips and the prefix reuse pass only unreachable states, so
+    # both kernels sweep exactly like one full matching per live candidate.
     g = random_connected_graph(n, extra, rng)
     n, k, flat, states = _instance(g, k, q)
-    _assert_agree(compiled, n, k, flat, states[::-1] if reverse else states, budget)
+    if reverse:
+        states = states[::-1]
+    got, table = _assert_agree(compiled, n, k, flat, states, budget)
+    wit = array("i", [0]) * (len(states) * n)
+    expected = reference_elimination(n, k, flat, states, wit, budget)
+    assert bytes(got[0]) == bytes(expected[0]) and got[1:] == expected[1:]
+    assert table == wit
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -178,6 +193,18 @@ def test_compiled_kernel_rejects_malformed_input(compiled):
             compiled.run_elimination(n, k, flat, states, wit)
     view.release()
     assert short == array("i", [5]) * (size + 8)
+    wit = array("i", [0]) * size
+    bad_work = [
+        (ValueError, array("q", [0]) * 4),       # one item short
+        (ValueError, array("q", [0]) * 6),       # one item long
+        (TypeError, array("i", [0]) * 5),        # 4-byte items
+        (BufferError, bytes(40)),                # read-only
+    ]
+    for error, work in bad_work:
+        with pytest.raises(error):
+            compiled.run_elimination(n, k, flat, states, wit, work=work)
+    with pytest.raises(ValueError):
+        pure.run_elimination(n, k, flat, states, wit, work=array("q", [0]) * 4)
 
 
 def test_selection_layer_solves_graphs_past_64_vertices():

@@ -1,6 +1,7 @@
 """The game engine against naive fixed points, formulas and mutations."""
 import json
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -12,7 +13,7 @@ from ekdom.closed_forms import (cycle_graph, cycle_number, path_graph,
 from ekdom.configs import enumerate_dominating_configs
 from ekdom.domination import gamma_k
 import ekdom._kernel
-from ekdom.graph import (Graph, all_pairs_distances, components, diameter,
+from ekdom.graph import (CACHE_SIZE, Graph, all_pairs_distances, components, diameter,
                          induced_subgraph, is_connected)
 from ekdom.mary import build_perfect_mary, mary_number_recursive
 from ekdom.solver import (BudgetExceededError, certificate_from_json,
@@ -273,6 +274,31 @@ def test_repeated_queries_reuse_one_solve(monkeypatch):
     assert is_eternal_set(g, 2, member)
     assert len(tables) == solved
     assert all(table() is None for table in tables)
+
+
+def test_memory_stays_flat_over_many_distinct_solves():
+    # Every per-graph cache keeps at most CACHE_SIZE entries, so once the
+    # caches are full, further solves on new graphs retain nothing more.
+    # Unbounded caches retained about 1.9 MB over the measured 256 solves;
+    # the interpreter's free lists and dict resizing move the bounded total
+    # by a few hundred KB either way.
+    def solve(i):
+        g = Graph.build(6, path_graph(6).edges(), [f"flat{i}.{v}" for v in range(6)])
+        report = eternal_number(g, 1)
+        assert report.gamma_eternal == path_number(6, 1)
+        assert g.id_of(f"flat{i}.0") == 0
+
+    tracemalloc.start()
+    try:
+        for i in range(2 * CACHE_SIZE):
+            solve(i)
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(2 * CACHE_SIZE, 6 * CACHE_SIZE):
+            solve(i)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 1 << 20
 
 
 def test_disconnected_graphs_honour_the_q_range():
