@@ -2,7 +2,7 @@
 
 The package is fully functional without it (a pure-Python kernel is
 selected at import time); building the extension makes the elimination
-kernel roughly 30-70x faster (``benchmarks/bench_kernels.py`` reports
+kernel roughly 25-55x faster (``benchmarks/bench_kernels.py`` reports
 the ratio per instance).  A failed compile only warns.
 
     python setup.py build_ext --inplace
