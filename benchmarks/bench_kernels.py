@@ -1,6 +1,16 @@
-"""Benchmark the elimination kernels and record times and work counters.
+"""Benchmark the kernels and record times and work counters.
 
-Runs the same greatest-fixed-point eliminations through the compiled
+Configuration walk (``BENCH_enum.json``): the compiled and the pure
+``enumerate_states`` walk the small instances in this process and must
+list the same states and count the same prefixes.  The three walk
+instances then run, one fresh interpreter per run, through
+``configs.enumerate_dominating_configs`` of this tree; each run reports
+its time, states, prefixes and peak RSS.  With ``--parent DIR``, the
+same call of that tree alternates with it run by run (for an earlier
+commit, its Python walk) and must list the same states.
+
+Elimination (``--out``, BENCH_kernel.json): runs the same
+greatest-fixed-point eliminations through the compiled
 kernel and, on the six small instances, through its pure-Python twin;
 each run fills a witness table and the work counters (``KernelWork``).
 On the small instances both kernels' ``certificate_rows`` then close the
@@ -14,7 +24,8 @@ commit), that tree's compiled kernel runs every instance too, alternating
 with this tree's run by run, and must return the same (alive, rounds,
 checks, exceeded) and witness table.
 
-Times, counters and provenance go to ``--out`` (BENCH_kernel.json).
+Times, counters and provenance go to ``BENCH_enum.json`` at the root of
+this tree and to ``--out`` (BENCH_kernel.json).
 
     python3 setup.py build_ext --inplace
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat N] [--parent DIR]
@@ -34,9 +45,10 @@ import time
 from array import array
 from pathlib import Path
 
-from ekdom._kernel import KernelWork, pure
+from ekdom._kernel import KernelWork, pack_masks, pure
 from ekdom.closed_forms import cycle_graph, path_graph
 from ekdom.configs import enumerate_dominating_configs
+from ekdom.domination import ball_masks
 from ekdom.graph import all_pairs_distances
 from ekdom.mary import build_perfect_mary
 
@@ -64,6 +76,36 @@ LARGE = [  # compiled kernel only
     ("binary d=4 k=2 q=6", lambda: build_perfect_mary(2, 4), 2, 6),
     ("binary d=5 k=2 q=11", lambda: build_perfect_mary(2, 5), 2, 11),
 ]
+
+WALKS = [  # one fresh interpreter per run, alternating with --parent
+    ("binary d=5 k=2 q=11", "build_perfect_mary(2, 5)", 2, 11),
+    ("P20 k=2 q=7", "path_graph(20)", 2, 7),
+    ("C26 k=2 q=6", "cycle_graph(26)", 2, 6),
+]
+# One walk through the tree's configs.enumerate_dominating_configs; a tree
+# whose walk counts no prefixes reports None.
+WALK_CHILD = """
+import hashlib, inspect, json, resource, time
+from array import array
+from ekdom._kernel import active_kernel
+from ekdom.closed_forms import cycle_graph, path_graph
+from ekdom.configs import enumerate_dominating_configs
+from ekdom.graph import all_pairs_distances
+from ekdom.mary import build_perfect_mary
+dist = all_pairs_distances({build})
+kwargs = {{}}
+if "work" in inspect.signature(enumerate_dominating_configs).parameters:
+    kwargs["work"] = array("q", [0])
+t0 = time.perf_counter()
+states = enumerate_dominating_configs(dist, {k}, {q}, **kwargs)
+seconds = time.perf_counter() - t0
+print(json.dumps({{
+    "s": round(seconds, 5), "states": len(states),
+    "prefixes": kwargs["work"][0] if kwargs else None,
+    "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    "kernel": active_kernel(),
+    "sha256": hashlib.sha256(repr(states).encode()).hexdigest()[:16]}}))
+"""
 
 
 def load_kernel(tree: Path):
@@ -170,6 +212,96 @@ def run_case(name, build, k, q, repeat, parent, with_pure) -> dict:
     return row
 
 
+def walk_small(name, build, k, q, repeat) -> dict:
+    """Compiled and pure walks in this process; equal states and prefixes."""
+    g = build()
+    masks = pack_masks(ball_masks(all_pairs_distances(g), k), g.n)
+    times = {"compiled_s": [], "pure_s": []}
+    first = None
+    for _ in range(repeat):
+        for key, kernel in (("compiled_s", _ckernel), ("pure_s", pure)):
+            work = array("q", [0])
+            t0 = time.perf_counter()
+            states = kernel.enumerate_states(g.n, q, masks, None, work)
+            times[key].append(round(time.perf_counter() - t0, 6))
+            first = first or (states, work[0])
+            assert (states, work[0]) == first, f"{name}: {key} walk differs"
+    return {"name": name, "n": g.n, "k": k, "q": q, "states": len(first[0]),
+            "prefixes": first[1], **times}
+
+
+def walk_child(tree: Path, build: str, k: int, q: int) -> dict:
+    """One walk in a fresh interpreter on ``tree``'s sources."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    done = subprocess.run([sys.executable, "-c", WALK_CHILD.format(build=build, k=k, q=q)],
+                          cwd=tree, env=env, capture_output=True, text=True, check=True,
+                          timeout=600)
+    return json.loads(done.stdout)
+
+
+def walk_large(name, build, k, q, repeat, parent) -> dict:
+    runs = {"change": [], "parent": []}
+    for r in range(repeat):
+        sides = [("change", ROOT)]
+        if parent is not None:
+            sides.insert(1 - r % 2, ("parent", parent))
+        for key, tree in sides:
+            runs[key].append(walk_child(tree, build, k, q))
+    first = runs["change"][0]
+    for key, rows in runs.items():
+        assert all(row["sha256"] == first["sha256"] for row in rows), f"{name}: {key} differs"
+    row = {"name": name, "k": k, "q": q, "states": first["states"],
+           "prefixes": first["prefixes"], "runs": {key: rows for key, rows in runs.items() if rows}}
+    if parent is not None:
+        row["parent_over_change"] = round(statistics.median(r["s"] for r in runs["parent"])
+                                          / statistics.median(r["s"] for r in runs["change"]), 1)
+    return row
+
+
+def bench_walks(repeat: int, parent: Path | None) -> None:
+    print(f"{'walk':<22}{'states':>8}{'prefixes':>11}{'compiled':>11}{'pure':>11}")
+    small = []
+    for name, build, k, q in SMALL:
+        row = walk_small(name, build, k, q, repeat)
+        small.append(row)
+        print(f"{name:<22}{row['states']:>8}{row['prefixes']:>11}"
+              f"{statistics.median(row['compiled_s']):>10.5f}s"
+              f"{statistics.median(row['pure_s']):>10.5f}s", flush=True)
+    print(f"{'walk':<22}{'states':>8}{'prefixes':>11}{'change':>11}{'parent':>11}"
+          f"{'rss MB':>9}")
+    large = []
+    for name, build, k, q in WALKS:
+        row = walk_large(name, build, k, q, repeat, parent)
+        large.append(row)
+        med = {key: f"{statistics.median(r['s'] for r in rows):.4f}s"
+               for key, rows in row["runs"].items()}
+        rss = max(r["peak_rss_mb"] for r in row["runs"]["change"])
+        print(f"{name:<22}{row['states']:>8}{row['prefixes']:>11}{med['change']:>11}"
+              f"{med.get('parent', '-'):>11}{rss:>9}", flush=True)
+    doc = {
+        "what": "Configuration walk: wall seconds per run of the compiled and pure "
+                "enumerate_states in one process (small instances), and of "
+                "configs.enumerate_dominating_configs in a fresh interpreter per run, "
+                "with states, prefixes visited and the process's peak RSS (walk "
+                "instances). prefixes is null for a tree whose walk counts none.",
+        "command": "PYTHONPATH=src python3 benchmarks/bench_kernels.py --repeat "
+                   f"{repeat}" + (" --parent PARENT_TREE" if parent else ""),
+        "commit": git("rev-parse", "HEAD"),
+        "dirty": bool(git("status", "--porcelain", "--", "src", "benchmarks")),
+        "kernel_sha256": {f: digest(ROOT / KERNEL_DIR / f) for f in ("_ckernel.c", "pure.py")},
+        "host": host(),
+        "small": small,
+        "walks": large,
+    }
+    if parent is not None:
+        doc["parent"] = {"configs_sha256": digest(parent / "src" / "ekdom" / "configs.py"),
+                         "order": "runs alternate: this tree first on even runs, "
+                                  "the parent first on odd runs"}
+    out = ROOT / "BENCH_enum.json"
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(f"walk states and prefixes identical; wrote {out}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3,
@@ -183,6 +315,7 @@ def main() -> int:
         print("compiled kernel not built; run: python3 setup.py build_ext --inplace")
         return 1
     load_kernel(ROOT)  # refuses a stale build
+    bench_walks(args.repeat, args.parent)
     parent = load_kernel(args.parent) if args.parent else None
 
     rows = []

@@ -1,9 +1,12 @@
-"""Build script for the optional compiled elimination kernel.
+"""Build script for the optional compiled kernel.
 
-The package is fully functional without it (a pure-Python kernel is
-selected at import time); building the extension makes the elimination
-kernel roughly 25-55x faster (``benchmarks/bench_kernels.py`` reports
-the ratio per instance).  A failed compile only warns.
+The extension holds the configuration walk, the elimination kernel and
+the certificate closure.  The package is fully functional without it
+(the pure-Python twins are selected at import time); building it makes
+the walk and the elimination kernel many times faster
+(``benchmarks/bench_kernels.py`` reports the ratio per instance in
+``BENCH_enum.json`` and ``BENCH_kernel.json``).  A failed compile only
+warns.
 
     python setup.py build_ext --inplace
 

@@ -1,7 +1,13 @@
 /* Compiled twin of ekdom._kernel.pure.
 
-   Two entry points with the contracts of their pure twins, run on C
-   arrays read once from the same Python lists:
+   Three entry points with the contracts of their pure twins, run on C
+   arrays read once from the same Python lists and buffers:
+
+   enumerate_states: the same suffix-pruned walk over non-decreasing
+   guard placements, on ball masks of any number of 64-bit words, with
+   the reach and widest prunes, the limit + 1 cut and the prefix count
+   of the pure walk; it returns the same list of tuples in the same
+   lexicographic order.
 
    run_elimination: the same Gauss-Seidel sweep, in input order, as the
    pure kernel: candidate lists per distinct guard post in ascending state
@@ -22,11 +28,13 @@
    Whether a vertex is occupied is read off the sorted state by a merge
    walk, so the number of vertices is unbounded.
 
-   The witness table travels in ``wit``, an array('i') of len(states) * n
-   items, and the work counters in the optional ``work``, an array('q')
-   of 5 items; run_elimination writes both in place, so neither costs a
-   copy.  Every buffer's size and item type (and, where written,
-   writability) is checked before it is used.
+   The ball masks travel in ``masks``, an array('Q') of
+   n * ((n + 63) // 64) words, the witness table in ``wit``, an
+   array('i') of len(states) * n items, and the work counters in the
+   optional ``work``, an array('q') of 1 (walk) or 5 (sweep) items; the
+   entry points read and write them in place, so none costs a copy.
+   Every buffer's size and item type (and, where written, writability)
+   is checked before it is used.
 
        python3 setup.py build_ext --inplace
 */
@@ -300,6 +308,157 @@ get_array(PyObject *obj, Py_buffer *view, int flags, const char *name, const cha
         return -1;
     }
     return 0;
+}
+
+typedef unsigned long long Word;    /* the flags of 64 vertices */
+
+static int
+bits(Word x)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    return __builtin_popcountll(x);
+#else
+    int c = 0;
+    for (; x; x &= x - 1)
+        c++;
+    return c;
+#endif
+}
+
+static PyObject *
+enumerate_states(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "q", "masks", "limit", "work", NULL};
+    Py_ssize_t n, q, words, v, w, t, pos = 0;
+    long long limit = LLONG_MAX, prefixes = 0;
+    int overflow;
+    PyObject *masks_obj, *limit_obj = Py_None, *work_obj = Py_None, *out = NULL;
+    PyObject *result = NULL;
+    Py_buffer mview = {0}, wview = {0};
+    const Word *ball;
+    Word *full = NULL, *reach = NULL, *cov = NULL;
+    long long *widest = NULL, *need = NULL;
+    int *state = NULL;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nnO|OO:enumerate_states", kwlist,
+                                     &n, &q, &masks_obj, &limit_obj, &work_obj))
+        return NULL;
+    if (q < 1 || q > INT_MAX) {
+        PyErr_SetString(PyExc_ValueError, "q must be at least 1 and fit in an int");
+        return NULL;
+    }
+    if (n < 0 || n > INT_MAX) {
+        PyErr_SetString(PyExc_ValueError, "n must be non-negative and fit in an int");
+        return NULL;
+    }
+    if (limit_obj != Py_None) {     /* an int past the range saturates */
+        limit = PyLong_AsLongLongAndOverflow(limit_obj, &overflow);
+        if (limit == -1 && PyErr_Occurred())
+            return NULL;
+        if (overflow)
+            limit = overflow > 0 ? LLONG_MAX : LLONG_MIN;
+    }
+    words = (n + 63) / 64;
+    if (get_array(masks_obj, &mview, 0, "masks", "Q", sizeof(Word), n * words,
+                  "n * ((n + 63) // 64)") < 0
+            || (work_obj != Py_None
+                && get_array(work_obj, &wview, PyBUF_WRITABLE, "work", "q",
+                             sizeof(long long), 1, "1") < 0))
+        goto done;
+    ball = (const Word *)mview.buf;
+    full = NEW(Word, words);
+    reach = NEW(Word, (size_t)(n + 1) * words);     /* reach[n] is empty */
+    widest = NEW(long long, n + 1);
+    cov = NEW(Word, (size_t)(q + 1) * words);       /* cov[pos]: ball union of posts < pos */
+    need = NEW(long long, q);                       /* need[pos]: vertices cov[pos] misses */
+    state = NEW(int, q);
+    if (!full || !reach || !widest || !cov || !need || !state) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if ((out = PyList_New(0)) == NULL)
+        goto done;
+
+    /* reach[v]: the union of the balls of v..n-1; widest[v]: the largest. */
+    for (w = 0; w < words; w++)
+        full[w] = ~(Word)0;
+    if (n % 64)
+        full[words - 1] = ((Word)1 << (n % 64)) - 1;
+    for (v = n - 1; v >= 0; v--) {
+        long long size = 0;
+        for (w = 0; w < words; w++) {
+            reach[v * words + w] = reach[(v + 1) * words + w] | ball[v * words + w];
+            size += bits(ball[v * words + w]);
+        }
+        widest[v] = size > widest[v + 1] ? size : widest[v + 1];
+    }
+
+    /* Depth first: post pos goes to a vertex v at or after the previous
+       post.  Both prunes only get stricter as v grows, so the first v
+       that fails ends this post's loop and the walk backs up. */
+    need[0] = n;
+    v = 0;
+    while (n > 0) {
+        const Word *have = cov + pos * words;
+        int fits = v < n && need[pos] <= (q - pos) * widest[v];
+        for (w = 0; fits && w < words; w++)
+            fits = (have[w] | reach[v * words + w]) == full[w];
+        if (!fits) {
+            if (pos == 0)
+                break;
+            v = state[--pos] + 1;
+            continue;
+        }
+        if ((++prefixes & 0xFFFFF) == 0 && PyErr_CheckSignals() < 0)
+            goto done;
+        state[pos] = (int)v;
+        Word *next = cov + (pos + 1) * words;
+        long long open = 0;
+        for (w = 0; w < words; w++) {
+            next[w] = have[w] | ball[v * words + w];
+            open += bits(full[w] & ~next[w]);
+        }
+        if (pos + 1 < q) {
+            need[++pos] = open;     /* the next post starts at v again */
+            continue;
+        }
+        if (open == 0) {
+            PyObject *tuple = PyTuple_New(q), *x;
+            if (tuple == NULL)
+                goto done;
+            for (t = 0; t < q; t++) {
+                if ((x = PyLong_FromLong(state[t])) == NULL) {
+                    Py_DECREF(tuple);
+                    goto done;
+                }
+                PyTuple_SET_ITEM(tuple, t, x);
+            }
+            int rc = PyList_Append(out, tuple);
+            Py_DECREF(tuple);
+            if (rc < 0)
+                goto done;
+            if (PyList_GET_SIZE(out) > limit)
+                break;
+        }
+        v++;
+    }
+    if (wview.obj != NULL)
+        memcpy(wview.buf, &prefixes, sizeof prefixes);
+    result = out;
+    out = NULL;
+done:
+    if (mview.obj != NULL)
+        PyBuffer_Release(&mview);
+    if (wview.obj != NULL)
+        PyBuffer_Release(&wview);
+    PyMem_Free(full);
+    PyMem_Free(reach);
+    PyMem_Free(widest);
+    PyMem_Free(cov);
+    PyMem_Free(need);
+    PyMem_Free(state);
+    Py_XDECREF(out);
+    return result;
 }
 
 /* First index of cv[lo..hi) holding a state >= stop, or hi. */
@@ -618,6 +777,14 @@ done:
 }
 
 static PyMethodDef methods[] = {
+    {"enumerate_states", (PyCFunction)(void (*)(void))enumerate_states,
+     METH_VARARGS | METH_KEYWORDS,
+     "enumerate_states($module, /, n, q, masks, limit=None, work=None)\n"
+     "--\n\n"
+     "Size-q multisets whose balls cover range(n), as sorted tuples in\n"
+     "lexicographic order, from masks, an array('Q') of n * ((n + 63) // 64)\n"
+     "words; stops at limit + 1 states and, when given, leaves the prefixes\n"
+     "visited in work, an array('q') of 1 item (see ekdom._kernel.pure)."},
     {"run_elimination", (PyCFunction)(void (*)(void))run_elimination,
      METH_VARARGS | METH_KEYWORDS,
      "run_elimination($module, /, n, k, dist, states, wit, budget=5000000, work=None)\n"

@@ -1,5 +1,9 @@
-"""Pure-Python elimination kernel and certificate closure (reference twins
-of ``_ckernel.c``).
+"""Pure-Python configuration walk, elimination kernel and certificate
+closure (reference twins of ``_ckernel.c``).
+
+State space: ``enumerate_states`` lists every size-q multiset of
+vertices whose balls cover the graph, in lexicographic order; its
+contract and its suffix prunes are in its docstring.
 
 Given all size-q dominating configurations of a graph, keep deleting every
 configuration that cannot answer some attacked vertex with a surviving
@@ -92,8 +96,85 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 
-from ..configs import _match
+from .. import configs  # configs imports this package: read _match at call time
 from . import DEFAULT_BUDGET, KernelWork
+
+
+class _LimitReached(Exception):
+    """Raised inside the walk once it holds more than ``limit`` states."""
+
+
+def enumerate_states(n: int, q: int, masks: array, limit: int | None = None,
+                     work: array | None = None) -> list[tuple]:
+    """Size-q multisets of ``range(n)`` whose balls cover every vertex, as
+    non-decreasing tuples in lexicographic order.
+
+    ``masks`` holds the ball of each vertex as ``words = (n + 63) // 64``
+    unsigned 64-bit words, least significant first: bit b of item
+    ``v * words + w`` is set when vertex ``64 * w + b`` lies in the ball
+    of v (an ``array('Q')`` of ``n * words`` items).
+
+    Guards are placed in non-decreasing order, so every guard still to
+    come sits at some vertex >= v.  Two suffix tables over the guards
+    v..n-1 prune the walk: ``reach[v]``, the union of their balls, must
+    complete the cover, and ``widest[v]``, their largest ball, times the
+    free slots must be at least the number of uncovered vertices.  Both
+    tests only get stricter as v grows, so the first failure ends the
+    loop, and the output is the same list in the same order as the
+    unpruned walk over all C(n+q-1, q) multisets.
+
+    With ``limit``, the walk stops as soon as it holds ``limit + 1``
+    states and returns those, so a caller that budgets on the number of
+    dominating configurations never materialises more than it can afford.
+    When the caller passes ``work``, an ``array('q')`` of 1 item, the walk
+    leaves there the number of prefixes it visited: guard placements that
+    passed both prunes, the full-length ones included.
+    """
+    if q < 1:
+        raise ValueError("q must be at least 1")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    words = (n + 63) >> 6
+    if len(masks) != n * words:
+        raise ValueError("masks must hold n * ((n + 63) // 64) items")
+    if work is not None and len(work) != 1:
+        raise ValueError("work must hold 1 item")
+    balls = [sum(masks[v * words + w] << 64 * w for w in range(words)) for v in range(n)]
+    full = (1 << n) - 1
+    reach = [0] * (n + 1)
+    widest = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        reach[v] = reach[v + 1] | balls[v]
+        widest[v] = max(widest[v + 1], balls[v].bit_count())
+    out: list[tuple] = []
+    state = [0] * q
+    prefixes = 0
+
+    def rec(pos: int, lo: int, covered: int) -> None:
+        nonlocal prefixes
+        if pos == q:
+            if covered == full:
+                out.append(tuple(state))
+                if limit is not None and len(out) > limit:
+                    raise _LimitReached
+            return
+        need = (full & ~covered).bit_count()
+        slots = q - pos
+        for v in range(lo, n):
+            if covered | reach[v] != full or need > slots * widest[v]:
+                break
+            prefixes += 1
+            state[pos] = v
+            rec(pos + 1, v, covered | balls[v])
+
+    if n:
+        try:
+            rec(0, 0, 0)
+        except _LimitReached:
+            pass
+    if work is not None:
+        work[0] = prefixes
+    return out
 
 
 def _skip_table(states: list[tuple], q: int) -> list[int]:
@@ -276,7 +357,7 @@ def certificate_rows(n: int, k: int, dist: list[int], states: list[tuple],
                 w = wit[i * n + v]
                 tries = (w,) if 0 <= w < S and alive[w] else ()
             for j in tries:
-                owner = _match(dist_rows, cur, states[j], k)
+                owner = configs._match(dist_rows, cur, states[j], k)
                 if owner is not None:
                     break
             else:

@@ -143,7 +143,8 @@ def _cmd_eternal(args) -> int:
         "kernel": _kernel.active_kernel(),
         "per_q": [{"q": s.q, "configs": s.num_configs, "rounds": s.rounds,
                    "checks": s.checks, "survivors": s.survivors,
-                   "exceeded": s.exceeded, "work": s.work._asdict()}
+                   "exceeded": s.exceeded, "prefixes": s.prefixes,
+                   "work": s.work._asdict()}
                   for s in report.per_q],
         "certificate": None if c is None else {"family": len(c.family),
                                                "responses": len(c.rows)},

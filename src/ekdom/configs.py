@@ -1,16 +1,20 @@
 """Canonical guard configurations and the one-step movement relation.
 
 A configuration is a multiset of guard positions, canonically stored as a
-non-decreasing tuple of vertex ids.  Configuration D can move to D' when
-the guards admit a bijection onto the target positions in which every
-guard walks distance at most k.  That is a perfect-matching question on
-the q x q feasibility grid, decided here by simple augmenting paths (q is
-tiny at desk scale).
+non-decreasing tuple of vertex ids.  ``enumerate_dominating_configs``
+lists the dominating configurations of one size; the walk behind it runs
+in the kernel layer.  Configuration D can move to D' when the guards
+admit a bijection onto the target positions in which every guard walks
+distance at most k.  That is a perfect-matching question on the q x q
+feasibility grid, decided here by simple augmenting paths (q is tiny at
+desk scale).
 """
 from __future__ import annotations
 
+from array import array
 from typing import Iterable
 
+from . import _kernel
 from .domination import ball_masks
 from .graph import DistMatrix
 
@@ -24,61 +28,21 @@ def canonical(positions: Iterable[int]) -> Config:
     return cfg
 
 
-class _LimitReached(Exception):
-    """Raised inside the enumeration once it holds more than ``limit`` states."""
-
-
 def enumerate_dominating_configs(dist: DistMatrix, k: int, q: int,
-                                 limit: int | None = None) -> list[Config]:
+                                 limit: int | None = None,
+                                 work: array | None = None) -> list[Config]:
     """Size-q multisets whose support distance-k dominates, lexicographically.
 
-    Guards are placed in non-decreasing order, so every guard still to
-    come sits at some vertex >= v.  Two suffix tables over the guards
-    v..n-1 prune the walk: ``reach[v]``, the union of their balls, must
-    complete the cover, and ``widest[v]``, their largest ball, times the
-    free slots must be at least the number of uncovered vertices.  Both
-    tests only get stricter as v grows, so the first failure ends the
-    loop, and the output is the same list in the same order as the
-    unpruned walk over all C(n+q-1, q) multisets.
-
+    The suffix-pruned walk runs in the kernel layer
+    (``_kernel.enumerate_states``, whose contract is in ``_kernel.pure``),
+    on the balls of ``domination.ball_masks`` packed into 64-bit words.
     With ``limit``, the walk stops as soon as it holds ``limit + 1``
-    states and returns those, so a caller that budgets on the number of
-    dominating configurations never materialises more than it can afford.
+    states and returns those.  ``work``, when given as an ``array('q')``
+    of 1 item, receives the number of prefixes the walk visited.
     """
-    if q < 1:
-        raise ValueError("q must be at least 1")
     n = len(dist)
-    balls = ball_masks(dist, k)
-    full = (1 << n) - 1
-    reach = [0] * (n + 1)
-    widest = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        reach[v] = reach[v + 1] | balls[v]
-        widest[v] = max(widest[v + 1], balls[v].bit_count())
-    out: list[Config] = []
-    state = [0] * q
-
-    def rec(pos: int, lo: int, covered: int) -> None:
-        if pos == q:
-            if covered == full:
-                out.append(tuple(state))
-                if limit is not None and len(out) > limit:
-                    raise _LimitReached
-            return
-        need = (full & ~covered).bit_count()
-        slots = q - pos
-        for v in range(lo, n):
-            if covered | reach[v] != full or need > slots * widest[v]:
-                break
-            state[pos] = v
-            rec(pos + 1, v, covered | balls[v])
-
-    if n:
-        try:
-            rec(0, 0, 0)
-        except _LimitReached:
-            pass
-    return out
+    masks = _kernel.pack_masks(ball_masks(dist, k), n)
+    return _kernel.enumerate_states(n, q, masks, limit, work)
 
 
 def _match(dist: DistMatrix, src: Config, dst: Config, k: int) -> list[int] | None:

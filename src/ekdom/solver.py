@@ -56,7 +56,9 @@ class QStats(NamedTuple):
 
     ``exceeded`` marks a guard count the budget refused or stopped; its
     ``num_configs`` may then be only a lower bound.  ``work`` holds the
-    kernel's work counters (all zero for a refused guard count).
+    kernel's work counters (all zero for a refused guard count), and
+    ``prefixes`` the number of prefixes the configuration walk visited
+    (up to its cut, for a refused guard count).
     """
     q: int
     num_configs: int
@@ -65,6 +67,7 @@ class QStats(NamedTuple):
     survivors: int
     exceeded: bool
     work: KernelWork = KernelWork()
+    prefixes: int = 0
 
 
 class EternalCertificate(NamedTuple):
@@ -130,11 +133,14 @@ def _solve_q(g: Graph, k: int, q: int, budget: int
     certificate.
     """
     dist = all_pairs_distances(g)
-    states = enumerate_dominating_configs(dist, k, q, limit=budget // max(g.n, 1))
+    walked = array("q", [0])
+    states = enumerate_dominating_configs(dist, k, q, limit=budget // max(g.n, 1),
+                                          work=walked)
     if len(states) * g.n > budget:
         # Refused before elimination; the enumeration stopped at its limit,
         # so num_configs is a lower bound on the true count.
-        return frozenset(), QStats(q, len(states), 0, 0, 0, True), None
+        return frozenset(), QStats(q, len(states), 0, 0, 0, True,
+                                   prefixes=walked[0]), None
     flat = _flat_distances(g)
     wit = array("i", [-1]) * (len(states) * g.n)
     work = array("q", KernelWork())
@@ -143,7 +149,7 @@ def _solve_q(g: Graph, k: int, q: int, budget: int
     survivors = frozenset() if exceeded else frozenset(
         states[i] for i in range(len(states)) if alive[i])
     stats = QStats(q, len(states), rounds, checks, len(survivors), exceeded,
-                   KernelWork(*work))
+                   KernelWork(*work), walked[0])
     cert = None
     if survivors:
         closure = _kernel.certificate_rows(g.n, k, flat, states, alive, wit,

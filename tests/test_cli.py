@@ -97,18 +97,21 @@ def test_eternal_json_and_budget_exit(tmp_path, capsys):
         assert list(work) == ["probes", "dead", "matchings", "matched", "jumped"]
         assert work["probes"] == work["dead"] + work["matchings"] >= work["matched"]
     assert payload["per_q"][-1]["work"]["matched"] > 0
+    assert all(s["prefixes"] >= s["configs"] > 0 for s in payload["per_q"])
 
     code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file),
                        "--max-states", "30")
     assert code == 2 and "unresolved" in out
 
-    # A refused guard count says so; its configs count is only a lower bound.
+    # A refused guard count says so; its configs count is only a lower bound,
+    # and its prefix count stops where the walk was cut.
     code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file), "--json",
                        "--max-states", "0")
     assert code == 2
     zero = {"probes": 0, "dead": 0, "matchings": 0, "matched": 0, "jumped": 0}
     assert json.loads(out)["per_q"] == [{"q": 2, "configs": 1, "rounds": 0, "checks": 0,
-                                         "survivors": 0, "exceeded": True, "work": zero}]
+                                         "survivors": 0, "exceeded": True, "prefixes": 8,
+                                         "work": zero}]
 
     # A --qmax cap is not a budget trip.
     code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file), "--qmax", "2")

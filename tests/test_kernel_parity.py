@@ -1,6 +1,9 @@
 """The compiled and pure kernels must agree byte for byte, witness tables,
 work counters and certificate rows included, and their sweep must equal
-the plain cursor scan of ``helpers.reference_elimination``.
+the plain cursor scan of ``helpers.reference_elimination``.  Their
+configuration walks must list the brute-force dominating multisets of
+``helpers.oracle_dominating_multisets``, in order, and count the same
+prefixes.
 
 When the extension is not built, ``_ckernel.c`` is compiled into a
 temporary directory and loaded from there, outside the package, so the
@@ -18,15 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ekdom._kernel import KernelWork, pure
+from ekdom._kernel import KernelWork, pack_masks, pure
 from ekdom.closed_forms import cycle_graph, path_graph
 from ekdom.configs import enumerate_dominating_configs
-from ekdom.domination import gamma_k
-from ekdom.graph import all_pairs_distances
+from ekdom.domination import ball_masks, gamma_k
+from ekdom.graph import Graph, all_pairs_distances
 from ekdom.mary import build_perfect_mary
 
-from helpers import (DEFAULT_SEED, random_connected_graph, reference_certificate,
-                     reference_elimination)
+from helpers import (DEFAULT_SEED, oracle_dominating_multisets, random_connected_graph,
+                     random_graph, reference_certificate, reference_elimination)
 
 try:
     from ekdom._kernel import _ckernel
@@ -205,6 +208,94 @@ def test_compiled_kernel_rejects_malformed_input(compiled):
             compiled.run_elimination(n, k, flat, states, wit, work=work)
     with pytest.raises(ValueError):
         pure.run_elimination(n, k, flat, states, wit, work=array("q", [0]) * 4)
+    # The walk.
+    masks = _packed_balls(path_graph(5), 1)
+    args = dict(n=5, q=2, masks=masks, limit=None)
+    bad_walk = [
+        dict(q=0),                                   # no guard
+        dict(q=-1),
+        dict(masks=masks[:-1]),                      # one word short
+        dict(masks=masks + array("Q", [0])),         # one word long
+        dict(n=6),                                   # masks for 5 vertices
+        dict(n=65),                                  # two words per ball
+        dict(n=-1),
+        dict(work=array("q", [0]) * 2),              # work holds one counter
+        dict(work=array("q")),
+    ]
+    bad_compiled_walk = [
+        (ValueError, dict(q=2 ** 31)),               # q does not fit an int
+        (ValueError, dict(n=2 ** 31)),               # n does not fit an int
+        (TypeError, dict(masks=array("i", [0]) * 5)),    # 4-byte words
+        (TypeError, dict(masks=list(masks))),        # not a buffer
+        (TypeError, dict(work=array("i", [0]))),     # 4-byte counter
+        (BufferError, dict(work=bytes(8))),          # read-only
+        (TypeError, dict(limit="3")),
+    ]
+    for kernel in (compiled, pure):
+        for bad in bad_walk:
+            work = array("q", [7])
+            with pytest.raises(ValueError):
+                kernel.enumerate_states(**{**args, "work": work, **bad})
+            assert work == array("q", [7])
+    for error, bad in bad_compiled_walk:
+        with pytest.raises(error):
+            compiled.enumerate_states(**dict(args, **bad))
+    # A limit past the range of a C integer cuts nothing.
+    assert compiled.enumerate_states(5, 2, masks, 2 ** 70) == \
+        compiled.enumerate_states(5, 2, masks) == pure.enumerate_states(5, 2, masks)
+
+
+def _packed_balls(g, k):
+    return pack_masks(ball_masks(all_pairs_distances(g), k), g.n)
+
+
+def _walk(kernel, n, q, masks, limit=None):
+    work = array("q", [-1])
+    return kernel.enumerate_states(n, q, masks, limit, work), work[0]
+
+
+def _assert_walks_agree(compiled, g, k, q, expected, cut):
+    """Both walks list ``expected``, also when cut by ``limit``, and
+    count the same prefixes, fewer when cut."""
+    masks = _packed_balls(g, k)
+    counts = []
+    for limit in (None, 0, cut, len(expected)):
+        got_c, prefixes_c = _walk(compiled, g.n, q, masks, limit)
+        got_py, prefixes_py = _walk(pure, g.n, q, masks, limit)
+        want = expected if limit is None else expected[:limit + 1]
+        assert got_c == got_py == want
+        assert all(type(state) is tuple for state in got_c)
+        assert prefixes_c == prefixes_py >= len(want)
+        counts.append(prefixes_c)
+    assert max(counts) == counts[0]
+
+
+walk_graphs = st.builds(random_graph, n=st.integers(1, 10), extra=st.floats(0.0, 0.5),
+                        rng=st.randoms(use_true_random=False), connected=st.booleans())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(g=walk_graphs, k=st.integers(0, 3), q=st.integers(1, 4), frac=st.floats(0.0, 1.0))
+def test_walks_list_the_dominating_multisets_in_order(compiled, g, k, q, frac):
+    expected = oracle_dominating_multisets(g, k, q)
+    _assert_walks_agree(compiled, g, k, q, expected, int(frac * len(expected)))
+
+
+def _shuffled_path(n, seed):
+    ids = list(range(n))
+    random.Random(seed).shuffle(ids)
+    return Graph.build(n, [(ids[i], ids[i + 1]) for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("g, k, q", [
+    (build_perfect_mary(4, 3), 3, 2),   # 85 vertices: two words per ball
+    (path_graph(131), 33, 2),           # 131 vertices: three words, the last one short
+    (_shuffled_path(131, DEFAULT_SEED), 33, 2),  # high words fail the reach prune too
+    (path_graph(129), 1, 1),            # no single guard dominates: an empty walk
+])
+def test_walks_agree_past_one_machine_word(compiled, g, k, q):
+    expected = oracle_dominating_multisets(g, k, q)
+    _assert_walks_agree(compiled, g, k, q, expected, len(expected) // 2)
 
 
 def test_selection_layer_solves_graphs_past_64_vertices():
