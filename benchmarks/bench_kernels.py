@@ -24,11 +24,25 @@ commit), that tree's compiled kernel runs every instance too, alternating
 with this tree's run by run, and must return the same (alive, rounds,
 checks, exceeded) and witness table.
 
-Times, counters and provenance go to ``BENCH_enum.json`` at the root of
-this tree and to ``--out`` (BENCH_kernel.json).
+Certificates (``BENCH_cert.json``): five instances (C26, C30 and C32 as
+the ``certify`` workload of ``e2ebench`` relabels them at seed 7, round 0,
+C36 at k = 3 and P20 at k = 2) run one fresh interpreter per run on
+this tree's sources, which eliminates, closes the certificate with
+``_kernel.certificate_rows`` and re-checks it with
+``solver.verify_certificate``, reporting the family size, rows, JSON
+bytes and both times (medians of five calls in the process; the
+verifier finds the graph's distances cached).  Every certificate must
+verify.  With ``--parent DIR`` that tree's run alternates with it run by
+run.  End-to-end pairs copied into the file from ``e2ebench/run.py``
+result lines (its ``end_to_end`` entry) are kept when it is rewritten.
+
+Times, counters and provenance go to ``BENCH_enum.json``,
+``BENCH_cert.json`` at the root of this tree and to ``--out``
+(BENCH_kernel.json).  ``--only`` runs one of the three sections.
 
     python3 setup.py build_ext --inplace
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat N] [--parent DIR]
+        [--only {walk,elim,cert}]
 """
 from __future__ import annotations
 
@@ -49,7 +63,7 @@ from ekdom._kernel import KernelWork, pack_masks, pure
 from ekdom.closed_forms import cycle_graph, path_graph
 from ekdom.configs import enumerate_dominating_configs
 from ekdom.domination import ball_masks
-from ekdom.graph import all_pairs_distances
+from ekdom.graph import all_pairs_distances, format_edge_list
 from ekdom.mary import build_perfect_mary
 
 try:
@@ -105,6 +119,51 @@ print(json.dumps({{
     "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     "kernel": active_kernel(),
     "sha256": hashlib.sha256(repr(states).encode()).hexdigest()[:16]}}))
+"""
+
+CERT_SEED = 7  # the e2e seed whose round-0 labels the cycle instances use
+CERTS = [  # (name, e2e certify instance or graph builder, k, q)
+    ("C26 k=2 q=6 (seed 7)", "C26-k2", 2, 6),
+    ("C30 k=3 q=5 (seed 7)", "C30-k3", 3, 5),
+    ("C32 k=3 q=5 (seed 7)", "C32-k3", 3, 5),
+    ("C36 k=3 q=6", lambda: cycle_graph(36), 3, 6),
+    ("P20 k=2 q=7", lambda: path_graph(20), 2, 7),
+]
+# One certificate through the tree's kernel and verifier; the edge list
+# arrives on stdin.
+CERT_CHILD = """
+import hashlib, json, sys, time
+from array import array
+from statistics import median
+from ekdom import _kernel
+from ekdom.configs import enumerate_dominating_configs
+from ekdom.graph import all_pairs_distances, parse_graph
+from ekdom.solver import (CERTIFICATE_CAP, EternalCertificate, certificate_to_json,
+                          verify_certificate)
+g = parse_graph(sys.stdin.read())
+k, q, n = {k}, {q}, g.n
+dist = all_pairs_distances(g)
+flat = [d for row in dist for d in row]
+states = enumerate_dominating_configs(dist, k, q)
+wit = array("i", [-1]) * (len(states) * n)
+alive = _kernel.run_elimination(n, k, flat, states, wit, budget=10 ** 9)[0]
+cert_s, verify_s = [], []
+for _ in range(5):
+    t0 = time.perf_counter()
+    members, rows = _kernel.certificate_rows(n, k, flat, states, alive, wit, CERTIFICATE_CAP)
+    cert_s.append(time.perf_counter() - t0)
+cert = EternalCertificate(k, q, tuple(states[i] for i in members), rows)
+for _ in range(5):
+    t0 = time.perf_counter()
+    verdict = verify_certificate(g, cert)
+    verify_s.append(time.perf_counter() - t0)
+doc = json.dumps(certificate_to_json(cert, g), separators=(",", ":"))
+print(json.dumps({{
+    "survivors": sum(alive), "family": len(members), "rows": len(rows),
+    "json_bytes": len(doc), "verified": verdict == (True, None),
+    "certificate_rows_s": round(median(cert_s), 6), "verify_s": round(median(verify_s), 6),
+    "kernel": _kernel.active_kernel(),
+    "sha256": hashlib.sha256(doc.encode()).hexdigest()[:16]}}))
 """
 
 
@@ -302,6 +361,88 @@ def bench_walks(repeat: int, parent: Path | None) -> None:
     print(f"walk states and prefixes identical; wrote {out}")
 
 
+def cert_edges(build) -> str:
+    """The instance's edge list: an e2e ``certify`` instance as that
+    workload relabels it at ``CERT_SEED``, round 0, or a built graph in
+    its own vertex order."""
+    if callable(build):  # listed vertices first keep the graph's own ids
+        g = build()
+        return "".join(f"v {label}\n" for label in g.labels) + format_edge_list(g)
+    sys.path.insert(0, str(ROOT / "e2ebench"))
+    from workloads import WORKLOADS, edge_list, labeling_rng
+    inst = next(i for i in WORKLOADS["certify"] if i.name == build)
+    return edge_list(inst, labeling_rng("certify", CERT_SEED, 0, inst))
+
+
+def cert_child(tree: Path, edges: str, k: int, q: int) -> dict:
+    """One certificate in a fresh interpreter on ``tree``'s sources."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    done = subprocess.run([sys.executable, "-c", CERT_CHILD.format(k=k, q=q)], input=edges,
+                          cwd=tree, env=env, capture_output=True, text=True, check=True,
+                          timeout=600)
+    return json.loads(done.stdout)
+
+
+def bench_certs(repeat: int, parent: Path | None) -> None:
+    print(f"{'certificate':<22}{'side':>7}{'family':>8}{'rows':>8}{'bytes':>9}"
+          f"{'closure':>11}{'verify':>11}")
+    rows = []
+    for name, build, k, q in CERTS:
+        edges = cert_edges(build)
+        runs = {"change": [], "parent": []}
+        for r in range(repeat):
+            sides = [("change", ROOT)]
+            if parent is not None:
+                sides.insert(1 - r % 2, ("parent", parent))
+            for key, tree in sides:
+                runs[key].append(cert_child(tree, edges, k, q))
+        row = {"name": name, "k": k, "q": q}
+        for key, got in runs.items():
+            if not got:
+                continue
+            first = got[0]
+            assert all(run["verified"] for run in got), f"{name}: {key} certificate rejected"
+            assert all(run["sha256"] == first["sha256"] for run in got), f"{name}: {key} differs"
+            side = {f: first[f] for f in ("survivors", "family", "rows", "json_bytes", "kernel")}
+            for f in ("certificate_rows_s", "verify_s"):
+                side[f] = [run[f] for run in got]
+            row[key] = side
+            print(f"{name:<22}{key:>7}{side['family']:>8}{side['rows']:>8}"
+                  f"{side['json_bytes']:>9}"
+                  f"{statistics.median(side['certificate_rows_s']):>10.5f}s"
+                  f"{statistics.median(side['verify_s']):>10.5f}s", flush=True)
+        if parent is not None:
+            row["parent_over_change"] = {
+                f: round(statistics.median(row["parent"][f])
+                         / statistics.median(row["change"][f]), 2)
+                for f in ("certificate_rows_s", "verify_s")}
+        rows.append(row)
+    out = ROOT / "BENCH_cert.json"
+    old = json.loads(out.read_text(encoding="utf-8")) if out.is_file() else {}
+    doc = {
+        "what": "Certificate closure and verifier: per instance and tree, the survivors, "
+                "the certificate's family size, rows and compact JSON bytes, and the "
+                "seconds of _kernel.certificate_rows and of solver.verify_certificate "
+                "(medians of five calls in one fresh interpreter per run; distances cached).",
+        "command": "PYTHONPATH=src python3 benchmarks/bench_kernels.py --only cert --repeat "
+                   f"{repeat}" + (" --parent PARENT_TREE" if parent else ""),
+        "commit": git("rev-parse", "HEAD"),
+        "dirty": bool(git("status", "--porcelain", "--", "src", "benchmarks")),
+        "kernel_sha256": {f: digest(ROOT / KERNEL_DIR / f) for f in ("_ckernel.c", "pure.py")},
+        "host": host(),
+        "instances": rows,
+    }
+    if parent is not None:
+        doc["parent"] = {"kernel_sha256": {"_ckernel.c": digest(parent / KERNEL_DIR
+                                                                 / "_ckernel.c")},
+                         "order": "runs alternate: this tree first on even runs, "
+                                  "the parent first on odd runs"}
+    if "end_to_end" in old:
+        doc["end_to_end"] = old["end_to_end"]
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(f"every certificate verified; wrote {out}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3,
@@ -309,13 +450,22 @@ def main() -> int:
     parser.add_argument("--parent", type=Path,
                         help="source tree whose compiled kernel to time alongside")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_kernel.json")
+    parser.add_argument("--only", choices=("walk", "elim", "cert"),
+                        help="run one section instead of all three")
     args = parser.parse_args()
 
     if _ckernel is None:
         print("compiled kernel not built; run: python3 setup.py build_ext --inplace")
         return 1
     load_kernel(ROOT)  # refuses a stale build
-    bench_walks(args.repeat, args.parent)
+    if args.only in (None, "walk"):
+        bench_walks(args.repeat, args.parent)
+    if args.only in (None, "cert"):
+        if args.parent:
+            load_kernel(args.parent)
+        bench_certs(args.repeat, args.parent)
+    if args.only not in (None, "elim"):
+        return 0
     parent = load_kernel(args.parent) if args.parent else None
 
     rows = []

@@ -9,15 +9,18 @@ counting the prefixes visited in an optional ``work``), run the same
 Gauss-Seidel sweeps, in the order of ``states``, with one movement test
 (a target-side prefix matcher whose failures skip every candidate
 sharing the failed prefix), and the same certificate closure, on graphs
-of any size, and return identical results.
+of any size and any number of guards, and return identical results.
 
 The caller passes ``wit``, an ``array('i')`` of ``len(states) * n``
 items, which receives the final witness table: for a surviving state i
 and a vertex v that i leaves unoccupied, ``wit[i * n + v]`` is the least
 index of a surviving state that occupies v and is reachable from i in one
 step.  Other entries are leftovers, and nothing in the table means
-anything when the budget was exceeded.  ``certificate_rows`` reads that
-table to close the least survivor into certificate rows.  The optional
+anything when the budget was exceeded.  ``certificate_rows`` grows a
+family from the least survivor, answering each attack with the least
+member already in it that holds the attacked vertex and is reachable in
+one step, or else with that table's witness, which joins the family; it
+returns the family's certificate rows.  The optional
 ``work`` of ``run_elimination``, an ``array('q')`` of 5 items, receives
 the sweep's work counters (``KernelWork``).  The full contracts are in
 ``pure``.

@@ -18,12 +18,14 @@
    pure.py for the algorithm notes, the skip and reuse rules, and the
    meaning of the table and the counters.
 
-   certificate_rows: the breadth-first closure of the least survivor,
-   answering each attack with the witness table or, on an occupied
-   vertex, with the least live holder reachable in one step, and matching
-   each response once from the source side with the same augmenting
-   paths as configs._match, so the rows record the same assignments.  It
-   returns the same (members, rows) as the pure twin.
+   certificate_rows: the same breadth-first family from the least
+   survivor, answering each attack with the least member found so far
+   that holds the attacked vertex and is reachable in one step (members
+   below the witness are passed without a matching), or else with the
+   witness table's entry, which joins the family; each response is
+   matched from the source side with the same augmenting paths as
+   configs._match, so the rows record the same assignments.  It returns
+   the same (members, rows) as the pure twin.
 
    Whether a vertex is occupied is read off the sorted state by a merge
    walk, so the number of vertices is unbounded.
@@ -627,6 +629,26 @@ new_row(long next, const int *posts, Py_ssize_t q)
     return row;
 }
 
+/* Enter state j into the family: its discovery slot, and its place in
+   the ascending member list of each vertex it holds. */
+static void
+join(const Instance *in, int j, int *order, int *slot, Py_ssize_t *size,
+     int *fam, Py_ssize_t *held)
+{
+    const int *post = in->st + (size_t)j * in->q;
+    slot[j] = (int)*size;
+    order[(*size)++] = j;
+    for (Py_ssize_t t = 0; t < in->q; t++) {
+        if (t > 0 && post[t] == post[t - 1])
+            continue;
+        int *fv = fam + in->off[post[t]];
+        Py_ssize_t c = bisect(fv, 0, (int)held[post[t]], j);
+        memmove(fv + c + 1, fv + c, (size_t)(held[post[t]] - c) * sizeof(int));
+        fv[c] = j;
+        held[post[t]]++;
+    }
+}
+
 static PyObject *
 certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
 {
@@ -639,7 +661,8 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
     Instance in = {0};
     const unsigned char *alive;
     const int *wit;
-    int *order = NULL, *slot = NULL, *resp = NULL, *out;
+    int *order = NULL, *slot = NULL, *resp = NULL, *fam = NULL, *out;
+    Py_ssize_t *held = NULL;
     Matching m;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nlOOOOn:certificate_rows", kwlist,
@@ -666,9 +689,13 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
     q = in.q;
     width = n * (q + 1);
     m = (Matching){in.dist, NULL, NULL, n, k, (int)q, in.owner, in.seen};
-    order = NEW(int, S);    /* order[h]: the h-th member found */
-    slot = NEW(int, S);     /* slot[s]: h for member s, -1 for other states */
-    if (!order || !slot) {
+    order = NEW(int, S);            /* order[h]: the h-th member found */
+    slot = NEW(int, S);             /* slot[s]: h for member s, -1 for other states */
+    /* fam[off[v]..off[v] + held[v]): the members holding v, ascending; the
+       family holds only live states, so v's live holder count bounds it. */
+    fam = NEW(int, in.off[n]);
+    held = NEW(Py_ssize_t, n);
+    if (!order || !slot || !fam || !held) {
         PyErr_NoMemory();
         goto done;
     }
@@ -680,10 +707,8 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
        still a state index until the members are sorted. */
     for (i = 0; i < S && !alive[i]; i++)
         ;
-    if (i < S) {
-        slot[i] = 0;
-        order[size++] = (int)i;
-    }
+    if (i < S)
+        join(&in, (int)i, order, slot, &size, fam, held);
     for (h = 0; h < size && size <= cap; h++) {
         if (h == room) {
             room = room ? 2 * room : 64;
@@ -699,20 +724,23 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
         Py_ssize_t t = 0;
         out = resp + (size_t)h * width;
         for (v = 0; v < n; v++, out += q + 1) {
-            int j = -1;
+            /* The least member at or after lo that holds v and that i
+               reaches.  On an occupied v that is i at the latest; on an
+               unoccupied one no live state before the witness w is
+               reachable, and w answers and joins when no member does. */
+            int j = -1, w = (int)i, lo = 0;
             while (t < q && post[t] < v)
                 t++;
-            if (t < q && post[t] == v) {
-                /* The least live holder of v reachable in one step; the
-                   scan ends at i itself. */
-                for (c = in.off[v]; c < in.off[v + 1] && j < 0; c++)
-                    if (match(&m, in.st, i, in.cand[c]))
-                        j = in.cand[c];
-            } else {
-                int w = wit[(size_t)i * n + v];
-                if (w >= 0 && w < S && alive[w] && match(&m, in.st, i, w))
-                    j = w;
+            if (t >= q || post[t] != v) {
+                w = wit[(size_t)i * n + v];
+                lo = w >= 0 && w < S && alive[w] ? w : (int)S;  /* a bad witness: none answers */
             }
+            const int *fv = fam + in.off[v];
+            for (c = bisect(fv, 0, (int)held[v], lo); c < held[v] && j < 0; c++)
+                if (match(&m, in.st, i, fv[c]))
+                    j = fv[c];
+            if (j < 0 && lo < S && slot[w] < 0 && match(&m, in.st, i, w))
+                j = w;
             if (j < 0) {
                 PyErr_Format(PyExc_ValueError, "no live state answers attack %zd on "
                              "state %zd: the witness table does not fit alive", v, i);
@@ -728,10 +756,8 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
                     first = (int)c;
                 out[1 + m.owner[c]] = first;
             }
-            if (slot[j] < 0) {
-                slot[j] = (int)size;
-                order[size++] = j;
-            }
+            if (slot[j] < 0)
+                join(&in, j, order, slot, &size, fam, held);
         }
     }
     if (size > cap) {
@@ -771,6 +797,8 @@ done:
     PyMem_Free(order);
     PyMem_Free(slot);
     PyMem_Free(resp);
+    PyMem_Free(fam);
+    PyMem_Free(held);
     Py_XDECREF(members);
     Py_XDECREF(rows);
     return result;
@@ -797,8 +825,9 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS,
      "certificate_rows($module, /, n, k, dist, states, alive, wit, cap)\n"
      "--\n\n"
-     "Close the least survivor under best responses; returns (members, rows),\n"
-     "or None past cap members (see ekdom._kernel.pure)."},
+     "Certificate rows of the family grown from the least survivor, answering\n"
+     "from the family first; returns (members, rows), or None past cap members\n"
+     "(see ekdom._kernel.pure)."},
     {NULL, NULL, 0, NULL}
 };
 

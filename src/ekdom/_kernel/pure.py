@@ -86,22 +86,25 @@ the lexicographically least such survivor.  Other entries (dead i,
 occupied v) are leftovers of the sweep, and when ``exceeded`` is set the
 whole table means nothing.
 
-Certificate closure: ``certificate_rows`` closes the least survivor
-under best responses, reading unoccupied attacks off that table; its
-contract is in its docstring, and the compiled twin returns the same
-``(members, rows)``.
+Certificate closure: ``certificate_rows`` grows a family breadth-first
+from the least survivor.  It answers each attack with the least member
+already in the family that holds the attacked vertex and is reachable in
+one step, and only when there is none with the witness from that table,
+which then joins the family; its contract is in its docstring, and the
+compiled twin returns the same ``(members, rows)``.
+
+Depth: the walk and every search for an augmenting path (the sweep's
+``place`` and ``configs._match``) keep their paths on explicit stacks,
+so, like the compiled twin, this module takes more guards than the
+interpreter's recursion limit.
 """
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, insort
 
 from .. import configs  # configs imports this package: read _match at call time
 from . import DEFAULT_BUDGET, KernelWork
-
-
-class _LimitReached(Exception):
-    """Raised inside the walk once it holds more than ``limit`` states."""
 
 
 def enumerate_states(n: int, q: int, masks: array, limit: int | None = None,
@@ -148,30 +151,32 @@ def enumerate_states(n: int, q: int, masks: array, limit: int | None = None,
         widest[v] = max(widest[v + 1], balls[v].bit_count())
     out: list[tuple] = []
     state = [0] * q
+    cov = [0] * (q + 1)  # cov[pos]: the union of the balls of posts < pos
+    need = [n] * q       # need[pos]: the vertices cov[pos] misses
     prefixes = 0
-
-    def rec(pos: int, lo: int, covered: int) -> None:
-        nonlocal prefixes
-        if pos == q:
-            if covered == full:
-                out.append(tuple(state))
-                if limit is not None and len(out) > limit:
-                    raise _LimitReached
-            return
-        need = (full & ~covered).bit_count()
-        slots = q - pos
-        for v in range(lo, n):
-            if covered | reach[v] != full or need > slots * widest[v]:
+    # Depth first on an explicit stack: post pos goes to a vertex v at or
+    # after the previous post.  The first v that fails a prune ends this
+    # post's loop, and the walk backs up.
+    pos = v = 0
+    while n:
+        if v == n or cov[pos] | reach[v] != full or need[pos] > (q - pos) * widest[v]:
+            if pos == 0:
                 break
-            prefixes += 1
-            state[pos] = v
-            rec(pos + 1, v, covered | balls[v])
-
-    if n:
-        try:
-            rec(0, 0, 0)
-        except _LimitReached:
-            pass
+            pos -= 1
+            v = state[pos] + 1
+            continue
+        prefixes += 1
+        state[pos] = v
+        cov[pos + 1] = cov[pos] | balls[v]
+        if pos + 1 < q:
+            pos += 1
+            need[pos] = (full & ~cov[pos]).bit_count()
+            continue  # the next post starts at v again
+        if cov[q] == full:
+            out.append(tuple(state))
+            if limit is not None and len(out) > limit:
+                break
+        v += 1
     if work is not None:
         work[0] = prefixes
     return out
@@ -225,16 +230,33 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
     holder = [-1] * q  # holder[p]: post of the last candidate held by guard p of i
     guard = [0] * q    # guard[c]: guard of i holding post c < placed
 
-    def place(near: list, dst: tuple, c: int, seen: list[bool]) -> bool:
+    def place(near: list, dst: tuple, c: int) -> bool:
+        """Place post c of dst on a guard of i by an augmenting path:
+        depth first, guards in ascending order, on an explicit stack."""
+        seen = [False] * q
+        path = []  # (post, guard) steps of the path so far
         t = dst[c]
-        for p in range(q):
-            if not seen[p] and near[p][t] <= k:
+        p = 0
+        while True:
+            while p < q and (seen[p] or near[p][t] > k):
+                p += 1
+            if p < q:
                 seen[p] = True
-                if holder[p] < 0 or place(near, dst, holder[p], seen):
-                    holder[p] = c
-                    guard[c] = p
+                path.append((c, p))
+                if holder[p] < 0:
+                    for c, p in path:
+                        holder[p] = c
+                        guard[c] = p
                     return True
-        return False
+                c = holder[p]
+                t = dst[c]
+                p = 0
+            elif path:  # no free guard from post c: back up to the step before
+                c, p = path.pop()
+                t = dst[c]
+                p += 1
+            else:
+                return False
 
     checks = 0
     rounds = 0
@@ -283,7 +305,7 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
                         holder[guard[d]] = -1
                     last = dst
                     placed = c
-                    while placed < q and place(near, dst, placed, [False] * q):
+                    while placed < q and place(near, dst, placed):
                         placed += 1
                     if placed == q:
                         matched += 1
@@ -308,24 +330,29 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
 
 def certificate_rows(n: int, k: int, dist: list[int], states: list[tuple],
                      alive: bytearray, wit: array, cap: int):
-    """Close the least survivor under best responses, as certificate rows.
+    """Close the least survivor under responses drawn from the family, as
+    certificate rows.
 
     ``alive`` and ``wit`` are what ``run_elimination`` left for
-    ``states`` (lexicographically ordered).  The response to (member i,
-    attack v) is the least live state holding v that i reaches in one
-    step: for an unoccupied v the witness table names it; for an occupied
-    v the live holders of v are scanned in ascending order, a scan that
-    ends at i itself.  Breadth-first from the least live state, each
-    response is matched once with ``configs._match`` (a state can reach
-    itself by a non-identity assignment, and the rows record the
-    assignment).
+    ``states`` (lexicographically ordered).  Breadth-first from the least
+    live state, the response to (member i, attack v) is the least state
+    already in the family that holds v and that i reaches in one step.
+    For an occupied v, i itself qualifies.  For an unoccupied v the
+    witness table names the least live holder of v that i reaches, so
+    family members below it are passed without a matching; when no
+    member at or above it answers, the witness does and joins the
+    family.  Every member is thus reached along witness edges, and the
+    family is a subset of the closure that answers every attack with the
+    least reachable survivor.  Candidates are tested with
+    ``configs._match``, and the rows record the assignment it finds for
+    the response (a state can reach itself by a non-identity assignment).
 
-    Returns ``(members, rows)``: ``members`` lists the closure's state
+    Returns ``(members, rows)``: ``members`` lists the family's state
     indices in ascending order, and ``rows[r * n + v]`` is
     ``[next, t_1, ..., t_q]`` for the r-th member attacked at v, where
     guard p (its p-th post) walks to the vertex at post ``t_p`` of member
     ``next``, written as that vertex's first post.  Returns None when the
-    closure has more than ``cap`` members, and ``([], [])`` when nothing
+    family has more than ``cap`` members, and ``([], [])`` when nothing
     is alive.  Raises ValueError when the table names no live state that
     answers an attack.
     """
@@ -334,17 +361,22 @@ def certificate_rows(n: int, k: int, dist: list[int], states: list[tuple],
         raise ValueError("alive must hold len(states) flags")
     if len(wit) != S * n:
         raise ValueError("wit must hold len(states) * n items")
-    live = [i for i in range(S) if alive[i]]
-    if not live:
+    first = next((i for i in range(S) if alive[i]), None)
+    if first is None:
         return [], []
     dist_rows = [dist[u * n:(u + 1) * n] for u in range(n)]
-    holders: list[list[int]] = [[] for _ in range(n)]
-    for i in live:
-        for v in set(states[i]):
-            holders[v].append(i)
-    order = [live[0]]  # members in order of discovery
-    slot = {live[0]: 0}
+    held: list[list[int]] = [[] for _ in range(n)]  # family members holding v, ascending
+    order = []  # members in order of discovery
+    slot = {}
     answers = []  # per member found: its n rows, next still a state index
+
+    def join(j: int) -> None:
+        slot[j] = len(order)
+        order.append(j)
+        for v in set(states[j]):
+            insort(held[v], j)
+
+    join(first)
     for i in order:
         if len(order) > cap:
             return None
@@ -352,15 +384,21 @@ def certificate_rows(n: int, k: int, dist: list[int], states: list[tuple],
         out = []
         for v in range(n):
             if v in cur:
-                tries = holders[v]
+                w, lo = i, 0  # i itself answers, at the latest
             else:
                 w = wit[i * n + v]
-                tries = (w,) if 0 <= w < S and alive[w] else ()
-            for j in tries:
+                lo = w if 0 <= w < S and alive[w] else S  # a bad witness: none answers
+            owner = None
+            hv = held[v]
+            for j in hv[bisect_left(hv, lo):]:
                 owner = configs._match(dist_rows, cur, states[j], k)
                 if owner is not None:
                     break
             else:
+                if lo < S and w not in slot:  # no member answers: the witness joins
+                    j = w
+                    owner = configs._match(dist_rows, cur, states[j], k)
+            if owner is None:
                 raise ValueError(f"no live state answers attack {v} on state {i}: "
                                  "the witness table does not fit alive")
             dst = states[j]
@@ -369,8 +407,7 @@ def certificate_rows(n: int, k: int, dist: list[int], states: list[tuple],
                 row[1 + p] = dst.index(dst[c])
             out.append(row)
             if j not in slot:
-                slot[j] = len(order)
-                order.append(j)
+                join(j)
         answers.append(out)
     members = sorted(order)
     rank = {i: r for r, i in enumerate(members)}

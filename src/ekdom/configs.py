@@ -46,23 +46,40 @@ def enumerate_dominating_configs(dist: DistMatrix, k: int, q: int,
 
 
 def _match(dist: DistMatrix, src: Config, dst: Config, k: int) -> list[int] | None:
-    """Augmenting-path matching; returns dst-position -> src-position or None."""
+    """Augmenting-path matching; returns dst-position -> src-position or None.
+
+    Each guard p of src in turn starts a depth-first search for an
+    augmenting path, trying dst positions in ascending order, as the
+    textbook recursion does; the path is kept on an explicit stack, so the
+    number of guards is not bounded by the interpreter's recursion limit.
+    """
     q = len(src)
     owner = [-1] * q  # owner[c] = src position matched to dst position c
-
-    def augment(p: int, seen: list[bool]) -> bool:
-        row = dist[src[p]]
-        for c in range(q):
-            if not seen[c] and row[dst[c]] <= k:
-                seen[c] = True
-                if owner[c] < 0 or augment(owner[c], seen):
-                    owner[c] = p
-                    return True
-        return False
-
     for p in range(q):
-        if not augment(p, [False] * q):
-            return None
+        seen = bytearray(q)
+        path = []  # (guard, position) steps of the path so far
+        row = dist[src[p]]
+        c = 0
+        while True:
+            c = seen.find(0, c)
+            while c >= 0 and row[dst[c]] > k:
+                c = seen.find(0, c + 1)
+            if c >= 0:
+                seen[c] = 1
+                path.append((p, c))
+                if owner[c] < 0:
+                    for p, c in path:
+                        owner[c] = p
+                    break
+                p = owner[c]
+                row = dist[src[p]]
+                c = 0
+            elif path:  # no free position from p: back up to the step before
+                p, c = path.pop()
+                row = dist[src[p]]
+                c += 1
+            else:
+                return None
     return owner
 
 

@@ -50,15 +50,15 @@ def is_distance_k_dominating(dist: DistMatrix, guards: Iterable[int], k: int) ->
     """True iff every vertex is within distance k of some guard."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    n = len(dist)
-    posts = set(guards)
+    return covers(ball_masks(dist, k), guards)
+
+
+def covers(balls: list[int], guards: Iterable[int]) -> bool:
+    """True iff the balls (from ``ball_masks``) of the guards hold every vertex."""
     covered = 0
-    for u in posts:
-        row = dist[u]
-        for v in range(n):
-            if row[v] <= k:
-                covered |= 1 << v
-    return covered == (1 << n) - 1
+    for u in guards:
+        covered |= balls[u]
+    return covered == (1 << len(balls)) - 1
 
 
 def _greedy_cover(balls: list[int], full: int) -> list[int]:

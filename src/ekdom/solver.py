@@ -14,8 +14,10 @@ non-empty fixed point, builds an explicit certificate, so every public
 function reads its numbers, survivor sets and certificates from that one
 solve.  A certificate is a family of configurations plus, for every
 (family member, attacked vertex) pair, one row naming a successor member
-that contains the attack and the post each guard walks to.  The kernel layer builds the rows
-(``_kernel.certificate_rows``); ``verify_certificate`` re-checks them
+that contains the attack and the post each guard walks to.  The kernel
+layer builds the rows (``_kernel.certificate_rows``), answering each
+attack from the members found so far whenever one qualifies, so the
+family stays small; ``verify_certificate`` re-checks them
 from scratch using only distances and multiset arithmetic, with no
 access to solver or kernel internals, so solver and verifier form
 independent routes to the same claim.
@@ -38,7 +40,7 @@ from typing import Iterable, NamedTuple
 from . import _kernel
 from ._kernel import KernelWork
 from .configs import Config, canonical, enumerate_dominating_configs
-from .domination import gamma_k, is_distance_k_dominating
+from .domination import ball_masks, covers, gamma_k, is_distance_k_dominating
 from .graph import (CACHE_SIZE, Graph, all_pairs_distances, components,
                     induced_subgraph, is_connected)
 
@@ -125,9 +127,10 @@ def _solve_q(g: Graph, k: int, q: int, budget: int
 
     A non-empty fixed point is closed into a certificate while the
     kernel's witness table is in scope, so the cache keeps the rows but
-    never the table.  The closure starts from the lexicographically least
-    survivor and answers each (member, attack) with the least survivor
-    that holds the attack and is reachable in one step (see
+    never the table.  The family grows from the lexicographically least
+    survivor: each (member, attack) is answered by the least member
+    already found that holds the attack and is reachable in one step, or,
+    when none is, by the least such survivor, which joins the family (see
     ``_kernel.pure.certificate_rows``).  Empty, refused and over-budget
     guard counts, and closures past ``CERTIFICATE_CAP`` members, have no
     certificate.
@@ -290,9 +293,10 @@ def verify_certificate(g: Graph, cert: EternalCertificate
 
     Uses only distances and multiset comparisons (never the solver or
     the kernels).  Checks run in stages (the format's structural rules,
-    which the JSON reader applies too, then the members, then each row's
-    moves), and each stage reports its first violation in (member index,
-    vertex id) scan order.  Violations are return values, not exceptions.
+    which the JSON reader applies too, then the members, each tested
+    against ball masks built once, then each row's moves), and each stage
+    reports its first violation in (member index, vertex id) scan order.
+    Violations are return values, not exceptions.
     """
     dist = all_pairs_distances(g)
     n, q, k, family, rows = g.n, cert.q, cert.k, cert.family, cert.rows
@@ -308,12 +312,13 @@ def verify_certificate(g: Graph, cert: EternalCertificate
     fault = _structure_fault(family, rows, q, n)
     if fault is not None:
         return bad(*fault)
+    balls = ball_masks(dist, k)
     for i, member in enumerate(family):
         if any(not (0 <= u < n) for u in member):
             return bad(i, None, f"member {i} names a vertex out of range")
         if tuple(sorted(member)) != tuple(member):
             return bad(i, None, f"member {i} is not in canonical sorted form")
-        if not is_distance_k_dominating(dist, member, k):
+        if not covers(balls, member):
             return bad(i, None, f"member {i} is not distance-{k} dominating")
     held = [set(member) for member in family]
     for i, member in enumerate(family):

@@ -7,7 +7,8 @@ matter.  Three exceptions drive package code a different way:
 ``reverse_sweep_survivors`` runs the kernel in the other sweep order,
 ``reference_elimination`` runs the kernels' sweep as a plain cursor scan
 with one full matching per live candidate, and ``reference_certificate``
-builds a certificate by matching every survivor.
+and ``least_survivor_certificate`` build certificates by plain survivor
+scans.
 The graph and movement utilities that only the tests use (edge deletion,
 k-neighbourhoods, the movement predicate, the diameter rule, the
 Hamiltonian bound and the classical k = 1 tree trimming) live here too,
@@ -341,48 +342,76 @@ def reference_elimination(n: int, k: int, dist: list[int], states: list[tuple],
     return alive, rounds, checks, exceeded
 
 
-def reference_certificate(g: Graph, k: int, q: int,
-                          survivors: frozenset) -> EternalCertificate:
-    """The certificate closure without the kernels or their witness table.
-
-    Closes the lexicographically least survivor under responses found by
-    trying every survivor that holds the attacked vertex, in
-    lexicographic order, until one is reachable in one step; this is the
-    closure both kernels' ``certificate_rows`` must reproduce from the
-    table.  Guard p's target is named by the successor's first post on
-    that vertex.
-    """
-    dist = all_pairs_distances(g)
-    ordered = sorted(survivors)
-    buckets = [[] for _ in range(g.n)]
-    for cfg in ordered:
-        for v in set(cfg):
-            buckets[v].append(cfg)
-    family = {}
-    response = {}
-    queue = deque([ordered[0]])
-    while queue:
-        cur = queue.popleft()
-        if cur in family:
-            continue
-        family[cur] = None
-        for v in range(g.n):
-            for nxt in buckets[v]:
-                moves = transform_assignment(dist, cur, nxt, k)
-                if moves is not None:
-                    break
-            else:
-                raise AssertionError("survivor cannot answer an attack")
-            response[(cur, v)] = (nxt, moves)
-            queue.append(nxt)
-    members = sorted(family)
+def _certificate(g: Graph, k: int, q: int, responses: dict) -> EternalCertificate:
+    """Rows of a closure's ``(member, attack) -> (next, moves)`` map; guard
+    p's target is named by the successor's first post on that vertex."""
+    members = sorted({cur for cur, _ in responses})
     index = {cfg: i for i, cfg in enumerate(members)}
     rows = []
     for cur in members:
         for v in range(g.n):
-            nxt, moves = response[(cur, v)]
+            nxt, moves = responses[(cur, v)]
             rows.append([index[nxt], *(nxt.index(b) for _, b in moves)])
     return EternalCertificate(k, q, tuple(members), rows)
+
+
+def _first_reachable(dist, cur, candidates, k):
+    """The first candidate cur moves to in one step, with the moves."""
+    for nxt in candidates:
+        moves = transform_assignment(dist, cur, nxt, k)
+        if moves is not None:
+            return nxt, moves
+    return None
+
+
+def reference_certificate(g: Graph, k: int, q: int,
+                          survivors: frozenset) -> EternalCertificate:
+    """The certificate closure without the kernels or their witness table.
+
+    Breadth-first from the lexicographically least survivor, the response
+    to (member, attack v) is the least configuration already found that
+    holds v and that the member reaches in one step; when there is none,
+    it is the least such survivor, found by trying every survivor that
+    holds v in lexicographic order, and that survivor joins the family.
+    This is the closure both kernels' ``certificate_rows`` must reproduce
+    from the table.
+    """
+    dist = all_pairs_distances(g)
+    ordered = sorted(survivors)
+    found = [ordered[0]]  # in order of discovery
+    responses = {}
+    for cur in found:
+        for v in range(g.n):
+            hit = _first_reachable(dist, cur, sorted(f for f in found if v in f), k)
+            if hit is None:
+                hit = _first_reachable(dist, cur, [s for s in ordered if v in s], k)
+                if hit is None:
+                    raise AssertionError("survivor cannot answer an attack")
+                found.append(hit[0])
+            responses[(cur, v)] = hit
+    return _certificate(g, k, q, responses)
+
+
+def least_survivor_certificate(g: Graph, k: int, q: int,
+                               survivors: frozenset) -> EternalCertificate:
+    """The closure that answers every (member, attack v) with the least
+    survivor holding v that the member reaches in one step, breadth-first
+    from the least survivor.  Each member of ``reference_certificate``'s
+    family joins as such a response to a member found before it, so that
+    family is a subset of this one."""
+    dist = all_pairs_distances(g)
+    ordered = sorted(survivors)
+    found = [ordered[0]]  # in order of discovery
+    responses = {}
+    for cur in found:
+        for v in range(g.n):
+            hit = _first_reachable(dist, cur, [s for s in ordered if v in s], k)
+            if hit is None:
+                raise AssertionError("survivor cannot answer an attack")
+            responses[(cur, v)] = hit
+            if hit[0] not in found:
+                found.append(hit[0])
+    return _certificate(g, k, q, responses)
 
 
 # -- ordinary (k = 1) eternal domination on trees -----------------------------

@@ -21,6 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ekdom._kernel
+from ekdom import solver
 from ekdom._kernel import KernelWork, pack_masks, pure
 from ekdom.closed_forms import cycle_graph, path_graph
 from ekdom.configs import enumerate_dominating_configs
@@ -28,8 +30,9 @@ from ekdom.domination import ball_masks, gamma_k
 from ekdom.graph import Graph, all_pairs_distances
 from ekdom.mary import build_perfect_mary
 
-from helpers import (DEFAULT_SEED, oracle_dominating_multisets, random_connected_graph,
-                     random_graph, reference_certificate, reference_elimination)
+from helpers import (DEFAULT_SEED, least_survivor_certificate, oracle_dominating_multisets,
+                     random_connected_graph, random_graph, reference_certificate,
+                     reference_elimination)
 
 try:
     from ekdom._kernel import _ckernel
@@ -166,6 +169,23 @@ def test_certificate_rows_match_the_survivor_scan(compiled, n, extra, rng, k, ex
     for kernel in (compiled, pure):
         assert kernel.certificate_rows(n, k, flat, states, alive, wit, len(members) - 1) is None
         assert kernel.certificate_rows(n, k, flat, states, alive, wit, len(members)) == got
+
+
+def test_certificate_rows_fit_a_cap_the_least_survivor_closure_passes(compiled):
+    # C30 at k = 3: 756 survivors.  Answering every attack with the least
+    # reachable survivor closes 464 members; drawing on the family first,
+    # 95.
+    g = cycle_graph(30)
+    n, k, flat, states = _instance(g, 3, 5)
+    wit = array("i", [0]) * (len(states) * n)
+    alive, _, _, exceeded = compiled.run_elimination(n, k, flat, states, wit)
+    assert not exceeded and sum(alive) == len(states) == 756
+    survivors = frozenset(states)
+    assert len(least_survivor_certificate(g, k, 5, survivors).family) == 464
+    got = _assert_rows_agree(compiled, n, k, flat, states, alive, wit, cap=100)
+    assert got is not None and len(got[0]) == 95 and len(got[1]) == 95 * n
+    expected = reference_certificate(g, k, 5, survivors)
+    assert (tuple(states[i] for i in got[0]), got[1]) == (expected.family, expected.rows)
 
 
 def test_compiled_kernel_rejects_malformed_input(compiled):
@@ -305,6 +325,19 @@ def test_selection_layer_solves_graphs_past_64_vertices():
     wide = path_graph(70)
     assert is_eternal_set(wide, 69, [0])   # diameter 69: one guard reaches all
     assert not is_eternal_set(wide, 3, [35])
+
+
+def test_pure_twins_take_more_guards_than_the_recursion_limit(monkeypatch):
+    # 1,100 guards on one vertex: the walk, the sweep and the closure's
+    # matching keep their search paths on explicit stacks.
+    assert pure.enumerate_states(1, 1100, array("Q", [1]), 0) == [(0,) * 1100]
+    for name in ("enumerate_states", "run_elimination", "certificate_rows"):
+        monkeypatch.setattr(ekdom._kernel, name, getattr(pure, name))
+    solver._solve_q.cache_clear()
+    try:
+        assert solver.is_eternal_set(Graph.build(1, []), 1, [0] * 1100)
+    finally:
+        solver._solve_q.cache_clear()
 
 
 def test_certificate_rows_reject_malformed_input(compiled):

@@ -22,8 +22,8 @@ from ekdom.solver import (BudgetExceededError, certificate_from_json,
                           verify_certificate)
 
 from helpers import (DEFAULT_SEED, all_trees_exactly, delete_edge, eternal_one_tree,
-                     random_connected_graph, random_tree, reference_certificate,
-                     reverse_sweep_survivors, transforms)
+                     least_survivor_certificate, random_connected_graph, random_tree,
+                     reference_certificate, reverse_sweep_survivors, transforms)
 
 
 def naive_survivors(g, k, q):
@@ -184,6 +184,20 @@ def test_certificate_matches_the_survivor_scan(n, extra, rng, k):
     assert (cert.k, cert.q, cert.family) == (expected.k, expected.q, expected.family)
     assert cert.rows == expected.rows
     assert verify_certificate(g, cert) == (True, None)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(2, 9), extra=st.floats(0.0, 0.5), rng=st.randoms(use_true_random=False),
+       k=st.integers(1, 3))
+def test_certificate_family_is_within_the_least_survivor_closure(n, extra, rng, k):
+    # Responses drawn from the family reach new members along least-survivor
+    # edges only, so the family never outgrows the least-survivor closure.
+    g = random_connected_graph(n, extra, rng)
+    report = eternal_number(g, k)
+    q = report.gamma_eternal
+    least = least_survivor_certificate(g, k, q, eternal_survivors(g, k, q))
+    assert set(report.certificate.family) <= set(least.family)
+    assert verify_certificate(g, report.certificate) == (True, None)
 
 
 def relisted(doc, rng):
