@@ -22,7 +22,9 @@ With ``--parent DIR``, the root of another source tree whose compiled
 kernel is built (for example a ``git archive`` export of an earlier
 commit), that tree's compiled kernel runs every instance too, alternating
 with this tree's run by run, and must return the same (alive, rounds,
-checks, exceeded) and witness table.
+checks, exceeded) and witness table.  Every kernel, here and in the
+certificate runs, gets the arguments its own signature names: ball masks,
+or k and a flat distance list for a tree from before the masks.
 
 Certificates (``BENCH_cert.json``): five instances (C26, C30 and C32 as
 the ``certify`` workload of ``e2ebench`` relabels them at seed 7, round 0,
@@ -49,6 +51,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import platform
@@ -132,25 +135,33 @@ CERTS = [  # (name, e2e certify instance or graph builder, k, q)
 # One certificate through the tree's kernel and verifier; the edge list
 # arrives on stdin.
 CERT_CHILD = """
-import hashlib, json, sys, time
+import hashlib, inspect, json, sys, time
 from array import array
 from statistics import median
 from ekdom import _kernel
 from ekdom.configs import enumerate_dominating_configs
+from ekdom.domination import ball_masks
 from ekdom.graph import all_pairs_distances, parse_graph
 from ekdom.solver import (CERTIFICATE_CAP, EternalCertificate, certificate_to_json,
                           verify_certificate)
+def named(fn, **given):
+    params = inspect.signature(fn).parameters
+    return {{name: value for name, value in given.items() if name in params}}
 g = parse_graph(sys.stdin.read())
 k, q, n = {k}, {q}, g.n
 dist = all_pairs_distances(g)
-flat = [d for row in dist for d in row]
+geometry = dict(k=k, dist=[d for row in dist for d in row],
+                masks=_kernel.pack_masks(ball_masks(dist, k), n))
 states = enumerate_dominating_configs(dist, k, q)
 wit = array("i", [-1]) * (len(states) * n)
-alive = _kernel.run_elimination(n, k, flat, states, wit, budget=10 ** 9)[0]
+alive = _kernel.run_elimination(**named(_kernel.run_elimination, n=n, states=states, wit=wit,
+                                        budget=10 ** 9, **geometry))[0]
+close = named(_kernel.certificate_rows, n=n, states=states, alive=alive, wit=wit,
+              cap=CERTIFICATE_CAP, **geometry)
 cert_s, verify_s = [], []
 for _ in range(5):
     t0 = time.perf_counter()
-    members, rows = _kernel.certificate_rows(n, k, flat, states, alive, wit, CERTIFICATE_CAP)
+    members, rows = _kernel.certificate_rows(**close)
     cert_s.append(time.perf_counter() - t0)
 cert = EternalCertificate(k, q, tuple(states[i] for i in members), rows)
 for _ in range(5):
@@ -209,21 +220,29 @@ def host() -> dict:
 
 
 def instance(build, k: int, q: int):
+    """n, the geometry arguments any kernel may name, and the states."""
     g = build()
     dist = all_pairs_distances(g)
-    return g.n, [d for row in dist for d in row], enumerate_dominating_configs(dist, k, q)
+    geometry = {"k": k, "dist": [d for row in dist for d in row],
+                "masks": pack_masks(ball_masks(dist, k), g.n)}
+    return g.n, geometry, enumerate_dominating_configs(dist, k, q)
 
 
-def eliminate(kernel, n, k, flat, states, counted=True):
-    """(seconds, result, witness table, work counters or None)."""
+def named(fn, **given) -> dict:
+    """The arguments in ``given`` that ``fn``'s signature names."""
+    params = inspect.signature(fn).parameters
+    return {name: value for name, value in given.items() if name in params}
+
+
+def eliminate(kernel, n, geometry, states):
+    """(seconds, result, witness table, work counters or None, for a
+    kernel that counts none)."""
     wit = array("i", [0]) * (len(states) * n)
-    work = array("q", KernelWork()) if counted else None
+    args = named(kernel.run_elimination, n=n, states=states, wit=wit, budget=BUDGET,
+                 work=array("q", KernelWork()), **geometry)
     t0 = time.perf_counter()
-    if counted:
-        result = kernel.run_elimination(n, k, flat, states, wit, BUDGET, work=work)
-    else:
-        result = kernel.run_elimination(n, k, flat, states, wit, BUDGET)
-    return time.perf_counter() - t0, result, wit, work
+    result = kernel.run_elimination(**args)
+    return time.perf_counter() - t0, result, wit, args.get("work")
 
 
 def same(a, b) -> bool:
@@ -231,17 +250,17 @@ def same(a, b) -> bool:
 
 
 def run_case(name, build, k, q, repeat, parent, with_pure) -> dict:
-    n, flat, states = instance(build, k, q)
+    n, geometry, states = instance(build, k, q)
     times = {"compiled_s": [], "parent_compiled_s": [], "pure_s": []}
     first = work = None
     for r in range(repeat):
-        sides = [("compiled_s", _ckernel, True)]
+        sides = [("compiled_s", _ckernel)]
         if parent is not None:
-            sides.insert(1 - r % 2, ("parent_compiled_s", parent, False))
+            sides.insert(1 - r % 2, ("parent_compiled_s", parent))
         if with_pure:
-            sides.append(("pure_s", pure, True))
-        for key, kernel, counted in sides:
-            got = eliminate(kernel, n, k, flat, states, counted)
+            sides.append(("pure_s", pure))
+        for key, kernel in sides:
+            got = eliminate(kernel, n, geometry, states)
             first = first or got
             work = work or got[3]
             assert same(got, first), f"{name}: {key} differs"
@@ -262,7 +281,7 @@ def run_case(name, build, k, q, repeat, parent, with_pure) -> dict:
         cert = {}
         for key, kernel in (("compiled_s", _ckernel), ("pure_s", pure)):
             t0 = time.perf_counter()
-            rows = kernel.certificate_rows(n, k, flat, states, alive, wit, CAP)
+            rows = kernel.certificate_rows(n, geometry["masks"], states, alive, wit, CAP)
             cert[key] = round(time.perf_counter() - t0, 5)
             cert.setdefault("rows", rows)
             assert rows == cert["rows"], f"{name}: certificate rows differ"

@@ -2,28 +2,22 @@
 
 The three entry points, ``enumerate_states``, ``run_elimination`` and
 ``certificate_rows``, are the C extension ``_ckernel``'s functions when
-it imported, otherwise the pure-Python twin's.  Both twins walk the same
+it imported, otherwise the pure-Python twin's.  All three read the graph
+only through its ball masks, which ``pack_masks`` puts into 64-bit words
+(``masks``): a guard on u walks to t in one step exactly when t lies in
+the ball of u, so none takes k or a distance.  Both twins walk the same
 suffix-pruned state space (the dominating multisets in lexicographic
-order, from ball masks that ``pack_masks`` puts into 64-bit words,
-counting the prefixes visited in an optional ``work``), run the same
-Gauss-Seidel sweeps, in the order of ``states``, with one movement test
-(a target-side prefix matcher whose failures skip every candidate
+order, counting the prefixes visited in an optional ``work``), run the
+same Gauss-Seidel sweeps, in the order of ``states``, with one movement
+test (a target-side prefix matcher whose failures skip every candidate
 sharing the failed prefix), and the same certificate closure, on graphs
 of any size and any number of guards, and return identical results.
 
 The caller passes ``wit``, an ``array('i')`` of ``len(states) * n``
-items, which receives the final witness table: for a surviving state i
-and a vertex v that i leaves unoccupied, ``wit[i * n + v]`` is the least
-index of a surviving state that occupies v and is reachable from i in one
-step.  Other entries are leftovers, and nothing in the table means
-anything when the budget was exceeded.  ``certificate_rows`` grows a
-family from the least survivor, answering each attack with the least
-member already in it that holds the attacked vertex and is reachable in
-one step, or else with that table's witness, which joins the family; it
-returns the family's certificate rows.  The optional
-``work`` of ``run_elimination``, an ``array('q')`` of 5 items, receives
-the sweep's work counters (``KernelWork``).  The full contracts are in
-``pure``.
+items, which receives the sweep's final witness table, and may pass
+``work``, an ``array('q')`` of 5 items, which receives its work counters
+(``KernelWork``); ``certificate_rows`` closes a certificate family from
+that table.  The full contracts are in ``pure``.
 """
 from __future__ import annotations
 
@@ -48,7 +42,7 @@ class KernelWork(NamedTuple):
 
 
 def pack_masks(masks: list[int], n: int) -> array:
-    """Vertex bitmasks over ``range(n)`` as ``enumerate_states`` reads them:
+    """Vertex bitmasks over ``range(n)`` as the entry points read them:
     ``(n + 63) // 64`` unsigned 64-bit words each, least significant first."""
     return array("Q", [m >> s & _WORD for m in masks for s in range(0, n, 64)])
 

@@ -30,13 +30,13 @@
    Whether a vertex is occupied is read off the sorted state by a merge
    walk, so the number of vertices is unbounded.
 
-   The ball masks travel in ``masks``, an array('Q') of
-   n * ((n + 63) // 64) words, the witness table in ``wit``, an
-   array('i') of len(states) * n items, and the work counters in the
-   optional ``work``, an array('q') of 1 (walk) or 5 (sweep) items; the
-   entry points read and write them in place, so none costs a copy.
-   Every buffer's size and item type (and, where written, writability)
-   is checked before it is used.
+   All three read the graph only through the ball masks in ``masks``, an
+   array('Q') of n * ((n + 63) // 64) words.  The witness table travels in
+   ``wit``, an array('i') of len(states) * n items, and the work counters
+   in the optional ``work``, an array('q') of 1 (walk) or 5 (sweep)
+   items; the entry points read and write them in place, so none costs a
+   copy.  Every buffer's size and item type (and, where written,
+   writability) is checked before it is used.
 
        python3 setup.py build_ext --inplace
 */
@@ -45,13 +45,14 @@
 #include <limits.h>
 #include <string.h>
 
+typedef unsigned long long Word;    /* the flags of 64 vertices */
+
 /* Scratch for one movement test: can every guard of state a walk to its
    own post of state b? */
 typedef struct {
-    const long *dist;   /* n x n hop distances, row-major */
+    const Word *ball;   /* n balls of words words each */
     const int *a, *b;   /* source and target posts, q each */
-    Py_ssize_t n;
-    long k;
+    Py_ssize_t words;
     int q;
     int *owner;         /* owner[c]: source guard holding target post c */
     unsigned char *seen;
@@ -60,10 +61,12 @@ typedef struct {
 static int
 augment(Matching *m, int p)
 {
-    const long *row = m->dist + (size_t)m->a[p] * (size_t)m->n;
-    for (int c = 0; c < m->q; c++) {
-        if (!m->seen[c] && row[m->b[c]] <= m->k) {
-            m->seen[c] = 1;
+    const Word *row = m->ball + (size_t)m->a[p] * (size_t)m->words;
+    const int *b = m->b, q = m->q;
+    unsigned char *seen = m->seen;
+    for (int c = 0; c < q; c++) {
+        if (!seen[c] && row[b[c] >> 6] >> (b[c] & 63) & 1) {
+            seen[c] = 1;
             if (m->owner[c] < 0 || augment(m, m->owner[c])) {
                 m->owner[c] = p;
                 return 1;
@@ -95,10 +98,9 @@ match(Matching *m, const int *st, Py_ssize_t i, Py_ssize_t j)
    matching of the previous candidate is kept: posts it shares with b,
    up to the ones it placed, keep their guards. */
 typedef struct {
-    const long *dist;   /* n x n hop distances, row-major */
+    const Word *ball;   /* n balls of words words each */
     const int *a, *b;   /* swept state's guards; last candidate's posts or NULL */
-    Py_ssize_t n;
-    long k;
+    Py_ssize_t words;
     int q;
     int placed;         /* posts 0..placed-1 of b hold guards */
     int *holder;        /* holder[p]: post held by guard p of a, or -1 */
@@ -110,8 +112,10 @@ static int
 place(Prefix *m, int c)
 {
     const int t = m->b[c];
+    const Word *col = m->ball + (t >> 6);   /* the word of ball 0 that holds t */
+    const Word bit = (Word)1 << (t & 63);
     for (int p = 0; p < m->q; p++) {
-        if (!m->seen[p] && m->dist[(size_t)m->a[p] * (size_t)m->n + t] <= m->k) {
+        if (!m->seen[p] && (col[(size_t)m->a[p] * (size_t)m->words] & bit)) {
             m->seen[p] = 1;
             if (m->holder[p] < 0 || place(m, m->holder[p])) {
                 m->holder[p] = c;
@@ -189,12 +193,32 @@ done:
    distinct from allocation failure. */
 #define NEW(type, count) ((type *)PyMem_Calloc((size_t)(count) + 1, sizeof(type)))
 
-/* What both entry points read: distances, states, matching scratch and
+/* Borrow an array(code) of exactly items items (size names that count),
+   e.g. the witness table, an array('i') of S * n items. */
+static int
+get_array(PyObject *obj, Py_buffer *view, int flags, const char *name, const char *code,
+          Py_ssize_t itemsize, Py_ssize_t items, const char *size)
+{
+    if (PyObject_GetBuffer(obj, view, flags | PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+        return -1;
+    if (view->itemsize != itemsize || view->format == NULL
+            || strcmp(view->format, code) != 0) {
+        PyErr_Format(PyExc_TypeError, "%s must be an array('%s')", name, code);
+        return -1;
+    }
+    if (view->len != itemsize * items) {
+        PyErr_Format(PyExc_ValueError, "%s must hold %s items", name, size);
+        return -1;
+    }
+    return 0;
+}
+
+/* What both entry points read: ball masks, states, matching scratch and
    the holder lists (off[v]..off[v+1] in cand holds, ascending, every
    counted state with a guard on v). */
 typedef struct {
-    Py_ssize_t n, S, q;
-    long *dist;
+    Py_ssize_t n, S, q, words;
+    Py_buffer masks;
     int *st, *cand, *owner;
     Py_ssize_t *off;
     unsigned char *seen;
@@ -203,7 +227,8 @@ typedef struct {
 static void
 free_instance(Instance *in)
 {
-    PyMem_Free(in->dist);
+    if (in->masks.obj != NULL)
+        PyBuffer_Release(&in->masks);
     PyMem_Free(in->st);
     PyMem_Free(in->cand);
     PyMem_Free(in->owner);
@@ -211,44 +236,39 @@ free_instance(Instance *in)
     PyMem_Free(in->seen);
 }
 
-/* Read dist (n*n ints) and states into in; -1 with an exception set on
-   bad input.  The caller frees in with free_instance either way. */
+/* Borrow masks (n balls) and read states into in; -1 with an exception
+   set on bad input.  The caller frees in with free_instance either way. */
 static int
-read_instance(Instance *in, Py_ssize_t n, PyObject *dist_obj, PyObject *states_obj)
+read_instance(Instance *in, Py_ssize_t n, PyObject *masks_obj, PyObject *states_obj)
 {
-    PyObject *dseq = NULL, *sseq = NULL;
-    Py_ssize_t nd, i;
+    PyObject *sseq = NULL;
+    Py_ssize_t i;
     int rc = -1;
 
+    if (n < 0 || n > INT_MAX) {
+        PyErr_SetString(PyExc_ValueError, "n must be non-negative and fit in an int");
+        return -1;
+    }
     in->n = n;
-    if ((dseq = PySequence_Fast(dist_obj, "dist must be a sequence")) == NULL
+    in->words = (n + 63) / 64;
+    if (get_array(masks_obj, &in->masks, 0, "masks", "Q", sizeof(Word), n * in->words,
+                  "n * ((n + 63) // 64)") < 0
             || (sseq = PySequence_Fast(states_obj, "states must be a sequence")) == NULL)
         goto done;
-    nd = PySequence_Fast_GET_SIZE(dseq);
     in->S = PySequence_Fast_GET_SIZE(sseq);
-    if (n < 0 || (n == 0 ? nd != 0 : nd % n != 0 || nd / n != n)) {
-        PyErr_SetString(PyExc_ValueError, "dist must hold n*n distances");
-        goto done;
-    }
     if (in->S > INT_MAX) {
         PyErr_SetString(PyExc_OverflowError, "too many states");
         goto done;
     }
     if (in->S > 0 && (in->q = PySequence_Size(PySequence_Fast_GET_ITEM(sseq, 0))) < 0)
         goto done;
-    in->dist = NEW(long, nd);
     in->st = NEW(int, (size_t)in->S * in->q);
     in->off = NEW(Py_ssize_t, n + 1);
     in->owner = NEW(int, in->q);
     in->seen = NEW(unsigned char, in->q);
-    if (!in->dist || !in->st || !in->off || !in->owner || !in->seen) {
+    if (!in->st || !in->off || !in->owner || !in->seen) {
         PyErr_NoMemory();
         goto done;
-    }
-    for (i = 0; i < nd; i++) {
-        in->dist[i] = PyLong_AsLong(PySequence_Fast_GET_ITEM(dseq, i));
-        if (in->dist[i] == -1 && PyErr_Occurred())
-            goto done;
     }
     for (i = 0; i < in->S; i++)
         if (read_state(PySequence_Fast_GET_ITEM(sseq, i), in->q, n,
@@ -256,7 +276,6 @@ read_instance(Instance *in, Py_ssize_t n, PyObject *dist_obj, PyObject *states_o
             goto done;
     rc = 0;
 done:
-    Py_XDECREF(dseq);
     Py_XDECREF(sseq);
     return rc;
 }
@@ -291,28 +310,6 @@ build_holders(Instance *in, const unsigned char *live)
     off[0] = 0;
     return 0;
 }
-
-/* Borrow an array(code) of exactly items items (size names that count),
-   e.g. the witness table, an array('i') of S * n items. */
-static int
-get_array(PyObject *obj, Py_buffer *view, int flags, const char *name, const char *code,
-          Py_ssize_t itemsize, Py_ssize_t items, const char *size)
-{
-    if (PyObject_GetBuffer(obj, view, flags | PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
-        return -1;
-    if (view->itemsize != itemsize || view->format == NULL
-            || strcmp(view->format, code) != 0) {
-        PyErr_Format(PyExc_TypeError, "%s must be an array('%s')", name, code);
-        return -1;
-    }
-    if (view->len != itemsize * items) {
-        PyErr_Format(PyExc_ValueError, "%s must hold %s items", name, size);
-        return -1;
-    }
-    return 0;
-}
-
-typedef unsigned long long Word;    /* the flags of 64 vertices */
 
 static int
 bits(Word x)
@@ -482,11 +479,10 @@ enum { WORK_ITEMS = 5 };   /* probes, dead, matchings, matched, jumped */
 static PyObject *
 run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "k", "dist", "states", "wit", "budget", "work", NULL};
+    static char *kwlist[] = {"n", "masks", "states", "wit", "budget", "work", NULL};
     Py_ssize_t n, S, q, i, v;
-    long k;
     long long budget = 5000000, checks = 0, work[WORK_ITEMS] = {0};
-    PyObject *dist_obj, *states_obj, *wit_obj, *work_obj = Py_None, *result = NULL;
+    PyObject *masks_obj, *states_obj, *wit_obj, *work_obj = Py_None, *result = NULL;
     Py_buffer view = {0}, wview = {0};
     Instance in = {0};
     int *pos = NULL, *wit, *skip = NULL, *holder = NULL, *guard = NULL;
@@ -497,11 +493,11 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
     int changed = 1, exceeded = 0;
     Py_ssize_t rounds = 0;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nlOOO|LO:run_elimination", kwlist,
-                                     &n, &k, &dist_obj, &states_obj, &wit_obj, &budget,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nOOO|LO:run_elimination", kwlist,
+                                     &n, &masks_obj, &states_obj, &wit_obj, &budget,
                                      &work_obj))
         return NULL;
-    if (read_instance(&in, n, dist_obj, states_obj) < 0
+    if (read_instance(&in, n, masks_obj, states_obj) < 0
             || get_array(wit_obj, &view, PyBUF_WRITABLE, "wit", "i", sizeof(int), in.S * n,
                          "len(states) * n") < 0
             || (work_obj != Py_None
@@ -537,7 +533,7 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
             skip[i * q + t] = t < same ? skip[(i + 1) * q + t] : (int)i + 1;
     }
 
-    m = (Prefix){in.dist, NULL, NULL, n, k, (int)q, 0, holder, guard, in.seen};
+    m = (Prefix){in.masks.buf, NULL, NULL, in.words, (int)q, 0, holder, guard, in.seen};
     memset(alive, 1, (size_t)S);
     for (i = 0; i < S * n; i++)
         wit[i] = -1;
@@ -652,10 +648,9 @@ join(const Instance *in, int j, int *order, int *slot, Py_ssize_t *size,
 static PyObject *
 certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "k", "dist", "states", "alive", "wit", "cap", NULL};
+    static char *kwlist[] = {"n", "masks", "states", "alive", "wit", "cap", NULL};
     Py_ssize_t n, cap, S, q, i, v, c, r, h, size = 0, room = 0, width;
-    long k;
-    PyObject *dist_obj, *states_obj, *alive_obj, *wit_obj;
+    PyObject *masks_obj, *states_obj, *alive_obj, *wit_obj;
     PyObject *members = NULL, *rows = NULL, *item, *result = NULL;
     Py_buffer aview = {0}, wview = {0};
     Instance in = {0};
@@ -665,11 +660,11 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
     Py_ssize_t *held = NULL;
     Matching m;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nlOOOOn:certificate_rows", kwlist,
-                                     &n, &k, &dist_obj, &states_obj, &alive_obj,
-                                     &wit_obj, &cap))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nOOOOn:certificate_rows", kwlist,
+                                     &n, &masks_obj, &states_obj, &alive_obj, &wit_obj,
+                                     &cap))
         return NULL;
-    if (read_instance(&in, n, dist_obj, states_obj) < 0
+    if (read_instance(&in, n, masks_obj, states_obj) < 0
             || PyObject_GetBuffer(alive_obj, &aview, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
         goto done;
     if (aview.itemsize != 1) {
@@ -688,7 +683,7 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
     S = in.S;
     q = in.q;
     width = n * (q + 1);
-    m = (Matching){in.dist, NULL, NULL, n, k, (int)q, in.owner, in.seen};
+    m = (Matching){in.masks.buf, NULL, NULL, in.words, (int)q, in.owner, in.seen};
     order = NEW(int, S);            /* order[h]: the h-th member found */
     slot = NEW(int, S);             /* slot[s]: h for member s, -1 for other states */
     /* fam[off[v]..off[v] + held[v]): the members holding v, ascending; the
@@ -815,19 +810,19 @@ static PyMethodDef methods[] = {
      "visited in work, an array('q') of 1 item (see ekdom._kernel.pure)."},
     {"run_elimination", (PyCFunction)(void (*)(void))run_elimination,
      METH_VARARGS | METH_KEYWORDS,
-     "run_elimination($module, /, n, k, dist, states, wit, budget=5000000, work=None)\n"
+     "run_elimination($module, /, n, masks, states, wit, budget=5000000, work=None)\n"
      "--\n\n"
-     "Greatest-fixed-point elimination; returns (alive, rounds, checks, exceeded),\n"
-     "leaves the witness table in wit, an array('i') of len(states) * n items,\n"
-     "and, when given, the work counters in work, an array('q') of 5 items\n"
-     "(see ekdom._kernel.pure)."},
+     "Greatest-fixed-point elimination on the balls in masks (as enumerate_states\n"
+     "reads them); returns (alive, rounds, checks, exceeded), leaves the witness\n"
+     "table in wit, an array('i') of len(states) * n items, and, when given, the\n"
+     "work counters in work, an array('q') of 5 items (see ekdom._kernel.pure)."},
     {"certificate_rows", (PyCFunction)(void (*)(void))certificate_rows,
      METH_VARARGS | METH_KEYWORDS,
-     "certificate_rows($module, /, n, k, dist, states, alive, wit, cap)\n"
+     "certificate_rows($module, /, n, masks, states, alive, wit, cap)\n"
      "--\n\n"
-     "Certificate rows of the family grown from the least survivor, answering\n"
-     "from the family first; returns (members, rows), or None past cap members\n"
-     "(see ekdom._kernel.pure)."},
+     "Certificate rows of the family grown from the least survivor, moving on the\n"
+     "balls in masks and answering from the family first; returns (members, rows),\n"
+     "or None past cap members (see ekdom._kernel.pure)."},
     {NULL, NULL, 0, NULL}
 };
 

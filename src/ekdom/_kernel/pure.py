@@ -1,6 +1,11 @@
 """Pure-Python configuration walk, elimination kernel and certificate
 closure (reference twins of ``_ckernel.c``).
 
+Geometry: the three entry points read the graph only through its ball
+masks (``masks``, laid out as in ``enumerate_states``): a guard on u
+walks to t in one step iff t lies in ball(u).  The sweep and the closure
+expand them once per call into reach rows, so a move test is a list index.
+
 State space: ``enumerate_states`` lists every size-q multiset of
 vertices whose balls cover the graph, in lexicographic order; its
 contract and its suffix prunes are in its docstring.
@@ -107,6 +112,23 @@ from .. import configs  # configs imports this package: read _match at call time
 from . import DEFAULT_BUDGET, KernelWork
 
 
+def _balls(n: int, masks: array) -> list[int]:
+    """Each vertex's ball as an int, from ``masks`` checked as ``_ckernel`` checks it."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    words, view = (n + 63) >> 6, memoryview(masks)
+    if view.format != "Q":
+        raise TypeError("masks must be an array('Q')")
+    if len(view) != n * words:
+        raise ValueError("masks must hold n * ((n + 63) // 64) items")
+    return [sum(view[v * words + w] << 64 * w for w in range(words)) for v in range(n)]
+
+
+def _reach(n: int, masks: array) -> list[list[int]]:
+    """``reach[u][t]``: 1 when t lies in the ball of u, else 0."""
+    return [[ball >> t & 1 for t in range(n)] for ball in _balls(n, masks)]
+
+
 def enumerate_states(n: int, q: int, masks: array, limit: int | None = None,
                      work: array | None = None) -> list[tuple]:
     """Size-q multisets of ``range(n)`` whose balls cover every vertex, as
@@ -135,14 +157,9 @@ def enumerate_states(n: int, q: int, masks: array, limit: int | None = None,
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    words = (n + 63) >> 6
-    if len(masks) != n * words:
-        raise ValueError("masks must hold n * ((n + 63) // 64) items")
+    balls = _balls(n, masks)
     if work is not None and len(work) != 1:
         raise ValueError("work must hold 1 item")
-    balls = [sum(masks[v * words + w] << 64 * w for w in range(words)) for v in range(n)]
     full = (1 << n) - 1
     reach = [0] * (n + 1)
     widest = [0] * (n + 1)
@@ -200,21 +217,17 @@ def _skip_table(states: list[tuple], q: int) -> list[int]:
     return skip
 
 
-def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
-                    wit: array, budget: int = DEFAULT_BUDGET, work: array | None = None):
+def run_elimination(n: int, masks: array, states: list[tuple], wit: array,
+                    budget: int = DEFAULT_BUDGET, work: array | None = None):
     """Gauss-Seidel elimination: deletions take effect within the pass."""
+    reach = _reach(n, masks)
     S = len(states)
     if len(wit) != S * n:
         raise ValueError("wit must hold len(states) * n items")
     if work is not None and len(work) != len(KernelWork._fields):
         raise ValueError("work must hold 5 items")
     probes = dead = matchings = matched = jumped = 0
-    if S == 0:
-        if work is not None:
-            work[:] = array("q", KernelWork())
-        return bytearray(), 0, 0, False
-    q = len(states[0])
-    rows = [dist[u * n:(u + 1) * n] for u in range(n)]
+    q = len(states[0]) if S else 0
     support = []
     cand: list[list[int]] = [[] for _ in range(n)]
     for i, st in enumerate(states):
@@ -238,7 +251,7 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
         t = dst[c]
         p = 0
         while True:
-            while p < q and (seen[p] or near[p][t] > k):
+            while p < q and (seen[p] or not near[p][t]):
                 p += 1
             if p < q:
                 seen[p] = True
@@ -260,7 +273,7 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
 
     checks = 0
     rounds = 0
-    changed = True
+    changed = S > 0
     exceeded = False
     while changed and not exceeded:
         changed = False
@@ -268,7 +281,7 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
         for i in range(S):
             if not alive[i]:
                 continue
-            near = [rows[u] for u in states[i]]  # near[p][t]: guard p to vertex t
+            near = [reach[u] for u in states[i]]  # near[p][t]: guard p to vertex t
             sup_i = support[i]
             pos_i = pos[i]
             base = i * n
@@ -328,8 +341,8 @@ def run_elimination(n: int, k: int, dist: list[int], states: list[tuple],
     return alive, rounds, checks, exceeded
 
 
-def certificate_rows(n: int, k: int, dist: list[int], states: list[tuple],
-                     alive: bytearray, wit: array, cap: int):
+def certificate_rows(n: int, masks: array, states: list[tuple], alive: bytearray,
+                     wit: array, cap: int):
     """Close the least survivor under responses drawn from the family, as
     certificate rows.
 
@@ -356,6 +369,7 @@ def certificate_rows(n: int, k: int, dist: list[int], states: list[tuple],
     is alive.  Raises ValueError when the table names no live state that
     answers an attack.
     """
+    reach = _reach(n, masks)
     S = len(states)
     if len(alive) != S:
         raise ValueError("alive must hold len(states) flags")
@@ -364,7 +378,6 @@ def certificate_rows(n: int, k: int, dist: list[int], states: list[tuple],
     first = next((i for i in range(S) if alive[i]), None)
     if first is None:
         return [], []
-    dist_rows = [dist[u * n:(u + 1) * n] for u in range(n)]
     held: list[list[int]] = [[] for _ in range(n)]  # family members holding v, ascending
     order = []  # members in order of discovery
     slot = {}
@@ -391,13 +404,13 @@ def certificate_rows(n: int, k: int, dist: list[int], states: list[tuple],
             owner = None
             hv = held[v]
             for j in hv[bisect_left(hv, lo):]:
-                owner = configs._match(dist_rows, cur, states[j], k)
+                owner = configs._match(reach, cur, states[j])
                 if owner is not None:
                     break
             else:
                 if lo < S and w not in slot:  # no member answers: the witness joins
                     j = w
-                    owner = configs._match(dist_rows, cur, states[j], k)
+                    owner = configs._match(reach, cur, states[j])
             if owner is None:
                 raise ValueError(f"no live state answers attack {v} on state {i}: "
                                  "the witness table does not fit alive")

@@ -45,24 +45,25 @@ def enumerate_dominating_configs(dist: DistMatrix, k: int, q: int,
     return _kernel.enumerate_states(n, q, masks, limit, work)
 
 
-def _match(dist: DistMatrix, src: Config, dst: Config, k: int) -> list[int] | None:
+def _match(reach, src: Config, dst: Config) -> list[int] | None:
     """Augmenting-path matching; returns dst-position -> src-position or None.
 
-    Each guard p of src in turn starts a depth-first search for an
-    augmenting path, trying dst positions in ascending order, as the
-    textbook recursion does; the path is kept on an explicit stack, so the
-    number of guards is not bounded by the interpreter's recursion limit.
+    ``reach[u][t]`` is true when a guard on u walks to t in one step.  Each
+    guard p of src in turn starts a depth-first search for an augmenting
+    path, trying dst positions in ascending order, as the textbook
+    recursion does; the path is kept on an explicit stack, so the number
+    of guards is not bounded by the interpreter's recursion limit.
     """
     q = len(src)
     owner = [-1] * q  # owner[c] = src position matched to dst position c
     for p in range(q):
         seen = bytearray(q)
         path = []  # (guard, position) steps of the path so far
-        row = dist[src[p]]
+        row = reach[src[p]]
         c = 0
         while True:
             c = seen.find(0, c)
-            while c >= 0 and row[dst[c]] > k:
+            while c >= 0 and not row[dst[c]]:
                 c = seen.find(0, c + 1)
             if c >= 0:
                 seen[c] = 1
@@ -72,11 +73,11 @@ def _match(dist: DistMatrix, src: Config, dst: Config, k: int) -> list[int] | No
                         owner[c] = p
                     break
                 p = owner[c]
-                row = dist[src[p]]
+                row = reach[src[p]]
                 c = 0
             elif path:  # no free position from p: back up to the step before
                 p, c = path.pop()
-                row = dist[src[p]]
+                row = reach[src[p]]
                 c += 1
             else:
                 return None
@@ -94,7 +95,7 @@ def transform_assignment(dist: DistMatrix, src: Config, dst: Config,
         raise ValueError("configurations differ in size")
     if k < 0:
         raise ValueError("k must be non-negative")
-    owner = _match(dist, src, dst, k)
+    owner = _match({u: [d <= k for d in dist[u]] for u in src}, src, dst)
     if owner is None:
         return None
     moves = [(0, 0)] * len(src)

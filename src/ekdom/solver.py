@@ -116,11 +116,6 @@ class SolveReport(NamedTuple):
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _flat_distances(g: Graph) -> list:
-    return [d for row in all_pairs_distances(g) for d in row]
-
-
-@lru_cache(maxsize=CACHE_SIZE)
 def _solve_q(g: Graph, k: int, q: int, budget: int
              ) -> tuple[frozenset, QStats, EternalCertificate | None]:
     """Survivors, statistics and certificate of guard count q.
@@ -144,19 +139,18 @@ def _solve_q(g: Graph, k: int, q: int, budget: int
         # so num_configs is a lower bound on the true count.
         return frozenset(), QStats(q, len(states), 0, 0, 0, True,
                                    prefixes=walked[0]), None
-    flat = _flat_distances(g)
+    masks = _kernel.pack_masks(ball_masks(dist, k), g.n)
     wit = array("i", [-1]) * (len(states) * g.n)
     work = array("q", KernelWork())
     alive, rounds, checks, exceeded = _kernel.run_elimination(
-        g.n, k, flat, states, wit, budget=budget, work=work)
+        g.n, masks, states, wit, budget=budget, work=work)
     survivors = frozenset() if exceeded else frozenset(
         states[i] for i in range(len(states)) if alive[i])
     stats = QStats(q, len(states), rounds, checks, len(survivors), exceeded,
                    KernelWork(*work), walked[0])
     cert = None
     if survivors:
-        closure = _kernel.certificate_rows(g.n, k, flat, states, alive, wit,
-                                           CERTIFICATE_CAP)
+        closure = _kernel.certificate_rows(g.n, masks, states, alive, wit, CERTIFICATE_CAP)
         if closure is not None:
             members, rows = closure
             cert = EternalCertificate(k, q, tuple(states[i] for i in members), rows)
@@ -168,6 +162,8 @@ def eternal_survivors(g: Graph, k: int, q: int, budget: int = DEFAULT_BUDGET) ->
 
     Raises BudgetExceededError when the instance does not fit the budget.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if not is_connected(g):
         raise ValueError("survivor sets are defined per connected graph")
     survivors, stats, _ = _solve_q(g, k, q, budget)

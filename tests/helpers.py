@@ -23,9 +23,10 @@ from collections import deque
 from itertools import combinations, permutations, product
 from typing import Iterator
 
-from ekdom._kernel import run_elimination
+from ekdom._kernel import pack_masks, run_elimination
 from ekdom.closed_forms import cycle_number
 from ekdom.configs import _match, enumerate_dominating_configs, transform_assignment
+from ekdom.domination import ball_masks
 from ekdom.graph import (Graph, all_pairs_distances, delete_vertices, diameter,
                          is_connected, is_tree)
 from ekdom.solver import BudgetExceededError, EternalCertificate
@@ -287,23 +288,23 @@ def reverse_sweep_survivors(g: Graph, k: int, q: int) -> frozenset:
     dist = all_pairs_distances(g)
     states = enumerate_dominating_configs(dist, k, q)[::-1]
     alive, _, checks, exceeded = run_elimination(
-        g.n, k, [d for row in dist for d in row], states,
+        g.n, pack_masks(ball_masks(dist, k), g.n), states,
         array("i", [0]) * (len(states) * g.n))
     if exceeded:
         raise BudgetExceededError(f"q={q}: {checks} checks exceeded the budget")
     return frozenset(st for st, live in zip(states, alive) if live)
 
 
-def reference_elimination(n: int, k: int, dist: list[int], states: list[tuple],
-                          wit: array, budget: int):
+def reference_elimination(dist, k: int, states: list[tuple], wit: array, budget: int):
     """The kernels' Gauss-Seidel sweep as a plain cursor scan.
 
     Same contract and results as ``_kernel.run_elimination``, but every
     live candidate the cursor meets gets one full ``configs._match`` of
-    the two states: no run skip, no prefix reuse and no memo.
+    the two states: no run skip, no prefix reuse and no memo.  Moves are
+    read off the distance matrix ``dist``, not off the kernels' ball masks.
     """
-    S = len(states)
-    rows = [dist[u * n:(u + 1) * n] for u in range(n)]
+    n, S = len(dist), len(states)
+    reach = [[d <= k for d in row] for row in dist]
     cand = [[i for i, st in enumerate(states) if v in st] for v in range(n)]
     alive = bytearray([1]) * S
     pos = [[0] * n for _ in range(S)]
@@ -328,7 +329,7 @@ def reference_elimination(n: int, k: int, dist: list[int], states: list[tuple],
                 cv = cand[v]
                 p = pos[i][v]
                 while p < len(cv) and not (
-                        alive[cv[p]] and _match(rows, states[i], states[cv[p]], k) is not None):
+                        alive[cv[p]] and _match(reach, states[i], states[cv[p]]) is not None):
                     p += 1
                 pos[i][v] = p
                 if p < len(cv):

@@ -10,6 +10,7 @@ temporary directory and loaded from there, outside the package, so the
 comparison still runs wherever a C compiler exists.
 """
 import importlib.util
+import inspect
 import random
 from array import array
 import shlex
@@ -66,9 +67,8 @@ def compiled(tmp_path_factory):
 
 def _instance(g, k, q):
     dist = all_pairs_distances(g)
-    flat = [d for row in dist for d in row]
     states = enumerate_dominating_configs(dist, k, q)
-    return g.n, k, flat, states
+    return g.n, _packed_balls(g, k), states
 
 
 def _corpus():
@@ -86,14 +86,14 @@ def _corpus():
         yield _instance(g, k, q)
 
 
-def _assert_agree(compiled, n, k, flat, states, budget):
+def _assert_agree(compiled, n, masks, states, budget):
     # Different fill values: each kernel must overwrite every entry.
     wit_c = array("i", [7]) * (len(states) * n)
     wit_py = array("i", [-7]) * (len(states) * n)
     work_c = array("q", [3]) * len(KernelWork._fields)
     work_py = array("q", [-3]) * len(KernelWork._fields)
-    got_c = compiled.run_elimination(n, k, flat, states, wit_c, budget, work=work_c)
-    got_py = pure.run_elimination(n, k, flat, states, wit_py, budget, work=work_py)
+    got_c = compiled.run_elimination(n, masks, states, wit_c, budget, work=work_c)
+    got_py = pure.run_elimination(n, masks, states, wit_py, budget, work=work_py)
     assert type(got_c[0]) is bytearray and bytes(got_c[0]) == bytes(got_py[0])
     assert got_c[1:] == got_py[1:]
     assert wit_c == wit_py
@@ -101,28 +101,28 @@ def _assert_agree(compiled, n, k, flat, states, budget):
     probes, dead, matchings, matched, jumped = work_c
     assert probes == dead + matchings and 0 <= matched <= matchings and jumped >= 0
     if not got_c[3]:
-        _assert_rows_agree(compiled, n, k, flat, states, got_c[0], wit_c)
+        _assert_rows_agree(compiled, n, masks, states, got_c[0], wit_c)
     return got_c, wit_c
 
 
-def _assert_rows_agree(compiled, n, k, flat, states, alive, wit, cap=20_000):
+def _assert_rows_agree(compiled, n, masks, states, alive, wit, cap=20_000):
     """Both kernels' certificate closures; they must be equal."""
-    got_c = compiled.certificate_rows(n, k, flat, states, alive, wit, cap)
-    got_py = pure.certificate_rows(n, k, flat, states, alive, wit, cap)
+    got_c = compiled.certificate_rows(n, masks, states, alive, wit, cap)
+    got_py = pure.certificate_rows(n, masks, states, alive, wit, cap)
     assert got_c == got_py
     return got_c
 
 
 def test_kernels_agree_exactly(compiled):
-    for n, k, flat, states in _corpus():
+    for n, masks, states in _corpus():
         for sweep in (states, states[::-1]):
             for budget in (5_000_000, 100):
-                _assert_agree(compiled, n, k, flat, sweep, budget)
+                _assert_agree(compiled, n, masks, sweep, budget)
 
 
 def test_kernels_agree_when_budget_trips(compiled):
-    n, k, flat, states = _instance(path_graph(10), 2, 4)
-    got, _ = _assert_agree(compiled, n, k, flat, states, 100)
+    n, masks, states = _instance(path_graph(10), 2, 4)
+    got, _ = _assert_agree(compiled, n, masks, states, 100)
     assert got[3] is True
 
 
@@ -133,13 +133,14 @@ def test_kernels_agree_when_budget_trips(compiled):
 def test_kernels_agree_on_random_graphs(compiled, n, extra, rng, k, q, reverse, budget):
     # The run skips and the prefix reuse pass only unreachable states, so
     # both kernels sweep exactly like one full matching per live candidate.
+    # The reference reads distances, the kernels ball masks.
     g = random_connected_graph(n, extra, rng)
-    n, k, flat, states = _instance(g, k, q)
+    n, masks, states = _instance(g, k, q)
     if reverse:
         states = states[::-1]
-    got, table = _assert_agree(compiled, n, k, flat, states, budget)
+    got, table = _assert_agree(compiled, n, masks, states, budget)
     wit = array("i", [0]) * (len(states) * n)
-    expected = reference_elimination(n, k, flat, states, wit, budget)
+    expected = reference_elimination(all_pairs_distances(g), k, states, wit, budget)
     assert bytes(got[0]) == bytes(expected[0]) and got[1:] == expected[1:]
     assert table == wit
 
@@ -152,11 +153,11 @@ def test_certificate_rows_match_the_survivor_scan(compiled, n, extra, rng, k, ex
     # multisets with a repeated post dominate too.
     g = random_connected_graph(n, extra, rng)
     q = gamma_k(g, k).gamma + extra_guard
-    n, k, flat, states = _instance(g, k, q)
+    n, masks, states = _instance(g, k, q)
     wit = array("i", [0]) * (len(states) * n)
-    alive, _, _, exceeded = pure.run_elimination(n, k, flat, states, wit)
+    alive, _, _, exceeded = pure.run_elimination(n, masks, states, wit)
     assert not exceeded
-    got = _assert_rows_agree(compiled, n, k, flat, states, alive, wit)
+    got = _assert_rows_agree(compiled, n, masks, states, alive, wit)
     survivors = frozenset(st for st, live in zip(states, alive) if live)
     if not survivors:
         assert got == ([], [])
@@ -167,8 +168,8 @@ def test_certificate_rows_match_the_survivor_scan(compiled, n, extra, rng, k, ex
     assert rows == expected.rows
     # One member short of the closure: both kernels give up.
     for kernel in (compiled, pure):
-        assert kernel.certificate_rows(n, k, flat, states, alive, wit, len(members) - 1) is None
-        assert kernel.certificate_rows(n, k, flat, states, alive, wit, len(members)) == got
+        assert kernel.certificate_rows(n, masks, states, alive, wit, len(members) - 1) is None
+        assert kernel.certificate_rows(n, masks, states, alive, wit, len(members)) == got
 
 
 def test_certificate_rows_fit_a_cap_the_least_survivor_closure_passes(compiled):
@@ -176,32 +177,46 @@ def test_certificate_rows_fit_a_cap_the_least_survivor_closure_passes(compiled):
     # reachable survivor closes 464 members; drawing on the family first,
     # 95.
     g = cycle_graph(30)
-    n, k, flat, states = _instance(g, 3, 5)
+    n, masks, states = _instance(g, 3, 5)
     wit = array("i", [0]) * (len(states) * n)
-    alive, _, _, exceeded = compiled.run_elimination(n, k, flat, states, wit)
+    alive, _, _, exceeded = compiled.run_elimination(n, masks, states, wit)
     assert not exceeded and sum(alive) == len(states) == 756
     survivors = frozenset(states)
-    assert len(least_survivor_certificate(g, k, 5, survivors).family) == 464
-    got = _assert_rows_agree(compiled, n, k, flat, states, alive, wit, cap=100)
+    assert len(least_survivor_certificate(g, 3, 5, survivors).family) == 464
+    got = _assert_rows_agree(compiled, n, masks, states, alive, wit, cap=100)
     assert got is not None and len(got[0]) == 95 and len(got[1]) == 95 * n
-    expected = reference_certificate(g, k, 5, survivors)
+    expected = reference_certificate(g, 3, 5, survivors)
     assert (tuple(states[i] for i in got[0]), got[1]) == (expected.family, expected.rows)
 
 
-def test_compiled_kernel_rejects_malformed_input(compiled):
-    n, k, flat, states = _instance(path_graph(5), 1, 2)
-    bad = [
-        (ValueError, flat[:-1], states),                 # dist not n*n
-        (ValueError, flat, states + [(0, 1, 2)]),        # states differ in size
-        (ValueError, flat, [(0, n)]),                    # vertex out of range
-        (ValueError, flat, [(3, 1)]),                    # not sorted
-        (TypeError, flat, [(0, 1.5)]),                   # not an int
-        (TypeError, flat[:-1] + [None], states),
+def _bad_masks(masks):
+    """Malformed ``masks`` for the ball masks of P5, with the error each
+    kernel entry point must raise."""
+    return [
+        (ValueError, masks[:-1]),                      # one word short
+        (ValueError, masks + array("Q", [0])),         # one word long
+        (TypeError, list(masks)),                      # not a buffer
+        (TypeError, array("q", masks)),                # signed words
+        (ValueError, _packed_balls(path_graph(6), 1)),  # masks for 6 vertices
     ]
-    for error, dist, sts in bad:
-        with pytest.raises(error):
-            compiled.run_elimination(n, k, dist, sts, array("i", [0]) * (len(sts) * n))
+
+
+def test_compiled_kernel_rejects_malformed_input(compiled):
+    n, masks, states = _instance(path_graph(5), 1, 2)
     size = len(states) * n
+    for kernel in (compiled, pure):
+        for error, bad in _bad_masks(masks):
+            with pytest.raises(error):
+                kernel.run_elimination(n, bad, states, array("i", [0]) * size)
+    bad = [
+        (ValueError, states + [(0, 1, 2)]),        # states differ in size
+        (ValueError, [(0, n)]),                    # vertex out of range
+        (ValueError, [(3, 1)]),                    # not sorted
+        (TypeError, [(0, 1.5)]),                   # not an int
+    ]
+    for error, sts in bad:
+        with pytest.raises(error):
+            compiled.run_elimination(n, masks, sts, array("i", [0]) * (len(sts) * n))
     # A sentinel tail past a short table shows nothing is written out of bounds.
     short = array("i", [5]) * (size + 8)
     view = memoryview(short)[:size - 1]
@@ -213,7 +228,7 @@ def test_compiled_kernel_rejects_malformed_input(compiled):
     ]
     for error, wit in bad_wit:
         with pytest.raises(error):
-            compiled.run_elimination(n, k, flat, states, wit)
+            compiled.run_elimination(n, masks, states, wit)
     view.release()
     assert short == array("i", [5]) * (size + 8)
     wit = array("i", [0]) * size
@@ -225,11 +240,10 @@ def test_compiled_kernel_rejects_malformed_input(compiled):
     ]
     for error, work in bad_work:
         with pytest.raises(error):
-            compiled.run_elimination(n, k, flat, states, wit, work=work)
+            compiled.run_elimination(n, masks, states, wit, work=work)
     with pytest.raises(ValueError):
-        pure.run_elimination(n, k, flat, states, wit, work=array("q", [0]) * 4)
+        pure.run_elimination(n, masks, states, wit, work=array("q", [0]) * 4)
     # The walk.
-    masks = _packed_balls(path_graph(5), 1)
     args = dict(n=5, q=2, masks=masks, limit=None)
     bad_walk = [
         dict(q=0),                                   # no guard
@@ -341,10 +355,10 @@ def test_pure_twins_take_more_guards_than_the_recursion_limit(monkeypatch):
 
 
 def test_certificate_rows_reject_malformed_input(compiled):
-    n, k, flat, states = _instance(path_graph(5), 2, 2)
+    n, masks, states = _instance(path_graph(5), 2, 2)
     size = len(states) * n
     wit = array("i", [0]) * size
-    alive, _, _, _ = pure.run_elimination(n, k, flat, states, wit)
+    alive, _, _, _ = pure.run_elimination(n, masks, states, wit)
     both = [
         (ValueError, alive[:-1], wit),                     # alive one flag short
         (ValueError, alive + b"\x01", wit),                 # alive one flag long
@@ -356,7 +370,10 @@ def test_certificate_rows_reject_malformed_input(compiled):
     for kernel in (compiled, pure):
         for error, flags, table in both:
             with pytest.raises(error):
-                kernel.certificate_rows(n, k, flat, states, flags, table, 100)
+                kernel.certificate_rows(n, masks, states, flags, table, 100)
+        for error, bad in _bad_masks(masks):
+            with pytest.raises(error):
+                kernel.certificate_rows(n, bad, states, alive, wit, 100)
     compiled_only = [
         (TypeError, alive, array("q", [0]) * size),   # 8-byte witness items
         (TypeError, list(alive), wit),                # alive not a buffer
@@ -365,10 +382,17 @@ def test_certificate_rows_reject_malformed_input(compiled):
     ]
     for error, flags, table in compiled_only:
         with pytest.raises(error):
-            compiled.certificate_rows(n, k, flat, states, flags, table, 100)
-    with pytest.raises(ValueError):
-        compiled.certificate_rows(n, k, flat[:-1], states, alive, wit, 100)
+            compiled.certificate_rows(n, masks, states, flags, table, 100)
     # Read-only buffers are fine: the closure only reads them.
-    got = compiled.certificate_rows(n, k, flat, states, bytes(alive),
+    got = compiled.certificate_rows(n, masks, states, bytes(alive),
                                     memoryview(wit).toreadonly(), 100)
-    assert got == pure.certificate_rows(n, k, flat, states, alive, wit, 100)
+    assert got == pure.certificate_rows(n, masks, states, alive, wit, 100)
+
+
+def test_twins_name_the_same_arguments(compiled):
+    # The compiled signatures are hand-written, callers such as the e2e
+    # tracer bind arguments by name, and a stale build fails here first.
+    for name in ("enumerate_states", "run_elimination", "certificate_rows"):
+        got = [[(p.name, p.default) for p in inspect.signature(getattr(kernel, name))
+                .parameters.values()] for kernel in (compiled, pure)]
+        assert got[0] == got[1], name

@@ -1,4 +1,5 @@
 """The game engine against naive fixed points, formulas and mutations."""
+import inspect
 import json
 import random
 import tracemalloc
@@ -274,7 +275,8 @@ def test_repeated_queries_reuse_one_solve(monkeypatch):
     run = ekdom._kernel.run_elimination
 
     def spy(*args, **kwargs):
-        tables.append(weakref.ref(args[4]))
+        bound = inspect.signature(run).bind(*args, **kwargs)
+        tables.append(weakref.ref(bound.arguments["wit"]))
         return run(*args, **kwargs)
 
     monkeypatch.setattr(ekdom._kernel, "run_elimination", spy)
@@ -363,6 +365,9 @@ def test_argument_validation():
     p3 = path_graph(3)
     with pytest.raises(ValueError):
         eternal_number(p3, 0)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            eternal_survivors(path_graph(4), k, 4)
     with pytest.raises(ValueError):
         is_eternal_set(p3, 2, [7])
     with pytest.raises(ValueError):
