@@ -228,14 +228,13 @@ def run_elimination(n: int, masks: array, states: list[tuple], wit: array,
         raise ValueError("work must hold 5 items")
     probes = dead = matchings = matched = jumped = 0
     q = len(states[0]) if S else 0
-    support = []
+    free = []  # free[i]: the vertices state i leaves unoccupied, ascending
     cand: list[list[int]] = [[] for _ in range(n)]
     for i, st in enumerate(states):
-        sm = 0
-        for u in set(st):
-            sm |= 1 << u
+        occupied = set(st)
+        for u in occupied:
             cand[u].append(i)
-        support.append(sm)
+        free.append([v for v in range(n) if v not in occupied])
     skip = _skip_table(states, q)
     alive = bytearray([1]) * S
     pos = [[0] * n for _ in range(S)]
@@ -282,15 +281,12 @@ def run_elimination(n: int, masks: array, states: list[tuple], wit: array,
             if not alive[i]:
                 continue
             near = [reach[u] for u in states[i]]  # near[p][t]: guard p to vertex t
-            sup_i = support[i]
             pos_i = pos[i]
             base = i * n
             holder[:] = [-1] * q
             last = None  # posts of the last candidate matched against i
             placed = 0   # its posts 0..placed-1 hold guards
-            for v in range(n):
-                if sup_i >> v & 1:
-                    continue  # standing still answers an occupied vertex
+            for v in free[i]:  # standing still answers an occupied vertex
                 checks += 1
                 if checks > budget:
                     exceeded = True

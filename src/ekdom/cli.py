@@ -10,10 +10,12 @@ power-check mismatch.
 """
 from __future__ import annotations
 
-import argparse
 import json  # module-level: e2ebench/tracer.py swaps ekdom.cli.json
+import os
+import re
 import sys
 import warnings
+from types import SimpleNamespace
 
 from . import _kernel
 from .domination import gamma_k
@@ -43,80 +45,147 @@ def _load_graph(path: str) -> Graph:
     return g
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports usage errors with EXIT_PARSE instead of argparse's 2 (EXIT_BUDGET)."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _at_least(low: int):
+    """An int converter that refuses values below ``low``."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+    return convert
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+# The command line, one entry per subcommand: (help, options, positionals).
+# An option is (flag and metavar as usage shows them, converter or None for a
+# plain flag, default, help); default ``...`` marks it required.  A positional
+# is (name, converter or a tuple of choices, help); "args..." takes the rest.
+_K = ("-k K", int, ..., "guard movement radius")
+_BUDGET = ("--max-states N", _at_least(0), DEFAULT_BUDGET,
+           "(configuration, attack) check budget per guard count")
+_JSON = ("--json", None, False, "print the result as JSON")
+_FILE = ("file", str, "edge-list or DOT-subset file ('-' for stdin)")
+_TABLE = {
+    "gamma": ("static distance-k domination number", [_K, _JSON], [_FILE]),
+    "eternal": ("eternal distance-k domination number", [
+        _K, _BUDGET, ("--qmax N", _at_least(1), None, "stop after this guard count"),
+        ("--certificate OUT.json", str, None, "write the defense certificate here"), _JSON],
+        [_FILE]),
+    "verify": ("check a certificate against a graph", [],
+               [("certificate", str, "certificate JSON file"), ("file", str, "graph file")]),
+    "reduce": ("tree reduction trace as JSON", [_K], [_FILE]),
+    "closed-form": ("formula values for named families", [],
+                    [("family", ("path", "cycle", "mary"), "named family"),
+                     ("args...", int, "path/cycle: N K; mary: M D K")]),
+    "power-check": ("compare (G, k) against (G^k, 1)", [_K, _BUDGET], [_FILE]),
+    "bounds": ("sandwich, spanning-tree and decomposition bounds", [_K, _BUDGET, _JSON],
+               [_FILE]),
+    "gen": ("emit a named family as an edge list", [("--dot", None, False, "emit DOT instead")],
+            [("family", ("path", "cycle", "mary", "spider", "pnl", "substar"), "named family"),
+             ("args...", int, "path/cycle: N; mary: M D; spider: LEG...; pnl: N K Z; "
+                              "substar: N K")]),
+}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, not an option, as in argparse
 
 
-def _add_common(p: argparse.ArgumentParser, budget: bool = True) -> None:
-    p.add_argument("-k", type=int, required=True, help="guard movement radius")
-    p.add_argument("file", help="edge-list or DOT-subset file ('-' for stdin)")
-    if budget:
-        p.add_argument("--max-states", type=_non_negative_int, default=DEFAULT_BUDGET,
-                       help="(configuration, attack) check budget per guard count")
+def _exit(command: str | None, error: str | None = None):
+    """Print the help of ``command`` (None: ekdom itself) and exit 0, or with
+    ``error`` print its usage line and the error on stderr and exit 1."""
+    if command is None:
+        prog, words = "ekdom", ["COMMAND ..."]
+        about = "Exact eternal distance-k domination: numbers, bounds, certificates."
+        rows = [(name, entry[0]) for name, entry in _TABLE.items()]
+    else:
+        prog, (about, options, positionals) = f"ekdom {command}", _TABLE[command]
+        words = [o[0] if o[2] is ... else f"[{o[0]}]" for o in options]
+        words += [p[0] for p in positionals]
+        rows = [(o[0], o[3]) for o in options] + [
+            (name, f"{h}: {', '.join(to)}" if isinstance(to, tuple) else h)
+            for name, to, h in positionals]
+    usage = " ".join(["usage:", prog, "[-h]", *words])
+    if error is not None:
+        sys.stderr.write(f"{usage}\n{prog}: error: {error}\n")
+        raise SystemExit(EXIT_PARSE)
+    width = 2 + max(len(left) for left, _ in rows)
+    print("\n".join([usage, "", about, ""] + [f"  {left:<{width}}{h}" for left, h in rows]))
+    raise SystemExit(EXIT_OK)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = _Parser(
-        prog="ekdom",
-        description="Exact eternal distance-k domination: numbers, bounds, certificates.")
-    sub = top.add_subparsers(dest="command", required=True)
+def _option(arg: str, flags) -> tuple[str, str | None] | None:
+    """None when argparse read ``arg`` as a value (``-`` and negative numbers
+    too); else the flag it names ("" for an unknown or ambiguous one) and the
+    value it carries, or None.  Long flags match by unique prefix."""
+    if arg[:1] != "-" or arg == "-" or _NEGATIVE.match(arg):
+        return None
+    if arg.startswith("--"):  # --qmax 3 or --qmax=3
+        name, eq, value = arg.partition("=")
+    else:  # -k 2, -k2 or -k=2
+        name, eq, value = arg[:2], len(arg) > 2, arg[2:].removeprefix("=")
+    hits = [name] if name in flags else [
+        f for f in flags if len(name) > 2 and f.startswith(name)]
+    return (hits[0] if len(hits) == 1 else ""), (value if eq else None)
 
-    p = sub.add_parser("gamma", help="static distance-k domination number")
-    _add_common(p, budget=False)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("eternal", help="eternal distance-k domination number")
-    _add_common(p)
-    p.add_argument("--qmax", type=_positive_int, default=None,
-                   help="stop after this guard count")
-    p.add_argument("--certificate", metavar="OUT.json", default=None,
-                   help="write the defense certificate here")
-    p.add_argument("--json", action="store_true")
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """Read ``argv`` against ``_TABLE``, options before or after positionals."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _exit(None)
+    if command not in _TABLE:
+        _exit(None, "a command is required" if command is None
+              else f"invalid command: {command!r}")
+    _, options, positionals = _TABLE[command]
+    spec = {o[0].split()[0]: o for o in options}
+    dest = {flag: flag.lstrip("-").replace("-", "_") for flag in spec}
+    args = SimpleNamespace(command=command, **{dest[f]: o[2] for f, o in spec.items()})
 
-    p = sub.add_parser("verify", help="check a certificate against a graph")
-    p.add_argument("certificate", help="certificate JSON file")
-    p.add_argument("file", help="graph file")
+    def convert(name: str, to, text: str):
+        if isinstance(to, tuple):
+            if text in to:
+                return text
+            _exit(command, f"argument {name}: invalid choice: {text!r} "
+                           f"(choose from {', '.join(to)})")
+        try:
+            return to(text)
+        except ValueError as exc:
+            _exit(command, f"argument {name}: {exc}")
 
-    p = sub.add_parser("reduce", help="tree reduction trace as JSON")
-    _add_common(p, budget=False)
-
-    p = sub.add_parser("closed-form", help="formula values for named families")
-    p.add_argument("family", choices=["path", "cycle", "mary"])
-    p.add_argument("args", type=int, nargs="+",
-                   help="path/cycle: N K; mary: M D K")
-
-    p = sub.add_parser("power-check", help="compare (G, k) against (G^k, 1)")
-    _add_common(p)
-
-    p = sub.add_parser("bounds", help="sandwich, spanning-tree and decomposition bounds")
-    _add_common(p)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("gen", help="emit a named family as an edge list")
-    p.add_argument("family", choices=["path", "cycle", "mary", "spider", "pnl", "substar"])
-    p.add_argument("args", type=int, nargs="+",
-                   help="path/cycle: N; mary: M D; spider: LEG...; pnl: N K Z; substar: N K")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead")
-
-    return top
+    flags = ["-h", "--help", *spec]
+    values, rest = [], iter(argv[1:])
+    for arg in rest:
+        if arg == "--":  # the rest are positionals
+            values.extend(rest)
+            break
+        option = _option(arg, flags)
+        if option is None:
+            values.append(arg)
+            continue
+        flag, value = option
+        if flag in ("-h", "--help"):
+            _exit(command)
+        if not flag:
+            _exit(command, f"unrecognized arguments: {arg}")
+        to = spec[flag][1]
+        if to is None and value is not None:
+            _exit(command, f"argument {flag}: ignored explicit argument {value!r}")
+        if to is not None and value is None:
+            value = next(rest, None)
+            if value is None or _option(value, flags) is not None:
+                _exit(command, f"argument {flag}: expected one argument")
+        setattr(args, dest[flag], True if to is None else convert(flag, to, value))
+    missing = [f for f in spec if getattr(args, dest[f]) is ...]
+    for name, to, _ in positionals:
+        many = name.endswith("...")
+        taken, values = (values, []) if many else (values[:1], values[1:])
+        if not taken:
+            missing.append(name)
+            continue
+        taken = [convert(name, to, text) for text in taken]
+        setattr(args, name.removesuffix("..."), taken if many else taken[0])
+    if missing:
+        _exit(command, f"the following arguments are required: {', '.join(missing)}")
+    if values:
+        _exit(command, f"unrecognized arguments: {' '.join(values)}")
+    return args
 
 
 def _cmd_gamma(args) -> int:
@@ -130,9 +199,25 @@ def _cmd_gamma(args) -> int:
     return EXIT_OK
 
 
+def _claim(path: str | None) -> bool:
+    """Open ``path`` for appending, so that an unwritable certificate path
+    fails before the solve and an existing file keeps its bytes; True when
+    this created the file."""
+    if not path:
+        return False
+    created = not os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()
+    return created
+
+
 def _cmd_eternal(args) -> int:
     g = _load_graph(args.file)
-    report = eternal_number(g, args.k, q_max=args.qmax, budget=args.max_states)
+    created, report = _claim(args.certificate), None
+    try:
+        report = eternal_number(g, args.k, q_max=args.qmax, budget=args.max_states)
+    finally:
+        if created and (report is None or report.certificate is None):
+            os.remove(args.certificate)  # no certificate comes out
     c = report.certificate
     payload = {
         "k": args.k,
@@ -315,7 +400,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return _COMMANDS[args.command](args)
     except ParseError as exc:

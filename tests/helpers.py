@@ -8,7 +8,8 @@ matter.  Three exceptions drive package code a different way:
 ``reference_elimination`` runs the kernels' sweep as a plain cursor scan
 with one full matching per live candidate, and ``reference_certificate``
 and ``least_survivor_certificate`` build certificates by plain survivor
-scans.
+scans.  ``reference_parser`` is the argparse command line that
+``ekdom.cli`` parsed with before its table-driven parser.
 The graph and movement utilities that only the tests use (edge deletion,
 k-neighbourhoods, the movement predicate, the diameter rule, the
 Hamiltonian bound and the classical k = 1 tree trimming) live here too,
@@ -16,20 +17,23 @@ not in the package.
 """
 from __future__ import annotations
 
+import argparse
 import heapq
 import random
+import sys
 from array import array
 from collections import deque
 from itertools import combinations, permutations, product
 from typing import Iterator
 
 from ekdom._kernel import pack_masks, run_elimination
+from ekdom.cli import EXIT_PARSE
 from ekdom.closed_forms import cycle_number
 from ekdom.configs import _match, enumerate_dominating_configs, transform_assignment
 from ekdom.domination import ball_masks
 from ekdom.graph import (Graph, all_pairs_distances, delete_vertices, diameter,
                          is_connected, is_tree)
-from ekdom.solver import BudgetExceededError, EternalCertificate
+from ekdom.solver import DEFAULT_BUDGET, BudgetExceededError, EternalCertificate
 
 DEFAULT_SEED = 20240811
 
@@ -461,3 +465,79 @@ def eternal_one_tree(t: Graph) -> int:
         if cur is None:
             raise AssertionError("irreducible non-star tree; trimming rules are incomplete")
         trims += 1
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with EXIT_PARSE instead of argparse's 2 (EXIT_BUDGET)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_common(p: argparse.ArgumentParser, budget: bool = True) -> None:
+    p.add_argument("-k", type=int, required=True, help="guard movement radius")
+    p.add_argument("file", help="edge-list or DOT-subset file ('-' for stdin)")
+    if budget:
+        p.add_argument("--max-states", type=_non_negative_int, default=DEFAULT_BUDGET,
+                       help="(configuration, attack) check budget per guard count")
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    top = _Parser(
+        prog="ekdom",
+        description="Exact eternal distance-k domination: numbers, bounds, certificates.")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("gamma", help="static distance-k domination number")
+    _add_common(p, budget=False)
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("eternal", help="eternal distance-k domination number")
+    _add_common(p)
+    p.add_argument("--qmax", type=_positive_int, default=None,
+                   help="stop after this guard count")
+    p.add_argument("--certificate", metavar="OUT.json", default=None,
+                   help="write the defense certificate here")
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("verify", help="check a certificate against a graph")
+    p.add_argument("certificate", help="certificate JSON file")
+    p.add_argument("file", help="graph file")
+
+    p = sub.add_parser("reduce", help="tree reduction trace as JSON")
+    _add_common(p, budget=False)
+
+    p = sub.add_parser("closed-form", help="formula values for named families")
+    p.add_argument("family", choices=["path", "cycle", "mary"])
+    p.add_argument("args", type=int, nargs="+",
+                   help="path/cycle: N K; mary: M D K")
+
+    p = sub.add_parser("power-check", help="compare (G, k) against (G^k, 1)")
+    _add_common(p)
+
+    p = sub.add_parser("bounds", help="sandwich, spanning-tree and decomposition bounds")
+    _add_common(p)
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("gen", help="emit a named family as an edge list")
+    p.add_argument("family", choices=["path", "cycle", "mary", "spider", "pnl", "substar"])
+    p.add_argument("args", type=int, nargs="+",
+                   help="path/cycle: N; mary: M D; spider: LEG...; pnl: N K Z; substar: N K")
+    p.add_argument("--dot", action="store_true", help="emit DOT instead")
+
+    return top

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import ekdom
-from ekdom.cli import main
+from ekdom.cli import _parse, main
 from ekdom.graph import all_pairs_distances, parse_graph
-from ekdom.solver import certificate_from_json, verify_certificate
+from ekdom.solver import BudgetExceededError, certificate_from_json, verify_certificate
+from helpers import reference_parser
 
 
 def run(capsys, *argv):
@@ -355,15 +356,157 @@ def test_usage_errors_exit_with_parse_code(capsys, argv):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_other_subcommands_modules_out():
-    # eternal and verify start without the modules only other subcommands
-    # use, and without dataclasses and the inspect and ast modules it loads.
-    code = ("import sys, ekdom.cli; print(sorted(m for m in ('ekdom.bounds', "
-            "'ekdom.closed_forms', 'ekdom.mary', 'ekdom.reductions', 'dataclasses', "
-            "'inspect', 'ast') if m in sys.modules))")
+def test_cli_import_leaves_other_subcommands_modules_out(tmp_path):
+    # eternal and verify run without the modules only other subcommands
+    # use, without dataclasses and the inspect and ast modules it loads, and
+    # without argparse and the gettext and locale modules it loads.
+    graph_file, cert_file = tmp_path / "p5.edges", tmp_path / "cert.json"
+    graph_file.write_text("".join(f"{i} {i + 1}\n" for i in range(4)))
+    code = ("import sys, ekdom.cli; "
+            f"ekdom.cli.main(['eternal', '-k', '2', {str(graph_file)!r}, "
+            f"'--certificate', {str(cert_file)!r}]); "
+            f"ekdom.cli.main(['verify', {str(cert_file)!r}, {str(graph_file)!r}]); "
+            "print(sorted(m for m in ('ekdom.bounds', 'ekdom.closed_forms', 'ekdom.mary', "
+            "'ekdom.reductions', 'dataclasses', 'inspect', 'ast', 'argparse', 'gettext', "
+            "'locale') if m in sys.modules))")
     src = str(Path(ekdom.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True, timeout=60)
-    assert done.stdout.strip() == "[]"
+    lines = done.stdout.splitlines()
+    assert "certificate ok" in lines[-2]
+    assert lines[-1] == "[]"
+
+
+def _outcome(parse, argv):
+    """vars() of the parsed namespace, or ("exit", code) for a usage error."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return ("exit", exc.code)
+
+
+ARGV = [
+    # every subcommand
+    ["gamma", "-k", "2", "g.edges"],
+    ["gamma", "-k", "2", "g.edges", "--json"],
+    ["eternal", "-k", "2", "g.edges"],
+    ["verify", "c.json", "g.edges"],
+    ["reduce", "-k", "1", "t.edges"],
+    ["closed-form", "path", "9", "2"],
+    ["closed-form", "mary", "2", "5", "2"],
+    ["power-check", "-k", "2", "g.edges", "--max-states", "10"],
+    ["bounds", "--json", "-k", "2", "g.edges"],
+    ["gen", "path", "5"],
+    ["gen", "spider", "2", "2", "2", "--dot"],
+    # the accepted forms
+    ["eternal", "-k2", "g.edges"],
+    ["eternal", "-k=2", "g.edges"],
+    ["eternal", "g.edges", "-k", "2"],
+    ["eternal", "-k", "2", "g.edges", "--certificate", "c.json", "--json",
+     "--max-states", "100", "--qmax", "3"],
+    ["eternal", "-k", "2", "g.edges", "--certificate=c.json", "--max-states=100",
+     "--qmax=3"],
+    ["eternal", "-k", "2", "g.edges", "--cert", "c.json", "--max", "7", "--js"],
+    ["eternal", "--qm", "2", "-k", "1", "-"],
+    ["eternal", "-k", "-2", "g.edges"],
+    ["eternal", "-k", "2", "--max-states", "-0", "g.edges"],
+    ["eternal", "-k", "2", "g.edges", "--certificate", "-"],
+    ["eternal", "-k", "2", "g.edges", "--certificate", "a.json", "--certificate", "b.json"],
+    ["verify", "c.json", "-"],
+    ["gen", "path", "-3"],
+    ["gen", "--dot", "mary", "2", "3"],
+    ["gen", "path", "--dot", "4"],
+    ["eternal", "-k", "2", "--", "-x.edges"],
+    ["gen", "--", "path", "-3"],
+    ["eternal", "-k", "2", "g.edges", "--"],
+    # usage errors
+    ["eternal", "g.edges"],
+    ["eternal", "-k", "x", "g.edges"],
+    ["eternal", "-k", "2", "g.edges", "--max-states", "-1"],
+    ["eternal", "-k", "2", "g.edges", "--max-states", "1.5"],
+    ["bounds", "-k", "2", "g.edges", "--max-states", "-5"],
+    ["eternal", "-k", "2", "g.edges", "--qmax", "0"],
+    ["eternal", "-k", "2", "g.edges", "--qmax", "-1"],
+    ["eternal", "-k", "2", "g.edges", "--bogus"],
+    ["eternal", "-k", "2", "g.edges", "-x"],
+    ["eternal", "-k"],
+    ["eternal", "-k", "--json", "g.edges"],
+    ["eternal", "-k", "2", "g.edges", "--certificate"],
+    ["eternal", "-k", "2", "g.edges", "--json=yes"],
+    ["gamma", "-k", "2", "g.edges", "--max-states", "5"],
+    ["reduce", "-k", "1", "--json", "t.edges"],
+    ["gamma", "-k", "2", "a.edges", "b.edges"],
+    ["verify", "c.json"],
+    ["verify", "c.json", "g.edges", "h.edges"],
+    ["nope", "g.edges"],
+    [],
+    ["-k", "2", "eternal", "g.edges"],
+    ["eternal", "--", "-k", "2"],
+    ["gen", "tree", "3"],
+    ["closed-form", "spider", "3"],
+    ["gen", "path"],
+    ["gen", "path", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV, ids=[" ".join(a) or "empty" for a in ARGV])
+def test_parser_matches_the_argparse_reference(capsys, argv):
+    expected = _outcome(reference_parser().parse_args, argv)
+    assert expected != ("exit", 0)
+    capsys.readouterr()
+    assert _outcome(_parse, argv) == expected
+    if expected == ("exit", 1):
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ekdom") and "error: " in err
+
+
+def test_help_names_every_subcommand_and_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("gamma", "eternal", "verify", "reduce", "closed-form", "power-check",
+                    "bounds", "gen"):
+        assert command in out
+    with pytest.raises(SystemExit) as exc:
+        main(["eternal", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ekdom eternal [-h] -k K")
+    for name in ("-k", "--max-states", "--qmax", "--certificate", "--json", "file"):
+        assert f"\n  {name}" in out
+
+
+def test_unwritable_certificate_path_fails_before_solving(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved although the certificate cannot be written")
+
+    monkeypatch.setattr("ekdom.cli.eternal_number", no_solve)
+    graph_file = tmp_path / "s.edges"
+    graph_file.write_text("a b\nb c\n")
+    code, out, err = run(capsys, "eternal", "-k", "1", str(graph_file),
+                         "--certificate", str(tmp_path / "missing" / "x.json"))
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
+def test_certificate_path_is_left_as_found_when_no_certificate_comes_out(
+        tmp_path, capsys, monkeypatch):
+    graph_file, cert_file = tmp_path / "p9.edges", tmp_path / "cert.json"
+    graph_file.write_text("".join(f"{i} {i + 1}\n" for i in range(8)))
+    argv = ["eternal", "-k", "2", str(graph_file), "--qmax", "2",
+            "--certificate", str(cert_file)]
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and "no certificate" in err and not cert_file.exists()
+    cert_file.write_text("kept")  # opened for appending, never truncated
+    run(capsys, *argv)
+    assert cert_file.read_text() == "kept"
+
+    def budget_trip(*args, **kwargs):
+        raise BudgetExceededError("tripped")
+
+    cert_file.unlink()
+    monkeypatch.setattr("ekdom.cli.eternal_number", budget_trip)
+    code, _, _ = run(capsys, *argv)
+    assert code == 2 and not cert_file.exists()
