@@ -24,7 +24,7 @@ from __future__ import annotations
 from array import array
 from typing import NamedTuple
 
-DEFAULT_BUDGET = 5_000_000  # checks per elimination; the C kernel's default too
+from ..graph import DEFAULT_BUDGET  # checks per elimination; the C kernel's default too
 _WORD = (1 << 64) - 1
 
 

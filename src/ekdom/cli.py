@@ -1,8 +1,9 @@
 """Command-line front door.
 
-Only the modules the solver and the verifier need are imported here; the
-other subcommands import theirs when they run, which keeps start-up short
-for ``eternal`` and ``verify``.
+Only the parser and the graph reader are loaded here; each subcommand
+imports what it needs when it runs.  ``eternal`` loads the solver and the
+kernels, and ``verify`` only the checker (``ekdom.certificate``), so a
+verify process runs none of the code it checks and starts up short.
 
 Exit codes: 0 success, 1 parse/usage error, 2 budget exceeded (bounds are
 still printed), 3 certificate rejected (malformed or invalid) or
@@ -17,12 +18,8 @@ import sys
 import warnings
 from types import SimpleNamespace
 
-from . import _kernel
-from .domination import gamma_k
-from .graph import (DisconnectedGraphError, Graph, ParseError, format_dot,
-                    format_edge_list, is_connected, parse_graph)
-from .solver import (DEFAULT_BUDGET, BudgetExceededError, certificate_from_json,
-                     certificate_to_json, eternal_number, verify_certificate)
+from .graph import (DEFAULT_BUDGET, BudgetExceededError, DisconnectedGraphError, Graph,
+                    ParseError, format_dot, format_edge_list, is_connected, parse_graph)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -189,6 +186,8 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 
 
 def _cmd_gamma(args) -> int:
+    from .domination import gamma_k
+
     g = _load_graph(args.file)
     result = gamma_k(g, args.k)
     witness = [g.labels[v] for v in result.witness]
@@ -211,6 +210,11 @@ def _claim(path: str | None) -> bool:
 
 
 def _cmd_eternal(args) -> int:
+    # Names are looked up here, at call time, so a patched or wrapped solver
+    # entry point is the one that runs.
+    from . import _kernel
+    from .solver import certificate_to_json, eternal_number
+
     g = _load_graph(args.file)
     created, report = _claim(args.certificate), None
     try:
@@ -254,7 +258,9 @@ def _cmd_eternal(args) -> int:
             doc = certificate_to_json(c, g)
             with open(args.certificate, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(doc, separators=(",", ":")))
-            print(f"  certificate written to {args.certificate}")
+            # Under --json, stdout holds the one JSON document.
+            print(f"  certificate written to {args.certificate}",
+                  file=sys.stderr if args.json else sys.stdout)
         else:
             print("  no certificate available (unresolved, disconnected, or "
                   "family larger than the cap)", file=sys.stderr)
@@ -262,6 +268,8 @@ def _cmd_eternal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .certificate import certificate_from_json, verify_certificate
+
     g = _load_graph(args.file)
     with open(args.certificate, encoding="utf-8") as fh:
         try:
@@ -333,6 +341,7 @@ def _cmd_power_check(args) -> int:
 
 def _cmd_bounds(args) -> int:
     from .bounds import decomposition_bound, spanning_tree_upper_bound
+    from .solver import eternal_number
 
     g = _load_graph(args.file)
     if not is_connected(g):

@@ -12,6 +12,10 @@ labels, so graphs and distance matrices are plain immutable values
 share between threads.  Everything in this module is a pure function of
 its inputs; the distance matrix and the label index of a graph are
 computed once and cached, for the ``CACHE_SIZE`` graphs used last.
+
+The package-wide constants and errors live here too, so the command line
+reads the budget default and catches ``BudgetExceededError`` without
+loading the solver.
 """
 from __future__ import annotations
 
@@ -27,6 +31,10 @@ UNREACHABLE = 1 << 30
 #: go first), so a caller that solves many graphs holds a bounded amount.
 CACHE_SIZE = 64
 
+#: (configuration, attack) checks each guard count may spend unless the
+#: caller sets a budget; the kernels' and the command line's default.
+DEFAULT_BUDGET = 5_000_000
+
 DistMatrix = tuple  # tuple[tuple[int, ...], ...], symmetric, zero diagonal
 
 
@@ -38,6 +46,10 @@ class ParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class BudgetExceededError(RuntimeError):
+    """The configured (configuration, attack) check budget ran out."""
 
 
 class DisconnectedGraphError(ValueError):

@@ -9,7 +9,9 @@ matter.  Three exceptions drive package code a different way:
 with one full matching per live candidate, and ``reference_certificate``
 and ``least_survivor_certificate`` build certificates by plain survivor
 scans.  ``reference_parser`` is the argparse command line that
-``ekdom.cli`` parsed with before its table-driven parser.
+``ekdom.cli`` parsed with before its table-driven parser, and
+``reference_verify`` the certificate checker as a plain row scan over
+textbook BFS distances.
 The graph and movement utilities that only the tests use (edge deletion,
 k-neighbourhoods, the movement predicate, the diameter rule, the
 Hamiltonian bound and the classical k = 1 tree trimming) live here too,
@@ -27,6 +29,7 @@ from itertools import combinations, permutations, product
 from typing import Iterator
 
 from ekdom._kernel import pack_masks, run_elimination
+from ekdom.certificate import CertificateViolation, _structure_fault
 from ekdom.cli import EXIT_PARSE
 from ekdom.closed_forms import cycle_number
 from ekdom.configs import _match, enumerate_dominating_configs, transform_assignment
@@ -417,6 +420,54 @@ def least_survivor_certificate(g: Graph, k: int, q: int,
             if hit[0] not in found:
                 found.append(hit[0])
     return _certificate(g, k, q, responses)
+
+
+def reference_verify(g: Graph, cert: EternalCertificate
+                     ) -> tuple[bool, CertificateViolation | None]:
+    """``verify_certificate``'s verdict, one member and one row at a time.
+
+    The same stages and scan order (the shared structural rules, then
+    every member, then every row: its moves, its successor multiset, its
+    attack), with moves and domination read off ``oracle_distances``
+    instead of radius-k balls and no column-wise shortcut.
+    """
+    dist = oracle_distances(g)
+    n, q, k, family, rows = g.n, cert.q, cert.k, cert.family, cert.rows
+
+    def bad(state, attack_id, reason):
+        attack = g.labels[attack_id] if attack_id is not None else None
+        return False, CertificateViolation(state, attack, reason)
+
+    def near(u, v):
+        return dist[u][v] is not None and dist[u][v] <= k
+
+    if q < 1 or k < 1:
+        return bad(None, None, "q and k must be positive")
+    if not family:
+        return bad(None, None, "empty family")
+    fault = _structure_fault(family, rows, q, n)
+    if fault is not None:
+        return bad(*fault)
+    for i, member in enumerate(family):
+        if any(not (0 <= u < n) for u in member):
+            return bad(i, None, f"member {i} names a vertex out of range")
+        if tuple(sorted(member)) != tuple(member):
+            return bad(i, None, f"member {i} is not in canonical sorted form")
+        if not all(any(near(u, v) for u in member) for v in range(n)):
+            return bad(i, None, f"member {i} is not distance-{k} dominating")
+    for i, member in enumerate(family):
+        for v in range(n):
+            row = rows[i * n + v]
+            succ = family[row[0]]
+            targets = [succ[t] for t in row[1:]]
+            for a, b in zip(member, targets):
+                if not near(a, b):
+                    return bad(i, v, f"move {a}->{b} longer than k={k}")
+            if tuple(sorted(targets)) != succ:
+                return bad(i, v, "move targets do not match the successor")
+            if v not in succ:
+                return bad(i, v, "successor does not occupy the attacked vertex")
+    return True, None
 
 
 # -- ordinary (k = 1) eternal domination on trees -----------------------------

@@ -124,17 +124,21 @@ def test_eternal_reports_certificate_size(tmp_path, capsys):
     cert_file = tmp_path / "cert.json"
     _, out, _ = run(capsys, "gen", "path", "9")
     graph_file.write_text(out)
-    code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file), "--json",
-                       "--certificate", str(cert_file))
+    code, out, err = run(capsys, "eternal", "-k", "2", str(graph_file), "--json",
+                         "--certificate", str(cert_file))
     assert code == 0
-    size = json.loads(out.splitlines()[0])["certificate"]
+    # stdout is the one JSON document; the file notice goes to stderr.
+    size = json.loads(out)["certificate"]
+    assert err == f"  certificate written to {cert_file}\n"
     doc = json.loads(cert_file.read_text())
     assert size == {"family": len(doc["family"]), "responses": len(doc["response"])}
     assert size["responses"] == 9 * size["family"]
 
-    code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file))
+    code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file),
+                       "--certificate", str(cert_file))
     assert (f"certificate: family of {size['family']}, {size['responses']} responses"
             in out)
+    assert out.endswith(f"  certificate written to {cert_file}\n")
 
     # Stopped below the answer: no certificate.
     code, out, _ = run(capsys, "eternal", "-k", "2", str(graph_file), "--json",
@@ -188,7 +192,7 @@ def test_bounds_and_power_check_refuse_disconnected_graphs(tmp_path, capsys,
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a disconnected graph")
 
-    monkeypatch.setattr("ekdom.cli.eternal_number", no_solve)
+    monkeypatch.setattr("ekdom.solver.eternal_number", no_solve)
     monkeypatch.setattr("ekdom.bounds.eternal_number", no_solve)
     graph_file = tmp_path / "p16-k2.edges"
     graph_file.write_text("".join(f"{i} {i + 1}\n" for i in range(15)) + "a b\n")
@@ -378,6 +382,23 @@ def test_cli_import_leaves_other_subcommands_modules_out(tmp_path):
     assert "certificate ok" in lines[-2]
     assert lines[-1] == "[]"
 
+    # A verify process loads the checker and none of the code it checks,
+    # and the checker module on its own loads only the graph module.
+    checked = ("ekdom.solver", "ekdom._kernel", "ekdom._kernel._ckernel", "ekdom.configs",
+               "ekdom.domination", "array")
+    code = ("import sys, ekdom.cli; "
+            f"ekdom.cli.main(['verify', {str(cert_file)!r}, {str(graph_file)!r}]); "
+            f"print(sorted(m for m in {checked!r} if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert done.stdout.splitlines()[-2:] == [
+        "certificate ok: 4 configurations of 2 guards defend at k=2", "[]"]
+    code = ("import sys, ekdom.certificate; "
+            "print(sorted(m for m in sys.modules if m.startswith('ekdom.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert done.stdout.splitlines() == ["['ekdom.certificate', 'ekdom.graph']"]
+
 
 def _outcome(parse, argv):
     """vars() of the parsed namespace, or ("exit", code) for a usage error."""
@@ -483,7 +504,7 @@ def test_unwritable_certificate_path_fails_before_solving(tmp_path, capsys, monk
     def no_solve(*args, **kwargs):
         raise AssertionError("solved although the certificate cannot be written")
 
-    monkeypatch.setattr("ekdom.cli.eternal_number", no_solve)
+    monkeypatch.setattr("ekdom.solver.eternal_number", no_solve)
     graph_file = tmp_path / "s.edges"
     graph_file.write_text("a b\nb c\n")
     code, out, err = run(capsys, "eternal", "-k", "1", str(graph_file),
@@ -507,6 +528,6 @@ def test_certificate_path_is_left_as_found_when_no_certificate_comes_out(
         raise BudgetExceededError("tripped")
 
     cert_file.unlink()
-    monkeypatch.setattr("ekdom.cli.eternal_number", budget_trip)
+    monkeypatch.setattr("ekdom.solver.eternal_number", budget_trip)
     code, _, _ = run(capsys, *argv)
     assert code == 2 and not cert_file.exists()
