@@ -5,13 +5,19 @@ The three entry points, ``enumerate_states``, ``run_elimination`` and
 it imported, otherwise the pure-Python twin's.  All three read the graph
 only through its ball masks, which ``pack_masks`` puts into 64-bit words
 (``masks``): a guard on u walks to t in one step exactly when t lies in
-the ball of u, so none takes k or a distance.  Both twins walk the same
+the ball of u, so none takes k or a distance.  The masks must be
+symmetric (t in ball(u) exactly when u in ball(t)), as ``pack_masks``
+of ``domination.ball_masks`` always is.  Both twins walk the same
 suffix-pruned state space (the dominating multisets in lexicographic
 order, counting the prefixes visited in an optional ``work``), run the
 same Gauss-Seidel sweeps, in the order of ``states``, with one movement
 test (a target-side prefix matcher whose failures skip every candidate
 sharing the failed prefix), and the same certificate closure, on graphs
 of any size and any number of guards, and return identical results.
+Each twin has one augmenting-path routine (``place`` in ``_ckernel.c``,
+``configs.place`` for ``pure``): the closure runs the sweep's matcher
+with guards and posts swapped, which on symmetric balls finds the same
+assignment as a search from the source side.
 
 The caller passes ``wit``, an ``array('i')`` of ``len(states) * n``
 items, which receives the sweep's final witness table, and may pass

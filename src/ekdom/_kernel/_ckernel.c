@@ -23,20 +23,24 @@
    that holds the attacked vertex and is reachable in one step (members
    below the witness are passed without a matching), or else with the
    witness table's entry, which joins the family; each response is
-   matched from the source side with the same augmenting paths as
-   configs._match, so the rows record the same assignments.  It returns
-   the same (members, rows) as the pure twin.
+   matched by the sweep's matcher (place) with guards and posts swapped,
+   as the pure twin calls configs.assign, so the rows record the same
+   assignments.  It returns the same (members, rows) as the pure twin.
 
    Whether a vertex is occupied is read off the sorted state by a merge
    walk, so the number of vertices is unbounded.
 
    All three read the graph only through the ball masks in ``masks``, an
-   array('Q') of n * ((n + 63) // 64) words.  The witness table travels in
-   ``wit``, an array('i') of len(states) * n items, and the work counters
-   in the optional ``work``, an array('q') of 1 (walk) or 5 (sweep)
-   items; the entry points read and write them in place, so none costs a
-   copy.  Every buffer's size and item type (and, where written,
-   writability) is checked before it is used.
+   array('Q') of n * ((n + 63) // 64) words.  The masks must be
+   symmetric (t in ball(u) exactly when u in ball(t)), as
+   pack_masks(ball_masks(dist, k)) always is: the closure's swapped
+   matching relies on it, and masks that are not can only yield rows that
+   ekdom verify rejects.  The witness table travels in ``wit``, an
+   array('i') of len(states) * n items, and the work counters in the
+   optional ``work``, an array('q') of 1 (walk) or 5 (sweep) items; the
+   entry points read and write them in place, so none costs a copy.
+   Every buffer's size and item type (and, where written, writability)
+   is checked before it is used.
 
        python3 setup.py build_ext --inplace
 */
@@ -47,59 +51,15 @@
 
 typedef unsigned long long Word;    /* the flags of 64 vertices */
 
-/* Scratch for one movement test: can every guard of state a walk to its
-   own post of state b? */
+/* The one augmenting-path matcher: place the posts of b, in order, on
+   distinct guards of a, each post trying the guards in ascending order.
+   The sweep runs it from the target side (a the swept state, b each
+   candidate) and keeps the previous candidate's matching: posts it
+   shares with b, up to the ones it placed, keep their guards.  The
+   closure runs it with the roles swapped (see moves_to). */
 typedef struct {
     const Word *ball;   /* n balls of words words each */
-    const int *a, *b;   /* source and target posts, q each */
-    Py_ssize_t words;
-    int q;
-    int *owner;         /* owner[c]: source guard holding target post c */
-    unsigned char *seen;
-} Matching;
-
-static int
-augment(Matching *m, int p)
-{
-    const Word *row = m->ball + (size_t)m->a[p] * (size_t)m->words;
-    const int *b = m->b, q = m->q;
-    unsigned char *seen = m->seen;
-    for (int c = 0; c < q; c++) {
-        if (!seen[c] && row[b[c] >> 6] >> (b[c] & 63) & 1) {
-            seen[c] = 1;
-            if (m->owner[c] < 0 || augment(m, m->owner[c])) {
-                m->owner[c] = p;
-                return 1;
-            }
-        }
-    }
-    return 0;
-}
-
-/* Match the guards of state i onto the posts of state j; on success
-   owner[c] is the guard of i that walks to post c of j. */
-static int
-match(Matching *m, const int *st, Py_ssize_t i, Py_ssize_t j)
-{
-    m->a = st + (size_t)i * m->q;
-    m->b = st + (size_t)j * m->q;
-    for (int c = 0; c < m->q; c++)
-        m->owner[c] = -1;
-    for (int p = 0; p < m->q; p++) {
-        memset(m->seen, 0, (size_t)m->q);
-        if (!augment(m, p))
-            return 0;
-    }
-    return 1;
-}
-
-/* Target-side prefix matcher for the sweep: place the posts of a
-   candidate b, in order, on distinct guards of the swept state a.  The
-   matching of the previous candidate is kept: posts it shares with b,
-   up to the ones it placed, keep their guards. */
-typedef struct {
-    const Word *ball;   /* n balls of words words each */
-    const int *a, *b;   /* swept state's guards; last candidate's posts or NULL */
+    const int *a, *b;   /* guards' vertices; posts last placed, or NULL */
     Py_ssize_t words;
     int q;
     int placed;         /* posts 0..placed-1 of b hold guards */
@@ -127,7 +87,7 @@ place(Prefix *m, int c)
     return 0;
 }
 
-/* Start sweeping state a: no post is placed. */
+/* Start matching onto state a: no post is placed. */
 static void
 prefix_reset(Prefix *m, const int *a)
 {
@@ -157,6 +117,19 @@ prefix_match(Prefix *m, const int *b)
             return m->placed;
     }
     return -1;
+}
+
+/* Can every guard of state from walk to its own post of state to?  Balls
+   are symmetric (t lies in ball(u) exactly when u lies in ball(t)), so
+   placing the guards of from, in order, on the posts of to is step for
+   step the source-side search that lets each guard in turn try the posts
+   in ascending order.  On success holder[c] is the guard of from that
+   walks to post c of to. */
+static int
+moves_to(Prefix *m, const int *from, const int *to)
+{
+    prefix_reset(m, to);
+    return prefix_match(m, from) < 0;
 }
 
 /* Copy one state into out[0..q); it must be a sorted sequence of q ints
@@ -213,13 +186,14 @@ get_array(PyObject *obj, Py_buffer *view, int flags, const char *name, const cha
     return 0;
 }
 
-/* What both entry points read: ball masks, states, matching scratch and
-   the holder lists (off[v]..off[v+1] in cand holds, ascending, every
-   counted state with a guard on v). */
+/* What both entry points read: ball masks, states, the matcher's scratch
+   (holder, guard and seen, q items each) and the holder lists
+   (off[v]..off[v+1] in cand holds, ascending, every counted state with a
+   guard on v). */
 typedef struct {
     Py_ssize_t n, S, q, words;
     Py_buffer masks;
-    int *st, *cand, *owner;
+    int *st, *cand, *holder, *guard;
     Py_ssize_t *off;
     unsigned char *seen;
 } Instance;
@@ -231,7 +205,8 @@ free_instance(Instance *in)
         PyBuffer_Release(&in->masks);
     PyMem_Free(in->st);
     PyMem_Free(in->cand);
-    PyMem_Free(in->owner);
+    PyMem_Free(in->holder);
+    PyMem_Free(in->guard);
     PyMem_Free(in->off);
     PyMem_Free(in->seen);
 }
@@ -264,9 +239,10 @@ read_instance(Instance *in, Py_ssize_t n, PyObject *masks_obj, PyObject *states_
         goto done;
     in->st = NEW(int, (size_t)in->S * in->q);
     in->off = NEW(Py_ssize_t, n + 1);
-    in->owner = NEW(int, in->q);
+    in->holder = NEW(int, in->q);
+    in->guard = NEW(int, in->q);
     in->seen = NEW(unsigned char, in->q);
-    if (!in->st || !in->off || !in->owner || !in->seen) {
+    if (!in->st || !in->off || !in->holder || !in->guard || !in->seen) {
         PyErr_NoMemory();
         goto done;
     }
@@ -485,7 +461,7 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
     PyObject *masks_obj, *states_obj, *wit_obj, *work_obj = Py_None, *result = NULL;
     Py_buffer view = {0}, wview = {0};
     Instance in = {0};
-    int *pos = NULL, *wit, *skip = NULL, *holder = NULL, *guard = NULL;
+    int *pos = NULL, *wit, *skip = NULL;
     const int *st, *cand;
     const Py_ssize_t *off;
     unsigned char *alive = NULL;
@@ -513,9 +489,7 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
     pos = NEW(int, (size_t)S * n);
     alive = NEW(unsigned char, S);
     skip = NEW(int, (size_t)S * q);
-    holder = NEW(int, q);
-    guard = NEW(int, q);
-    if (!pos || !alive || !skip || !holder || !guard) {
+    if (!pos || !alive || !skip) {
         PyErr_NoMemory();
         goto done;
     }
@@ -533,7 +507,8 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
             skip[i * q + t] = t < same ? skip[(i + 1) * q + t] : (int)i + 1;
     }
 
-    m = (Prefix){in.masks.buf, NULL, NULL, in.words, (int)q, 0, holder, guard, in.seen};
+    m = (Prefix){in.masks.buf, NULL, NULL, in.words, (int)q, 0,
+                 in.holder, in.guard, in.seen};
     memset(alive, 1, (size_t)S);
     for (i = 0; i < S * n; i++)
         wit[i] = -1;
@@ -603,8 +578,6 @@ done:
     PyMem_Free(pos);
     PyMem_Free(alive);
     PyMem_Free(skip);
-    PyMem_Free(holder);
-    PyMem_Free(guard);
     return result;
 }
 
@@ -658,7 +631,7 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
     const int *wit;
     int *order = NULL, *slot = NULL, *resp = NULL, *fam = NULL, *out;
     Py_ssize_t *held = NULL;
-    Matching m;
+    Prefix m;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nOOOOn:certificate_rows", kwlist,
                                      &n, &masks_obj, &states_obj, &alive_obj, &wit_obj,
@@ -683,7 +656,8 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
     S = in.S;
     q = in.q;
     width = n * (q + 1);
-    m = (Matching){in.masks.buf, NULL, NULL, in.words, (int)q, in.owner, in.seen};
+    m = (Prefix){in.masks.buf, NULL, NULL, in.words, (int)q, 0,
+                 in.holder, in.guard, in.seen};
     order = NEW(int, S);            /* order[h]: the h-th member found */
     slot = NEW(int, S);             /* slot[s]: h for member s, -1 for other states */
     /* fam[off[v]..off[v] + held[v]): the members holding v, ascending; the
@@ -732,16 +706,17 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
             }
             const int *fv = fam + in.off[v];
             for (c = bisect(fv, 0, (int)held[v], lo); c < held[v] && j < 0; c++)
-                if (match(&m, in.st, i, fv[c]))
+                if (moves_to(&m, post, in.st + (size_t)fv[c] * q))
                     j = fv[c];
-            if (j < 0 && lo < S && slot[w] < 0 && match(&m, in.st, i, w))
+            if (j < 0 && lo < S && slot[w] < 0
+                    && moves_to(&m, post, in.st + (size_t)w * q))
                 j = w;
             if (j < 0) {
                 PyErr_Format(PyExc_ValueError, "no live state answers attack %zd on "
                              "state %zd: the witness table does not fit alive", v, i);
                 goto done;
             }
-            /* Guard owner[c] walks to post c of j, named by the first post
+            /* Guard holder[c] walks to post c of j, named by the first post
                of j on the same vertex. */
             const int *dst = in.st + (size_t)j * q;
             int first = 0;
@@ -749,7 +724,7 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
             for (c = 0; c < q; c++) {
                 if (c == 0 || dst[c] != dst[c - 1])
                     first = (int)c;
-                out[1 + m.owner[c]] = first;
+                out[1 + m.holder[c]] = first;
             }
             if (slot[j] < 0)
                 join(&in, j, order, slot, &size, fam, held);

@@ -3,8 +3,12 @@ closure (reference twins of ``_ckernel.c``).
 
 Geometry: the three entry points read the graph only through its ball
 masks (``masks``, laid out as in ``enumerate_states``): a guard on u
-walks to t in one step iff t lies in ball(u).  The sweep and the closure
-expand them once per call into reach rows, so a move test is a list index.
+walks to t in one step iff t lies in ball(u).  The masks must be
+symmetric (t lies in ball(u) exactly when u lies in ball(t)), as
+``pack_masks(ball_masks(dist, k))`` always is: the closure's matching
+relies on it (see Depth), and masks that are not can only yield rows
+that ``ekdom verify`` rejects.  The sweep and the closure expand them
+once per call into reach rows, so a move test is a list index.
 
 State space: ``enumerate_states`` lists every size-q multiset of
 vertices whose balls cover the graph, in lexicographic order; its
@@ -35,8 +39,9 @@ point is unique, so the visiting order changes only ``rounds`` and
 Movement feasibility between two configurations is a perfect matching on
 the q x q "guard can walk there" grid.  The sweep decides it from the
 target side, with a prefix matcher: the posts of candidate j are placed
-in order, each by an augmenting path, on distinct guards of i, and the
-matcher returns the first post t that cannot be placed (or success).
+in order, each by an augmenting path (``configs.place``), on distinct
+guards of i, and the matcher returns the first post t that cannot be
+placed (or success).
 
 * *Run skip.*  With posts 0..t-1 placed, post t fails only when no
   augmenting path exists, that is, when posts 0..t of j have no
@@ -98,17 +103,22 @@ one step, and only when there is none with the witness from that table,
 which then joins the family; its contract is in its docstring, and the
 compiled twin returns the same ``(members, rows)``.
 
-Depth: the walk and every search for an augmenting path (the sweep's
-``place`` and ``configs._match``) keep their paths on explicit stacks,
+Depth: the walk and ``configs.place``, the one augmenting-path search
+of both the sweep and the closure, keep their paths on explicit stacks,
 so, like the compiled twin, this module takes more guards than the
-interpreter's recursion limit.
+interpreter's recursion limit.  The closure calls it through
+``configs.assign``, with guards and posts swapped: member i's guards
+are placed, in order, on the posts of the response.  The masks are
+symmetric, so that is step for step the source-side search in which each
+guard of i in turn tries the posts in ascending order, and the rows
+record the same assignments as that search would.
 """
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, insort
 
-from .. import configs  # configs imports this package: read _match at call time
+from .. import configs  # configs imports this package: read its matcher at call time
 from . import DEFAULT_BUDGET, KernelWork
 
 
@@ -242,34 +252,6 @@ def run_elimination(n: int, masks: array, states: list[tuple], wit: array,
     holder = [-1] * q  # holder[p]: post of the last candidate held by guard p of i
     guard = [0] * q    # guard[c]: guard of i holding post c < placed
 
-    def place(near: list, dst: tuple, c: int) -> bool:
-        """Place post c of dst on a guard of i by an augmenting path:
-        depth first, guards in ascending order, on an explicit stack."""
-        seen = [False] * q
-        path = []  # (post, guard) steps of the path so far
-        t = dst[c]
-        p = 0
-        while True:
-            while p < q and (seen[p] or not near[p][t]):
-                p += 1
-            if p < q:
-                seen[p] = True
-                path.append((c, p))
-                if holder[p] < 0:
-                    for c, p in path:
-                        holder[p] = c
-                        guard[c] = p
-                    return True
-                c = holder[p]
-                t = dst[c]
-                p = 0
-            elif path:  # no free guard from post c: back up to the step before
-                c, p = path.pop()
-                t = dst[c]
-                p += 1
-            else:
-                return False
-
     checks = 0
     rounds = 0
     changed = S > 0
@@ -314,7 +296,7 @@ def run_elimination(n: int, masks: array, states: list[tuple], wit: array,
                         holder[guard[d]] = -1
                     last = dst
                     placed = c
-                    while placed < q and place(near, dst, placed):
+                    while placed < q and configs.place(near, dst, placed, holder, guard):
                         placed += 1
                     if placed == q:
                         matched += 1
@@ -353,7 +335,7 @@ def certificate_rows(n: int, masks: array, states: list[tuple], alive: bytearray
     family.  Every member is thus reached along witness edges, and the
     family is a subset of the closure that answers every attack with the
     least reachable survivor.  Candidates are tested with
-    ``configs._match``, and the rows record the assignment it finds for
+    ``configs.assign``, and the rows record the assignment it finds for
     the response (a state can reach itself by a non-identity assignment).
 
     Returns ``(members, rows)``: ``members`` lists the family's state
@@ -400,13 +382,13 @@ def certificate_rows(n: int, masks: array, states: list[tuple], alive: bytearray
             owner = None
             hv = held[v]
             for j in hv[bisect_left(hv, lo):]:
-                owner = configs._match(reach, cur, states[j])
+                owner = configs.assign([reach[t] for t in states[j]], cur)
                 if owner is not None:
                     break
             else:
                 if lo < S and w not in slot:  # no member answers: the witness joins
                     j = w
-                    owner = configs._match(reach, cur, states[j])
+                    owner = configs.assign([reach[t] for t in states[j]], cur)
             if owner is None:
                 raise ValueError(f"no live state answers attack {v} on state {i}: "
                                  "the witness table does not fit alive")

@@ -266,6 +266,15 @@ def _relist(rows: list, ids: list[int], listed: list[list[int]],
     return out
 
 
+def _vertex_ids(index: dict, labels: list) -> list[int]:
+    """The ids ``index`` gives ``labels``, with ``Graph.id_of``'s error for
+    a label the graph lacks (an unhashable one raises TypeError)."""
+    try:
+        return [index[label] for label in labels]
+    except KeyError as exc:
+        raise ValueError(f"unknown vertex label {exc.args[0]!r}") from None
+
+
 def certificate_from_json(doc: dict, g: Graph) -> EternalCertificate:
     """Inverse of certificate_to_json; raises ValueError on malformed input.
 
@@ -290,11 +299,12 @@ def certificate_from_json(doc: dict, g: Graph) -> EternalCertificate:
                          f"expected format {CERTIFICATE_FORMAT}")
     try:
         k, q = _json_int(doc, "k"), _json_int(doc, "q")
-        ids = [g.id_of(label) for label in _array(doc["vertices"], "'vertices'")]
+        index = {label: u for u, label in enumerate(g.labels)}
+        ids = _vertex_ids(index, _array(doc["vertices"], "'vertices'"))
         if len(ids) != g.n or len(set(ids)) != g.n:
             raise ValueError(f"'vertices' must list each of the graph's {g.n} "
                              "labels exactly once")
-        listed = [[g.id_of(u) for u in _array(member, f"family member {i}")]
+        listed = [_vertex_ids(index, _array(member, f"family member {i}"))
                   for i, member in enumerate(_array(doc["family"], "'family'"))]
         rows = doc["response"]
         if not isinstance(rows, list):

@@ -6,8 +6,13 @@ lists the dominating configurations of one size; the walk behind it runs
 in the kernel layer.  Configuration D can move to D' when the guards
 admit a bijection onto the target positions in which every guard walks
 distance at most k.  That is a perfect-matching question on the q x q
-feasibility grid, decided here by simple augmenting paths (q is tiny at
-desk scale).
+feasibility grid, decided by simple augmenting paths (q is tiny at desk
+scale) in ``place``, the one Python matcher and the twin of ``place`` in
+``_kernel/_ckernel.c``.  The pure sweep places each candidate's posts on
+the swept state's guards with it; ``assign``, behind the pure closure
+and ``transform_assignment``, places the guards on the posts instead,
+which on symmetric balls finds the same assignment as a source-side
+search.
 """
 from __future__ import annotations
 
@@ -45,42 +50,59 @@ def enumerate_dominating_configs(dist: DistMatrix, k: int, q: int,
     return _kernel.enumerate_states(n, q, masks, limit, work)
 
 
-def _match(reach, src: Config, dst: Config) -> list[int] | None:
-    """Augmenting-path matching; returns dst-position -> src-position or None.
+def place(near, dst: Config, c: int, holder: list[int], guard: list[int]) -> bool:
+    """Place post c of dst on a free guard by an augmenting path.
 
-    ``reach[u][t]`` is true when a guard on u walks to t in one step.  Each
-    guard p of src in turn starts a depth-first search for an augmenting
-    path, trying dst positions in ascending order, as the textbook
-    recursion does; the path is kept on an explicit stack, so the number
-    of guards is not bounded by the interpreter's recursion limit.
+    ``near[p][t]`` is true when guard p walks to vertex t in one step.
+    ``holder[p]`` is the post guard p holds (-1 when free) and
+    ``guard[c]`` the guard holding post c; both are updated on success,
+    and a failed search changes neither.  The path is searched depth
+    first, each post trying the guards in ascending order, on an explicit
+    stack, so the number of guards is not bounded by the interpreter's
+    recursion limit.
+    """
+    q = len(holder)
+    seen = [False] * q
+    path = []  # (post, guard) steps of the path so far
+    t = dst[c]
+    p = 0
+    while True:
+        while p < q and (seen[p] or not near[p][t]):
+            p += 1
+        if p < q:
+            seen[p] = True
+            path.append((c, p))
+            if holder[p] < 0:
+                for c, p in path:
+                    holder[p] = c
+                    guard[c] = p
+                return True
+            c = holder[p]
+            t = dst[c]
+            p = 0
+        elif path:  # no free guard from post c: back up to the step before
+            c, p = path.pop()
+            t = dst[c]
+            p += 1
+        else:
+            return False
+
+
+def assign(near, src: Config) -> list[int] | None:
+    """Match the guards of src onto the posts whose rows ``near`` holds.
+
+    ``near[c][u]`` is true when vertex u lies within one step of post c.
+    Returns ``owner``, where guard ``owner[c]`` of src walks to post c,
+    or None when no perfect matching exists.  Movement is symmetric, so
+    placing the guards of src, in order, on the posts (tried in ascending
+    order) is step for step the textbook source-side search in which
+    each guard in turn looks for a post, and it finds the same owners.
     """
     q = len(src)
-    owner = [-1] * q  # owner[c] = src position matched to dst position c
+    owner, post = [-1] * q, [0] * q
     for p in range(q):
-        seen = bytearray(q)
-        path = []  # (guard, position) steps of the path so far
-        row = reach[src[p]]
-        c = 0
-        while True:
-            c = seen.find(0, c)
-            while c >= 0 and not row[dst[c]]:
-                c = seen.find(0, c + 1)
-            if c >= 0:
-                seen[c] = 1
-                path.append((p, c))
-                if owner[c] < 0:
-                    for p, c in path:
-                        owner[c] = p
-                    break
-                p = owner[c]
-                row = reach[src[p]]
-                c = 0
-            elif path:  # no free position from p: back up to the step before
-                p, c = path.pop()
-                row = reach[src[p]]
-                c += 1
-            else:
-                return None
+        if not place(near, src, p, owner, post):
+            return None
     return owner
 
 
@@ -95,7 +117,7 @@ def transform_assignment(dist: DistMatrix, src: Config, dst: Config,
         raise ValueError("configurations differ in size")
     if k < 0:
         raise ValueError("k must be non-negative")
-    owner = _match({u: [d <= k for d in dist[u]] for u in src}, src, dst)
+    owner = assign([[d <= k for d in dist[t]] for t in dst], src)
     if owner is None:
         return None
     moves = [(0, 0)] * len(src)

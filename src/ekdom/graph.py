@@ -10,8 +10,8 @@ A graph is a ``typing.NamedTuple`` of its vertex count, adjacency and
 labels, so graphs and distance matrices are plain immutable values
 (tuples all the way down), hashable with value equality, and safe to
 share between threads.  Everything in this module is a pure function of
-its inputs; the distance matrix and the label index of a graph are
-computed once and cached, for the ``CACHE_SIZE`` graphs used last.
+its inputs; the distance matrix of a graph is computed once and cached,
+for the ``CACHE_SIZE`` graphs used last.
 
 The package-wide constants and errors live here too, so the command line
 reads the budget default and catches ``BudgetExceededError`` without
@@ -108,14 +108,9 @@ class Graph(NamedTuple):
 
     def id_of(self, label: str) -> int:
         try:
-            return _label_index(self.labels)[label]
-        except KeyError:
+            return self.labels.index(label)
+        except ValueError:
             raise ValueError(f"unknown vertex label {label!r}") from None
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _label_index(labels: tuple[str, ...]) -> dict[str, int]:
-    return {name: i for i, name in enumerate(labels)}
 
 
 def _bfs_row(g: Graph, src: int) -> tuple[int, ...]:

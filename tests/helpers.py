@@ -11,7 +11,9 @@ and ``least_survivor_certificate`` build certificates by plain survivor
 scans.  ``reference_parser`` is the argparse command line that
 ``ekdom.cli`` parsed with before its table-driven parser, and
 ``reference_verify`` the certificate checker as a plain row scan over
-textbook BFS distances.
+textbook BFS distances.  ``source_side_match`` is the textbook
+source-side augmenting-path search, which pins the assignments that
+``transform_assignment`` and the certificate rows record.
 The graph and movement utilities that only the tests use (edge deletion,
 k-neighbourhoods, the movement predicate, the diameter rule, the
 Hamiltonian bound and the classical k = 1 tree trimming) live here too,
@@ -32,7 +34,7 @@ from ekdom._kernel import pack_masks, run_elimination
 from ekdom.certificate import CertificateViolation, _structure_fault
 from ekdom.cli import EXIT_PARSE
 from ekdom.closed_forms import cycle_number
-from ekdom.configs import _match, enumerate_dominating_configs, transform_assignment
+from ekdom.configs import enumerate_dominating_configs, transform_assignment
 from ekdom.domination import ball_masks
 from ekdom.graph import (Graph, all_pairs_distances, delete_vertices, diameter,
                          is_connected, is_tree)
@@ -112,6 +114,45 @@ def neighborhood_k(dist, x: int, k: int, closed: bool = True) -> frozenset[int]:
 def transforms(dist, src, dst, k: int) -> bool:
     """True iff every guard of src can reach its own target in dst."""
     return transform_assignment(dist, src, dst, k) is not None
+
+
+def source_side_match(reach, src, dst) -> list[int] | None:
+    """Augmenting-path matching; returns dst-position -> src-position or None.
+
+    ``reach[u][t]`` is true when a guard on u walks to t in one step.  Each
+    guard p of src in turn starts a depth-first search for an augmenting
+    path, trying dst positions in ascending order, as the textbook
+    recursion does; the path is kept on an explicit stack, so the number
+    of guards is not bounded by the interpreter's recursion limit.
+    """
+    q = len(src)
+    owner = [-1] * q  # owner[c] = src position matched to dst position c
+    for p in range(q):
+        seen = bytearray(q)
+        path = []  # (guard, position) steps of the path so far
+        row = reach[src[p]]
+        c = 0
+        while True:
+            c = seen.find(0, c)
+            while c >= 0 and not row[dst[c]]:
+                c = seen.find(0, c + 1)
+            if c >= 0:
+                seen[c] = 1
+                path.append((p, c))
+                if owner[c] < 0:
+                    for p, c in path:
+                        owner[c] = p
+                    break
+                p = owner[c]
+                row = reach[src[p]]
+                c = 0
+            elif path:  # no free position from p: back up to the step before
+                p, c = path.pop()
+                row = reach[src[p]]
+                c += 1
+            else:
+                return None
+    return owner
 
 
 def hamiltonian_upper_bound(n: int, k: int) -> int:
@@ -306,12 +347,11 @@ def reference_elimination(dist, k: int, states: list[tuple], wit: array, budget:
     """The kernels' Gauss-Seidel sweep as a plain cursor scan.
 
     Same contract and results as ``_kernel.run_elimination``, but every
-    live candidate the cursor meets gets one full ``configs._match`` of
+    live candidate the cursor meets gets one full ``transforms`` test of
     the two states: no run skip, no prefix reuse and no memo.  Moves are
     read off the distance matrix ``dist``, not off the kernels' ball masks.
     """
     n, S = len(dist), len(states)
-    reach = [[d <= k for d in row] for row in dist]
     cand = [[i for i, st in enumerate(states) if v in st] for v in range(n)]
     alive = bytearray([1]) * S
     pos = [[0] * n for _ in range(S)]
@@ -336,7 +376,7 @@ def reference_elimination(dist, k: int, states: list[tuple], wit: array, budget:
                 cv = cand[v]
                 p = pos[i][v]
                 while p < len(cv) and not (
-                        alive[cv[p]] and _match(reach, states[i], states[cv[p]]) is not None):
+                        alive[cv[p]] and transforms(dist, states[i], states[cv[p]], k)):
                     p += 1
                 pos[i][v] = p
                 if p < len(cv):

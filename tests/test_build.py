@@ -1,10 +1,14 @@
 """The in-place build: optional extension plus the package's bytecode."""
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,3 +58,17 @@ def test_inplace_build_writes_bytecode_that_tracks_its_source(tmp_path):
     with open(tmp_path / "src" / "ekdom" / "graph.py", "a", encoding="utf-8") as f:
         f.write("# edited after the build\n")
     assert compiled_ekdom_modules(tmp_path, env) == ["graph.py"]
+
+
+def test_compiled_kernel_builds_without_warnings(tmp_path):
+    # -Wall flags a static function nothing calls, such as a second matcher
+    # left behind, besides the usual slips.
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler configured")
+    done = subprocess.run([*cc, "-O2", "-Wall", "-Werror", "-shared", "-fPIC",
+                           f"-I{sysconfig.get_paths()['include']}",
+                           str(ROOT / "src" / "ekdom" / "_kernel" / "_ckernel.c"),
+                           "-o", str(tmp_path / "_ckernel.so")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -250,6 +250,9 @@ MALFORMED = [
                  id="duplicate-response"),
     pytest.param(lambda doc: dict(doc, vertices=["zz"] + doc["vertices"][1:]),
                  "unknown vertex label 'zz'", id="unknown-label"),
+    pytest.param(lambda doc: dict(doc, vertices=[doc["vertices"][:1]] + doc["vertices"][1:]),
+                 "certificate document has a field of the wrong type: unhashable type: 'list'",
+                 id="label-array"),
     pytest.param(lambda doc: _replace_entry(doc, 0, [0, 0.9, 0]),
                  "response entry 0 holds a non-integer", id="post-float"),
     pytest.param(lambda doc: dict(doc, k=2.7), "'k' must be an integer", id="k-float"),

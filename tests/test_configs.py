@@ -3,13 +3,15 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ekdom.closed_forms import path_graph
 from ekdom.configs import canonical, enumerate_dominating_configs, transform_assignment
 from ekdom.graph import all_pairs_distances
 
-from helpers import (DEFAULT_SEED, oracle_dominating_multisets,
-                     oracle_transforms, random_connected_graph, transforms)
+from helpers import (DEFAULT_SEED, oracle_dominating_multisets, oracle_transforms,
+                     random_connected_graph, random_graph, source_side_match, transforms)
 
 
 def test_canonical_sorts_and_rejects_empty():
@@ -78,6 +80,29 @@ def test_matching_agrees_with_permutation_oracle():
         src = canonical(rng.choices(range(g.n), k=q))
         dst = canonical(rng.choices(range(g.n), k=q))
         assert transforms(d, src, dst, k) == oracle_transforms(g, src, dst, k)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(n=st.integers(1, 10), extra=st.floats(0.0, 0.5), rng=st.randoms(use_true_random=False),
+       connected=st.booleans(), k=st.integers(1, 3), q=st.integers(1, 6),
+       reachable=st.booleans())
+def test_transform_assignment_moves_as_the_source_side_search(n, extra, rng, connected,
+                                                              k, q, reachable):
+    # Certificate rows record these assignments, and all three closures
+    # (compiled, pure and the tests' reference) share the matcher behind
+    # them, so their parity cannot pin the assignment itself.
+    g = random_graph(n, extra, rng, connected)
+    d = all_pairs_distances(g)
+    src = canonical(rng.choices(range(n), k=q))
+    if reachable:  # each guard walks somewhere within k: dst is reachable
+        dst = canonical(rng.choice([t for t in range(n) if d[u][t] <= k]) for u in src)
+    else:
+        dst = canonical(rng.choices(range(n), k=q))
+    owner = source_side_match({u: [x <= k for x in d[u]] for u in src}, src, dst)
+    expected = None
+    if owner is not None:  # guard p's move, in guard order
+        expected = tuple((src[p], dst[owner.index(p)]) for p in range(q))
+    assert transform_assignment(d, src, dst, k) == expected
 
 
 def test_reflexive_and_symmetric():
