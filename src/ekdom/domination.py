@@ -21,10 +21,9 @@ same order and returns the same witness.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .graph import CACHE_SIZE, DistMatrix, Graph, all_pairs_distances
+from .graph import DistMatrix, Graph, all_pairs_distances, memo
 
 
 class DominationResult(NamedTuple):
@@ -46,6 +45,11 @@ def ball_masks(dist: DistMatrix, k: int) -> list[int]:
     return masks
 
 
+def graph_balls(g: Graph, k: int) -> tuple[int, ...]:
+    """``ball_masks`` of g at radius k, built once per graph and radius."""
+    return memo(g, ("balls", k), lambda: tuple(ball_masks(all_pairs_distances(g), k)))
+
+
 def is_distance_k_dominating(dist: DistMatrix, guards: Iterable[int], k: int) -> bool:
     """True iff every vertex is within distance k of some guard."""
     if k < 0:
@@ -53,7 +57,7 @@ def is_distance_k_dominating(dist: DistMatrix, guards: Iterable[int], k: int) ->
     return covers(ball_masks(dist, k), guards)
 
 
-def covers(balls: list[int], guards: Iterable[int]) -> bool:
+def covers(balls: Sequence[int], guards: Iterable[int]) -> bool:
     """True iff the balls (from ``ball_masks``) of the guards hold every vertex."""
     covered = 0
     for u in guards:
@@ -61,7 +65,7 @@ def covers(balls: list[int], guards: Iterable[int]) -> bool:
     return covered == (1 << len(balls)) - 1
 
 
-def _greedy_cover(balls: list[int], full: int) -> list[int]:
+def _greedy_cover(balls: Sequence[int], full: int) -> list[int]:
     covered = 0
     chosen: list[int] = []
     while covered != full:
@@ -85,15 +89,12 @@ def gamma_k(g: Graph, k: int) -> DominationResult:
         raise ValueError("k must be non-negative")
     if g.n == 0:
         return DominationResult(0, ())
-    return _gamma_k_cached(g, k)
+    return memo(g, ("gamma", k), lambda: _min_cover(graph_balls(g, k)))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _gamma_k_cached(g: Graph, k: int) -> DominationResult:
-    dist = all_pairs_distances(g)
-    n = g.n
+def _min_cover(balls: Sequence[int]) -> DominationResult:
+    n = len(balls)
     full = (1 << n) - 1
-    balls = ball_masks(dist, k)
     greedy = _greedy_cover(balls, full)
     # Guards that can cover a vertex, largest ball first for fast witnesses.
     by_reach = sorted(range(n), key=lambda v: (-balls[v].bit_count(), v))

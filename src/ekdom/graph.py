@@ -10,8 +10,8 @@ A graph is a ``typing.NamedTuple`` of its vertex count, adjacency and
 labels, so graphs and distance matrices are plain immutable values
 (tuples all the way down), hashable with value equality, and safe to
 share between threads.  Everything in this module is a pure function of
-its inputs; the distance matrix of a graph is computed once and cached,
-for the ``CACHE_SIZE`` graphs used last.
+its inputs.  ``memo`` keeps what the package derives from a graph in one
+dict per graph, so a graph's distances, balls and solves stay or go together.
 
 The package-wide constants and errors live here too, so the command line
 reads the budget default and catches ``BudgetExceededError`` without
@@ -27,8 +27,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 #: Distance reported between vertices in different components.
 UNREACHABLE = 1 << 30
 
-#: Entries each per-graph cache of the package keeps (least recently used
-#: go first), so a caller that solves many graphs holds a bounded amount.
+#: Graphs ``memo`` keeps, and results it keeps per graph (least recently
+#: used go first), so a long-lived caller holds a bounded amount.
 CACHE_SIZE = 64
 
 #: (configuration, attack) checks each guard count may spend unless the
@@ -128,9 +128,26 @@ def _bfs_row(g: Graph, src: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def _derived(g: Graph) -> dict:
+    return {}
+
+
+def memo(g: Graph, key, make):
+    """g's result under key, stored from ``make()`` on a miss.  ``make`` may
+    store results of its own for g, so the per-graph bound is applied after it."""
+    results = _derived(g)
+    if key in results:
+        results[key] = value = results.pop(key)  # now the most recently used
+        return value
+    value = results[key] = make()
+    while len(results) > CACHE_SIZE:
+        del results[next(iter(results))]
+    return value
+
+
 def all_pairs_distances(g: Graph) -> DistMatrix:
     """Exact hop distances from every vertex, UNREACHABLE across components."""
-    return tuple(_bfs_row(g, s) for s in range(g.n))
+    return memo(g, "distances", lambda: tuple(_bfs_row(g, s) for s in range(g.n)))
 
 
 def is_connected(g: Graph) -> bool:

@@ -8,8 +8,8 @@ number is the least q whose survivor set is non-empty; q starts at the
 static domination number and Prop-style sandwich bounds cap it from
 above, so the loop always terminates.
 
-Each guard count is solved by ``_solve_q``, which caches the last
-``graph.CACHE_SIZE`` solves: it runs the elimination and, for a
+Each guard count is solved by ``_solve_q``, whose solves ``graph.memo``
+keeps with the graph's other results: it runs the elimination and, for a
 non-empty fixed point, builds an explicit certificate, so every public
 function reads its numbers, survivor sets and certificates from that one
 solve.  A certificate (``ekdom.certificate``) is a family of
@@ -34,7 +34,6 @@ established so far.
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from . import _kernel
@@ -44,9 +43,9 @@ from ._kernel import KernelWork
 from .certificate import (CERTIFICATE_FORMAT, CertificateViolation, EternalCertificate,
                           certificate_from_json, certificate_to_json, verify_certificate)
 from .configs import canonical, enumerate_dominating_configs
-from .domination import ball_masks, gamma_k, is_distance_k_dominating
-from .graph import (CACHE_SIZE, DEFAULT_BUDGET, BudgetExceededError, Graph,
-                    all_pairs_distances, components, induced_subgraph, is_connected)
+from .domination import covers, gamma_k, graph_balls
+from .graph import (DEFAULT_BUDGET, BudgetExceededError, Graph, all_pairs_distances,
+                    components, induced_subgraph, is_connected, memo)
 
 CERTIFICATE_CAP = 20_000  # larger defense families yield no certificate
 
@@ -87,7 +86,6 @@ class SolveReport(NamedTuple):
         return self.gamma_eternal is not None
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _solve_q(g: Graph, k: int, q: int, budget: int
              ) -> tuple[frozenset, QStats, EternalCertificate | None]:
     """Survivors, statistics and certificate of guard count q.
@@ -100,18 +98,22 @@ def _solve_q(g: Graph, k: int, q: int, budget: int
     when none is, by the least such survivor, which joins the family (see
     ``_kernel.pure.certificate_rows``).  Empty, refused and over-budget
     guard counts, and closures past ``CERTIFICATE_CAP`` members, have no
-    certificate.
+    certificate.  Each (k, q, budget) is solved once per graph.
     """
-    dist = all_pairs_distances(g)
+    return memo(g, ("solve", k, q, budget), lambda: _fixed_point(g, k, q, budget))
+
+
+def _fixed_point(g: Graph, k: int, q: int, budget: int
+                 ) -> tuple[frozenset, QStats, EternalCertificate | None]:
     walked = array("q", [0])
-    states = enumerate_dominating_configs(dist, k, q, limit=budget // max(g.n, 1),
-                                          work=walked)
+    states = enumerate_dominating_configs(all_pairs_distances(g), k, q,
+                                          limit=budget // max(g.n, 1), work=walked)
     if len(states) * g.n > budget:
         # Refused before elimination; the enumeration stopped at its limit,
         # so num_configs is a lower bound on the true count.
         return frozenset(), QStats(q, len(states), 0, 0, 0, True,
                                    prefixes=walked[0]), None
-    masks = _kernel.pack_masks(ball_masks(dist, k), g.n)
+    masks = _kernel.pack_masks(graph_balls(g, k), g.n)
     wit = array("i", [-1]) * (len(states) * g.n)
     work = array("q", KernelWork())
     alive, rounds, checks, exceeded = _kernel.run_elimination(
@@ -236,8 +238,7 @@ def is_eternal_set(g: Graph, k: int, guards: Iterable[int],
     cfg = canonical(guards)
     if any(not (0 <= u < g.n) for u in cfg):
         raise ValueError("guard position out of range")
-    dist = all_pairs_distances(g)
-    if not is_distance_k_dominating(dist, cfg, k):
+    if not covers(graph_balls(g, k), cfg):
         return False
     if is_connected(g):
         return cfg in eternal_survivors(g, k, len(cfg), budget)

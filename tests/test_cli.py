@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes."""
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,16 @@ import pytest
 
 import ekdom
 from ekdom.cli import _parse, main
+from ekdom.closed_forms import path_graph, spider_graph
 from ekdom.graph import all_pairs_distances, parse_graph
+from ekdom.mary import build_perfect_mary
 from ekdom.solver import BudgetExceededError, certificate_from_json, verify_certificate
-from helpers import reference_parser
+from helpers import DEFAULT_SEED, reference_parser
+
+try:
+    from ekdom._kernel import _ckernel
+except ImportError:
+    _ckernel = None
 
 
 def run(capsys, *argv):
@@ -534,3 +542,45 @@ def test_certificate_path_is_left_as_found_when_no_certificate_comes_out(
     monkeypatch.setattr("ekdom.solver.eternal_number", budget_trip)
     code, _, _ = run(capsys, *argv)
     assert code == 2 and not cert_file.exists()
+
+
+def _shuffled_edge_list(g, rng):
+    """g as an edge-list document under shuffled labels, edges and endpoints."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+             for u, v in g.edges()]
+    rng.shuffle(edges)
+    return "".join(f"{u} {v}\n" for u, v in edges)
+
+
+@pytest.mark.parametrize("g,k", [
+    (path_graph(12), 1),
+    (spider_graph([3, 3, 3]), 1),
+    (build_perfect_mary(3, 3), 3),
+], ids=["P12-k1", "S333-k1", "T33-k3"])
+def test_pure_fallback_cli_matches_the_active_kernel(tmp_path, g, k):
+    # Two fresh interpreters run `eternal --json --certificate`: one with the
+    # extension hidden, so the kernel layer falls back to the pure twin, and
+    # one with whichever kernel imports.  Only the reported kernel may differ.
+    graph_file = tmp_path / "g.edges"
+    graph_file.write_text(_shuffled_edge_list(g, random.Random(f"{DEFAULT_SEED}:{g.n}")))
+    src = str(Path(ekdom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    outputs, certs = [], []
+    for hide in ("sys.modules['ekdom._kernel._ckernel'] = None; ", ""):
+        cert_file = tmp_path / f"cert{len(certs)}.json"
+        code = (f"import sys; {hide}import ekdom.cli; "
+                "sys.exit(ekdom.cli.main(sys.argv[1:]))")
+        done = subprocess.run([sys.executable, "-c", code, "eternal", "-k", str(k),
+                               str(graph_file), "--json", "--certificate", str(cert_file)],
+                              capture_output=True, text=True, env=env, check=True,
+                              timeout=120)
+        outputs.append(json.loads(done.stdout))
+        certs.append(cert_file.read_bytes())
+    pure, active = outputs
+    assert pure.pop("kernel") == "pure"
+    assert active.pop("kernel") == ("pure" if _ckernel is None else "compiled")
+    assert pure == active and pure["certificate"] is not None
+    assert certs[0] == certs[1]

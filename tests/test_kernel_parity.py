@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ekdom._kernel
-from ekdom import solver
+from ekdom import graph, solver
 from ekdom._kernel import KernelWork, pack_masks, pure
 from ekdom.closed_forms import cycle_graph, path_graph
 from ekdom.configs import enumerate_dominating_configs
@@ -347,11 +347,11 @@ def test_pure_twins_take_more_guards_than_the_recursion_limit(monkeypatch):
     assert pure.enumerate_states(1, 1100, array("Q", [1]), 0) == [(0,) * 1100]
     for name in ("enumerate_states", "run_elimination", "certificate_rows"):
         monkeypatch.setattr(ekdom._kernel, name, getattr(pure, name))
-    solver._solve_q.cache_clear()
+    graph._derived.cache_clear()
     try:
         assert solver.is_eternal_set(Graph.build(1, []), 1, [0] * 1100)
     finally:
-        solver._solve_q.cache_clear()
+        graph._derived.cache_clear()
 
 
 def test_certificate_rows_reject_malformed_input(compiled):

@@ -317,6 +317,48 @@ def test_memory_stays_flat_over_many_distinct_solves():
     assert after - before < 1 << 20
 
 
+def test_a_graphs_results_stay_cached_together(monkeypatch):
+    # A graph's solves are evicted with its distances, not on a clock of
+    # their own, so while A is among the CACHE_SIZE graphs used last, no
+    # number of solves on other graphs makes A solve again.
+    solves = []
+    run = ekdom._kernel.run_elimination
+
+    def spy(*args, **kwargs):
+        solves.append(1)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(ekdom._kernel, "run_elimination", spy)
+    a = Graph.build(7, path_graph(7).edges(), [f"together{v}" for v in range(7)])
+    q = eternal_number(a, 2).gamma_eternal
+    solves.clear()
+    for i in range(40):
+        g = Graph.build(8, path_graph(8).edges(), [f"others{i}.{v}" for v in range(8)])
+        assert eternal_number(g, 1).gamma_eternal == path_number(8, 1)
+    assert len(solves) > CACHE_SIZE
+    solves.clear()
+    assert eternal_survivors(a, 2, q)
+    assert not solves
+
+
+def test_memory_stays_flat_over_many_budgets_on_one_graph():
+    # Each graph keeps at most CACHE_SIZE results, counted after a solve
+    # has stored the distances and balls it made on the way.
+    g = Graph.build(7, path_graph(7).edges(), [f"budgets{v}" for v in range(7)])
+    q = path_number(7, 2)
+    tracemalloc.start()
+    try:
+        for budget in range(10**6, 10**6 + 2 * CACHE_SIZE):
+            assert eternal_survivors(g, 2, q, budget)
+        before = tracemalloc.get_traced_memory()[0]
+        for budget in range(10**6 + 2 * CACHE_SIZE, 10**6 + 1024):
+            assert eternal_survivors(g, 2, q, budget)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 1 << 20
+
+
 def test_disconnected_graphs_honour_the_q_range():
     # P5 + P3 at k = 1: 3 + 2 guards.
     g = Graph.build(8, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)])
