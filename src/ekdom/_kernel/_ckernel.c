@@ -16,7 +16,13 @@
    two therefore return byte-for-byte equal (alive, rounds, checks,
    exceeded), leave equal witness tables and count the same work; see
    pure.py for the algorithm notes, the skip and reuse rules, and the
-   meaning of the table and the counters.
+   meaning of the table and the counters.  Two things differ in how, not
+   in what: the matcher reads guard rows (the guards of the swept state
+   within reach of a post, as a bitmask over the guards) and walks their
+   unvisited bits word by word, in the ascending guard order of the pure
+   twin; and a run skip gallops from the cursor (steps of 1, 2, 4, ...,
+   then a bisection of the last step) instead of bisecting the rest of
+   the candidate list, since most runs are short.
 
    certificate_rows: the same breadth-first family from the least
    survivor, answering each attack with the least member found so far
@@ -49,50 +55,147 @@
 #include <limits.h>
 #include <string.h>
 
-typedef unsigned long long Word;    /* the flags of 64 vertices */
+typedef unsigned long long Word;    /* the flags of 64 vertices, or of 64 guards */
+
+/* The index of the lowest set bit of x, which must not be 0. */
+static int
+lowest(Word x)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    return __builtin_ctzll(x);
+#else
+    int c = 0;
+    for (; !(x & 1); x >>= 1)
+        c++;
+    return c;
+#endif
+}
 
 /* The one augmenting-path matcher: place the posts of b, in order, on
    distinct guards of a, each post trying the guards in ascending order.
    The sweep runs it from the target side (a the swept state, b each
    candidate) and keeps the previous candidate's matching: posts it
    shares with b, up to the ones it placed, keep their guards.  The
-   closure runs it with the roles swapped (see moves_to). */
+   closure runs it with the roles swapped (see moves_to).
+
+   A set of guards is gw = (q + 63) / 64 words, bit p of word p / 64 for
+   guard p.  The guard row of vertex t, rows + t * gw, is the set of
+   guards of a whose ball holds t.  Rows are filled lazily: a row is
+   filled when a post on its vertex is first placed after prefix_reset,
+   which the per-vertex stamp records, so a reset costs no work per
+   vertex and a matching fills only the rows of the posts it places.
+   Every post an augmenting path reaches holds a guard, so its row is
+   already filled, and the matcher keeps it next to the guard (own[p]),
+   where the search finds it without a detour through the post. */
+typedef struct {
+    int post, guard;
+    const Word *row;    /* the post's guard row */
+} Step;
+
 typedef struct {
     const Word *ball;   /* n balls of words words each */
     const int *a, *b;   /* guards' vertices; posts last placed, or NULL */
-    Py_ssize_t words;
-    int q;
+    Py_ssize_t words, n;
+    int q, gw;
     int placed;         /* posts 0..placed-1 of b hold guards */
     int *holder;        /* holder[p]: post held by guard p of a, or -1 */
+    const Word **own;   /* own[p]: the guard row of post holder[p] */
     int *guard;         /* guard[c]: guard of a holding post c < placed */
-    unsigned char *seen;
+    Word *rows;         /* n guard rows */
+    unsigned *stamp;    /* row t is filled for a when stamp[t] == epoch */
+    unsigned epoch;
+    Word *seen;         /* the guards the current search has tried */
+    Step *path;         /* the current search's path, at most q steps */
 } Prefix;
 
+/* Fill the guard row of vertex t, unless it is filled for this a. */
+static void
+fill_row(Prefix *m, int t)
+{
+    if (m->stamp[t] == m->epoch)
+        return;
+    const Word *col = m->ball + (t >> 6);   /* the word of ball 0 that holds t */
+    const Word bit = (Word)1 << (t & 63);
+    Word *row = m->rows + (size_t)t * m->gw;
+    m->stamp[t] = m->epoch;
+    for (int w = 0; w < m->gw; w++) {
+        Word guards = 0;
+        for (int p = 64 * w; p < m->q && p < 64 * w + 64; p++)
+            if (col[(size_t)m->a[p] * (size_t)m->words] & bit)
+                guards |= (Word)1 << (p & 63);
+        row[w] = guards;
+    }
+}
+
+/* Place post c by an augmenting path, searched depth first on an
+   explicit stack, as configs.place searches it: each post on the path
+   tries the guards of its row it has not tried, in ascending order; a
+   free guard ends the path, a held one continues it from its post, and a
+   post with none left backs up to the step before.  On success every
+   step's guard takes its post; a failed search changes no assignment. */
 static int
 place(Prefix *m, int c)
 {
-    const int t = m->b[c];
-    const Word *col = m->ball + (t >> 6);   /* the word of ball 0 that holds t */
-    const Word bit = (Word)1 << (t & 63);
-    for (int p = 0; p < m->q; p++) {
-        if (!m->seen[p] && (col[(size_t)m->a[p] * (size_t)m->words] & bit)) {
-            m->seen[p] = 1;
-            if (m->holder[p] < 0 || place(m, m->holder[p])) {
-                m->holder[p] = c;
+    const Word *row = m->rows + (size_t)m->b[c] * m->gw;
+    const int gw = m->gw;
+    Word *seen = m->seen;
+    int *holder = m->holder;
+    Step *path = m->path;
+    int depth = 0, w;
+
+    /* Word 0 on its own: below 65 guards the loop then never runs, and a
+       compiler may turn it into a memset call that costs more than a
+       short search. */
+    seen[0] = 0;
+    for (w = 1; w < gw; w++)
+        seen[w] = 0;
+    for (w = 0;;) {
+        Word open = 0;
+        while (w < gw && (open = row[w] & ~seen[w]) == 0)
+            w++;
+        if (open != 0) {
+            int p = 64 * w + lowest(open);
+            if (depth == 0 && holder[p] < 0) {  /* a free guard of c: a one-step path */
+                holder[p] = c;
+                m->own[p] = row;
                 m->guard[c] = p;
                 return 1;
             }
+            seen[w] |= (Word)1 << (p & 63);
+            path[depth++] = (Step){c, p, row};
+            if (holder[p] < 0) {
+                while (depth > 0) {
+                    Step s = path[--depth];
+                    holder[s.guard] = s.post;
+                    m->own[s.guard] = s.row;
+                    m->guard[s.post] = s.guard;
+                }
+                return 1;
+            }
+            c = holder[p];
+            row = m->own[p];
+            w = 0;
+        } else if (depth > 0) {
+            Step s = path[--depth];
+            c = s.post;
+            row = s.row;
+            w = s.guard >> 6;
+        } else {
+            return 0;
         }
     }
-    return 0;
 }
 
-/* Start matching onto state a: no post is placed. */
+/* Start matching onto state a: no post is placed and no row is filled. */
 static void
 prefix_reset(Prefix *m, const int *a)
 {
     for (int p = 0; p < m->q; p++)
         m->holder[p] = -1;
+    if (++m->epoch == 0) {      /* wrapped: an old stamp could match */
+        memset(m->stamp, 0, (size_t)m->n * sizeof *m->stamp);
+        m->epoch = 1;
+    }
     m->a = a;
     m->b = NULL;
     m->placed = 0;
@@ -112,7 +215,7 @@ prefix_match(Prefix *m, const int *b)
         m->holder[m->guard[d]] = -1;
     m->b = b;
     for (m->placed = c; m->placed < m->q; m->placed++) {
-        memset(m->seen, 0, (size_t)m->q);
+        fill_row(m, b[m->placed]);
         if (!place(m, m->placed))
             return m->placed;
     }
@@ -186,16 +289,15 @@ get_array(PyObject *obj, Py_buffer *view, int flags, const char *name, const cha
     return 0;
 }
 
-/* What both entry points read: ball masks, states, the matcher's scratch
-   (holder, guard and seen, q items each) and the holder lists
-   (off[v]..off[v+1] in cand holds, ascending, every counted state with a
-   guard on v). */
+/* What both entry points read: ball masks, states, the matcher with its
+   scratch, and the holder lists (off[v]..off[v+1] in cand holds,
+   ascending, every counted state with a guard on v). */
 typedef struct {
     Py_ssize_t n, S, q, words;
     Py_buffer masks;
-    int *st, *cand, *holder, *guard;
+    int *st, *cand;
     Py_ssize_t *off;
-    unsigned char *seen;
+    Prefix m;
 } Instance;
 
 static void
@@ -205,10 +307,14 @@ free_instance(Instance *in)
         PyBuffer_Release(&in->masks);
     PyMem_Free(in->st);
     PyMem_Free(in->cand);
-    PyMem_Free(in->holder);
-    PyMem_Free(in->guard);
     PyMem_Free(in->off);
-    PyMem_Free(in->seen);
+    PyMem_Free(in->m.holder);
+    PyMem_Free((void *)in->m.own);
+    PyMem_Free(in->m.guard);
+    PyMem_Free(in->m.rows);
+    PyMem_Free(in->m.stamp);
+    PyMem_Free(in->m.seen);
+    PyMem_Free(in->m.path);
 }
 
 /* Borrow masks (n balls) and read states into in; -1 with an exception
@@ -217,6 +323,7 @@ static int
 read_instance(Instance *in, Py_ssize_t n, PyObject *masks_obj, PyObject *states_obj)
 {
     PyObject *sseq = NULL;
+    Prefix *m = &in->m;
     Py_ssize_t i;
     int rc = -1;
 
@@ -239,10 +346,20 @@ read_instance(Instance *in, Py_ssize_t n, PyObject *masks_obj, PyObject *states_
         goto done;
     in->st = NEW(int, (size_t)in->S * in->q);
     in->off = NEW(Py_ssize_t, n + 1);
-    in->holder = NEW(int, in->q);
-    in->guard = NEW(int, in->q);
-    in->seen = NEW(unsigned char, in->q);
-    if (!in->st || !in->off || !in->holder || !in->guard || !in->seen) {
+    m->ball = in->masks.buf;
+    m->words = in->words;
+    m->n = n;
+    m->q = (int)in->q;
+    m->gw = (int)((in->q + 63) / 64);
+    m->holder = NEW(int, in->q);
+    m->own = NEW(const Word *, in->q);
+    m->guard = NEW(int, in->q);
+    m->rows = NEW(Word, (size_t)n * m->gw);
+    m->stamp = NEW(unsigned, n);
+    m->seen = NEW(Word, m->gw);
+    m->path = NEW(Step, in->q);
+    if (!in->st || !in->off || !m->holder || !m->own || !m->guard || !m->rows
+            || !m->stamp || !m->seen || !m->path) {
         PyErr_NoMemory();
         goto done;
     }
@@ -450,6 +567,23 @@ bisect(const int *cv, int lo, int hi, int stop)
     return lo;
 }
 
+/* What bisect returns, found by galloping from lo: probe lo, lo + 1,
+   lo + 3, lo + 7, ... until a state >= stop or hi brackets the answer,
+   then bisect the last step.  A run of r states costs about 2 log2(r)
+   probes, not log2 of the rest of the list. */
+static int
+gallop(const int *cv, int lo, int hi, int stop)
+{
+    Py_ssize_t step = 1;
+    int past = lo;
+    while (past < hi && cv[past] < stop) {
+        lo = past + 1;
+        past = hi - past > step ? past + (int)step : hi;
+        step *= 2;
+    }
+    return bisect(cv, lo, past, stop);
+}
+
 enum { WORK_ITEMS = 5 };   /* probes, dead, matchings, matched, jumped */
 
 static PyObject *
@@ -465,7 +599,7 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
     const int *st, *cand;
     const Py_ssize_t *off;
     unsigned char *alive = NULL;
-    Prefix m;
+    Prefix *m = &in.m;
     int changed = 1, exceeded = 0;
     Py_ssize_t rounds = 0;
 
@@ -507,8 +641,6 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
             skip[i * q + t] = t < same ? skip[(i + 1) * q + t] : (int)i + 1;
     }
 
-    m = (Prefix){in.masks.buf, NULL, NULL, in.words, (int)q, 0,
-                 in.holder, in.guard, in.seen};
     memset(alive, 1, (size_t)S);
     for (i = 0; i < S * n; i++)
         wit[i] = -1;
@@ -521,7 +653,7 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
             const int *post = st + (size_t)i * q;
             int *pos_i = pos + (size_t)i * n, *wit_i = wit + (size_t)i * n;
             Py_ssize_t t = 0;
-            prefix_reset(&m, post);
+            prefix_reset(m, post);
             for (v = 0; v < n; v++) {
                 while (t < q && post[t] < v)
                     t++;
@@ -537,20 +669,22 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
                 const int *cv = cand + off[v];
                 int top = (int)(off[v + 1] - off[v]), p = pos_i[v];
                 while (p < top) {
-                    int j = cv[p], fail;
-                    work[0]++;
-                    if (!alive[j]) {
-                        work[1]++;
+                    int j, fail, from = p;
+                    while (p < top && !alive[cv[p]])
                         p++;
-                        continue;
-                    }
+                    work[0] += p - from;    /* dead candidates, probed in one pass */
+                    work[1] += p - from;
+                    if (p == top)
+                        break;
+                    j = cv[p];
+                    work[0]++;
                     work[2]++;
-                    if ((fail = prefix_match(&m, st + (size_t)j * q)) < 0) {
+                    if ((fail = prefix_match(m, st + (size_t)j * q)) < 0) {
                         work[3]++;
                         break;
                     }
                     /* No state sharing j's first fail + 1 posts is reachable. */
-                    int next = bisect(cv, p + 1, top, skip[(size_t)j * q + fail]);
+                    int next = gallop(cv, p + 1, top, skip[(size_t)j * q + fail]);
                     work[4] += next - p - 1;
                     p = next;
                 }
@@ -631,7 +765,7 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
     const int *wit;
     int *order = NULL, *slot = NULL, *resp = NULL, *fam = NULL, *out;
     Py_ssize_t *held = NULL;
-    Prefix m;
+    Prefix *m = &in.m;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nOOOOn:certificate_rows", kwlist,
                                      &n, &masks_obj, &states_obj, &alive_obj, &wit_obj,
@@ -656,8 +790,6 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
     S = in.S;
     q = in.q;
     width = n * (q + 1);
-    m = (Prefix){in.masks.buf, NULL, NULL, in.words, (int)q, 0,
-                 in.holder, in.guard, in.seen};
     order = NEW(int, S);            /* order[h]: the h-th member found */
     slot = NEW(int, S);             /* slot[s]: h for member s, -1 for other states */
     /* fam[off[v]..off[v] + held[v]): the members holding v, ascending; the
@@ -706,10 +838,10 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
             }
             const int *fv = fam + in.off[v];
             for (c = bisect(fv, 0, (int)held[v], lo); c < held[v] && j < 0; c++)
-                if (moves_to(&m, post, in.st + (size_t)fv[c] * q))
+                if (moves_to(m, post, in.st + (size_t)fv[c] * q))
                     j = fv[c];
             if (j < 0 && lo < S && slot[w] < 0
-                    && moves_to(&m, post, in.st + (size_t)w * q))
+                    && moves_to(m, post, in.st + (size_t)w * q))
                 j = w;
             if (j < 0) {
                 PyErr_Format(PyExc_ValueError, "no live state answers attack %zd on "
@@ -724,7 +856,7 @@ certificate_rows(PyObject *self, PyObject *args, PyObject *kwargs)
             for (c = 0; c < q; c++) {
                 if (c == 0 || dst[c] != dst[c - 1])
                     first = (int)c;
-                out[1 + m.holder[c]] = first;
+                out[1 + m->holder[c]] = first;
             }
             if (slot[j] < 0)
                 join(&in, j, order, slot, &size, fam, held);

@@ -67,7 +67,11 @@ The compiled twin runs the same sweep, cursors, budget test, prefix
 matcher and skips on C arrays, so the two agree byte for byte, work
 counters included; this module is the reference the parity tests
 compare it against and the kernel in use wherever the extension was not
-built.
+built.  Two things differ in speed only: the compiled matcher reads,
+per post, the set of guards within reach as a bitmask of 64-bit words
+and tries its untried bits in the same ascending order, and a run skip
+gallops from the cursor to the end of the run instead of bisecting the
+rest of the candidate list.
 
 Both kernels return ``(alive, rounds, checks, exceeded)`` where ``alive``
 is a bytearray of 0/1 flags over the input configurations, ``rounds``

@@ -84,9 +84,13 @@ def _corpus():
     for g, k, q in [(path_graph(70), 20, 2), (path_graph(70), 12, 3),
                     (cycle_graph(66), 11, 3), (tree, 2, 2), (tree, 3, 1), (tree, 4, 2)]:
         yield _instance(g, k, q)
+    # The guard counts of the elim workload's largest rounds, where
+    # augmenting paths run through several guards.
+    yield _instance(path_graph(12), 1, 6)
+    yield _instance(path_graph(14), 2, 5)
 
 
-def _assert_agree(compiled, n, masks, states, budget):
+def _assert_agree(compiled, n, masks, states, budget, rows=True):
     # Different fill values: each kernel must overwrite every entry.
     wit_c = array("i", [7]) * (len(states) * n)
     wit_py = array("i", [-7]) * (len(states) * n)
@@ -100,7 +104,7 @@ def _assert_agree(compiled, n, masks, states, budget):
     assert work_c == work_py
     probes, dead, matchings, matched, jumped = work_c
     assert probes == dead + matchings and 0 <= matched <= matchings and jumped >= 0
-    if not got_c[3]:
+    if rows and not got_c[3]:
         _assert_rows_agree(compiled, n, masks, states, got_c[0], wit_c)
     return got_c, wit_c
 
@@ -118,6 +122,44 @@ def test_kernels_agree_exactly(compiled):
         for sweep in (states, states[::-1]):
             for budget in (5_000_000, 100):
                 _assert_agree(compiled, n, masks, sweep, budget)
+
+
+def _crowded_states(n, q, holes, rng):
+    """Six sorted states of q guards on range(n), not all dominating: each
+    leaves one of three sets of ``holes`` vertices empty (a random set and
+    its jitters by one step, of which any path has three) and spreads the
+    guards over the rest by one of two random splits, so many pairs of
+    states are a step apart and many are not."""
+    size = n - holes
+    splits = []
+    for _ in range(2):
+        cuts = sorted(rng.sample(range(1, q), size - 1))
+        splits.append([b - a for a, b in zip([0, *cuts], [*cuts, q])])
+    base = rng.sample(range(n), holes)
+    gaps = {frozenset(base)}
+    while len(gaps) < 3:
+        jitter = frozenset(min(n - 1, max(0, h + rng.randint(-1, 1))) for h in base)
+        if len(jitter) == holes:
+            gaps.add(jitter)
+    return sorted(tuple(v for v, c in zip(sorted(set(range(n)) - gap), split)
+                        for _ in range(c)) for gap in gaps for split in splits)
+
+
+@pytest.mark.parametrize("q", [63, 64, 65, 130])
+def test_kernels_agree_past_one_guard_word(compiled, q):
+    # The compiled matcher keeps sets of guards in 64-bit words: 63 to 65
+    # guards straddle the first word's end and 130 need three.  P5 holds
+    # many guards per vertex; the 70-vertex path also needs two words per
+    # ball.  The pure closure takes seconds at 130 guards on 70 vertices,
+    # so that one case checks the sweep alone.
+    rng = random.Random(DEFAULT_SEED + q)
+    for g, holes in [(path_graph(5), 2), (path_graph(70), 70 - (q if q <= 70 else q // 2))]:
+        n, masks = g.n, _packed_balls(g, 1)
+        states = _crowded_states(n, q, holes, rng)
+        assert len(states) == 6 and {len(s) for s in states} == {q}
+        for sweep in (states, states[::-1]):
+            for budget in (5_000_000, 20):
+                _assert_agree(compiled, n, masks, sweep, budget, rows=n < 70 or q < 70)
 
 
 def test_kernels_agree_when_budget_trips(compiled):
