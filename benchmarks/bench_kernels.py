@@ -38,6 +38,14 @@ verify.  With ``--parent DIR`` that tree's run alternates with it run by
 run.  End-to-end pairs copied into the file from ``e2ebench/run.py``
 result lines (its ``end_to_end`` entry) are kept when it is rewritten.
 
+Speed: the benchmark pins itself, and so its children, to one CPU and
+times the fixed pure-Python loop of ``e2ebench/run.py``'s ``Runner``
+(``probe``) between consecutive timed calls and children.  Each time is
+recorded raw (``compiled_s``, ``s``, ...) and scaled to reference speed,
+PROBE_REF_S over the mean of the probes just before and after it
+(``compiled_ref_s``, ``ref_s``, ...); medians and ratios are taken from
+the scaled times.
+
 Times, counters and provenance go to ``BENCH_enum.json``,
 ``BENCH_cert.json`` at the root of this tree and to ``--out``
 (BENCH_kernel.json).  ``--only`` runs one of the three sections.
@@ -78,6 +86,9 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNEL_DIR = Path("src") / "ekdom" / "_kernel"
 BUDGET = 50_000_000
 CAP = 20_000
+#: ``probe()`` time on an uncontended 2.1 GHz Xeon vCPU under CPython 3.11,
+#: as in ``e2ebench/run.py``; scaled times are seconds at that speed.
+PROBE_REF_S = 0.020
 
 SMALL = [  # both kernels, and both certificate closures
     ("P12 k=1 q=6", lambda: path_graph(12), 1, 6),
@@ -178,6 +189,29 @@ print(json.dumps({{
 """
 
 
+def probe() -> float:
+    """Seconds this CPU takes for a fixed pure-Python loop right now."""
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(300_000):
+        acc += i * i % 7
+    return time.perf_counter() - t0
+
+
+class Speed:
+    """Probes between consecutive timed calls.  On a shared host the CPU's
+    speed drifts by up to about 1.6x for seconds at a time, so a ~10 ms
+    call's raw time follows the host more than the kernel."""
+
+    def __init__(self) -> None:
+        self.last = probe()
+
+    def scale(self, seconds: float) -> float:
+        """``seconds`` of the call that just ended, at reference speed."""
+        before, self.last = self.last, probe()
+        return seconds * 2 * PROBE_REF_S / (before + self.last)
+
+
 def load_kernel(tree: Path):
     """The compiled kernel built in source tree ``tree``; refuses one older
     than its ``_ckernel.c``, which would measure a stale build."""
@@ -249,9 +283,10 @@ def same(a, b) -> bool:
     return bytes(a[1][0]) == bytes(b[1][0]) and a[1][1:] == b[1][1:] and a[2] == b[2]
 
 
-def run_case(name, build, k, q, repeat, parent, with_pure) -> dict:
+def run_case(name, build, k, q, repeat, parent, with_pure, speed) -> dict:
     n, geometry, states = instance(build, k, q)
-    times = {"compiled_s": [], "parent_compiled_s": [], "pure_s": []}
+    times = {key: [] for side in ("compiled", "parent_compiled", "pure")
+             for key in (f"{side}_s", f"{side}_ref_s")}
     first = work = None
     for r in range(repeat):
         sides = [("compiled_s", _ckernel)]
@@ -261,6 +296,7 @@ def run_case(name, build, k, q, repeat, parent, with_pure) -> dict:
             sides.append(("pure_s", pure))
         for key, kernel in sides:
             got = eliminate(kernel, n, geometry, states)
+            times[key.removesuffix("_s") + "_ref_s"].append(round(speed.scale(got[0]), 5))
             first = first or got
             work = work or got[3]
             assert same(got, first), f"{name}: {key} differs"
@@ -275,14 +311,16 @@ def run_case(name, build, k, q, repeat, parent, with_pure) -> dict:
         if runs:
             row[key] = runs
     if parent is not None:
-        row["parent_over_compiled"] = round(statistics.median(times["parent_compiled_s"])
-                                            / statistics.median(times["compiled_s"]), 2)
+        row["parent_over_compiled"] = round(statistics.median(times["parent_compiled_ref_s"])
+                                            / statistics.median(times["compiled_ref_s"]), 2)
     if with_pure:
         cert = {}
         for key, kernel in (("compiled_s", _ckernel), ("pure_s", pure)):
             t0 = time.perf_counter()
             rows = kernel.certificate_rows(n, geometry["masks"], states, alive, wit, CAP)
-            cert[key] = round(time.perf_counter() - t0, 5)
+            seconds = time.perf_counter() - t0
+            cert[key] = round(seconds, 5)
+            cert[key.removesuffix("_s") + "_ref_s"] = round(speed.scale(seconds), 5)
             cert.setdefault("rows", rows)
             assert rows == cert["rows"], f"{name}: certificate rows differ"
         cert["family"] = len(cert.pop("rows")[0]) if sum(alive) else 0
@@ -290,68 +328,73 @@ def run_case(name, build, k, q, repeat, parent, with_pure) -> dict:
     return row
 
 
-def walk_small(name, build, k, q, repeat) -> dict:
+def walk_small(name, build, k, q, repeat, speed) -> dict:
     """Compiled and pure walks in this process; equal states and prefixes."""
     g = build()
     masks = pack_masks(ball_masks(all_pairs_distances(g), k), g.n)
-    times = {"compiled_s": [], "pure_s": []}
+    times = {key: [] for key in ("compiled_s", "compiled_ref_s", "pure_s", "pure_ref_s")}
     first = None
     for _ in range(repeat):
         for key, kernel in (("compiled_s", _ckernel), ("pure_s", pure)):
             work = array("q", [0])
             t0 = time.perf_counter()
             states = kernel.enumerate_states(g.n, q, masks, None, work)
-            times[key].append(round(time.perf_counter() - t0, 6))
+            seconds = time.perf_counter() - t0
+            times[key].append(round(seconds, 6))
+            times[key.removesuffix("_s") + "_ref_s"].append(round(speed.scale(seconds), 6))
             first = first or (states, work[0])
             assert (states, work[0]) == first, f"{name}: {key} walk differs"
     return {"name": name, "n": g.n, "k": k, "q": q, "states": len(first[0]),
             "prefixes": first[1], **times}
 
 
-def walk_child(tree: Path, build: str, k: int, q: int) -> dict:
+def walk_child(tree: Path, build: str, k: int, q: int, speed: Speed) -> dict:
     """One walk in a fresh interpreter on ``tree``'s sources."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     done = subprocess.run([sys.executable, "-c", WALK_CHILD.format(build=build, k=k, q=q)],
                           cwd=tree, env=env, capture_output=True, text=True, check=True,
                           timeout=600)
-    return json.loads(done.stdout)
+    row = json.loads(done.stdout)
+    row["ref_s"] = round(speed.scale(row["s"]), 5)
+    return row
 
 
-def walk_large(name, build, k, q, repeat, parent) -> dict:
+def walk_large(name, build, k, q, repeat, parent, speed) -> dict:
     runs = {"change": [], "parent": []}
     for r in range(repeat):
         sides = [("change", ROOT)]
         if parent is not None:
             sides.insert(1 - r % 2, ("parent", parent))
         for key, tree in sides:
-            runs[key].append(walk_child(tree, build, k, q))
+            runs[key].append(walk_child(tree, build, k, q, speed))
     first = runs["change"][0]
     for key, rows in runs.items():
         assert all(row["sha256"] == first["sha256"] for row in rows), f"{name}: {key} differs"
     row = {"name": name, "k": k, "q": q, "states": first["states"],
            "prefixes": first["prefixes"], "runs": {key: rows for key, rows in runs.items() if rows}}
     if parent is not None:
-        row["parent_over_change"] = round(statistics.median(r["s"] for r in runs["parent"])
-                                          / statistics.median(r["s"] for r in runs["change"]), 1)
+        row["parent_over_change"] = round(
+            statistics.median(r["ref_s"] for r in runs["parent"])
+            / statistics.median(r["ref_s"] for r in runs["change"]), 1)
     return row
 
 
-def bench_walks(repeat: int, parent: Path | None) -> None:
+def bench_walks(repeat: int, parent: Path | None, speed: Speed) -> None:
     print(f"{'walk':<22}{'states':>8}{'prefixes':>11}{'compiled':>11}{'pure':>11}")
     small = []
     for name, build, k, q in SMALL:
-        row = walk_small(name, build, k, q, repeat)
+        row = walk_small(name, build, k, q, repeat, speed)
         small.append(row)
         print(f"{name:<22}{row['states']:>8}{row['prefixes']:>11}"
-              f"{statistics.median(row['compiled_s']):>10.5f}s"
-              f"{statistics.median(row['pure_s']):>10.5f}s", flush=True)
+              f"{statistics.median(row['compiled_ref_s']):>10.5f}s"
+              f"{statistics.median(row['pure_ref_s']):>10.5f}s", flush=True)
     print(f"{'walk':<22}{'states':>8}{'prefixes':>11}{'change':>11}{'parent':>11}"
           f"{'rss MB':>9}")
     large = []
     for name, build, k, q in WALKS:
-        row = walk_large(name, build, k, q, repeat, parent)
+        row = walk_large(name, build, k, q, repeat, parent, speed)
         large.append(row)
-        med = {key: f"{statistics.median(r['s'] for r in rows):.4f}s"
+        med = {key: f"{statistics.median(r['ref_s'] for r in rows):.4f}s"
                for key, rows in row["runs"].items()}
         rss = max(r["peak_rss_mb"] for r in row["runs"]["change"])
         print(f"{name:<22}{row['states']:>8}{row['prefixes']:>11}{med['change']:>11}"
@@ -361,7 +404,9 @@ def bench_walks(repeat: int, parent: Path | None) -> None:
                 "enumerate_states in one process (small instances), and of "
                 "configs.enumerate_dominating_configs in a fresh interpreter per run, "
                 "with states, prefixes visited and the process's peak RSS (walk "
-                "instances). prefixes is null for a tree whose walk counts none.",
+                "instances). prefixes is null for a tree whose walk counts none. "
+                "*_ref_s and ref_s are the same runs scaled to reference speed "
+                "by the probes around them; ratios use those.",
         "command": "PYTHONPATH=src python3 benchmarks/bench_kernels.py --repeat "
                    f"{repeat}" + (" --parent PARENT_TREE" if parent else ""),
         "commit": git("rev-parse", "HEAD"),
@@ -393,16 +438,20 @@ def cert_edges(build) -> str:
     return edge_list(inst, labeling_rng("certify", CERT_SEED, 0, inst))
 
 
-def cert_child(tree: Path, edges: str, k: int, q: int) -> dict:
+def cert_child(tree: Path, edges: str, k: int, q: int, speed: Speed) -> dict:
     """One certificate in a fresh interpreter on ``tree``'s sources."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     done = subprocess.run([sys.executable, "-c", CERT_CHILD.format(k=k, q=q)], input=edges,
                           cwd=tree, env=env, capture_output=True, text=True, check=True,
                           timeout=600)
-    return json.loads(done.stdout)
+    row = json.loads(done.stdout)
+    factor = speed.scale(1.0)
+    for f in ("certificate_rows_s", "verify_s"):
+        row[f.removesuffix("_s") + "_ref_s"] = round(row[f] * factor, 6)
+    return row
 
 
-def bench_certs(repeat: int, parent: Path | None) -> None:
+def bench_certs(repeat: int, parent: Path | None, speed: Speed) -> None:
     print(f"{'certificate':<22}{'side':>7}{'family':>8}{'rows':>8}{'bytes':>9}"
           f"{'closure':>11}{'verify':>11}")
     rows = []
@@ -414,7 +463,7 @@ def bench_certs(repeat: int, parent: Path | None) -> None:
             if parent is not None:
                 sides.insert(1 - r % 2, ("parent", parent))
             for key, tree in sides:
-                runs[key].append(cert_child(tree, edges, k, q))
+                runs[key].append(cert_child(tree, edges, k, q, speed))
         row = {"name": name, "k": k, "q": q}
         for key, got in runs.items():
             if not got:
@@ -423,18 +472,19 @@ def bench_certs(repeat: int, parent: Path | None) -> None:
             assert all(run["verified"] for run in got), f"{name}: {key} certificate rejected"
             assert all(run["sha256"] == first["sha256"] for run in got), f"{name}: {key} differs"
             side = {f: first[f] for f in ("survivors", "family", "rows", "json_bytes", "kernel")}
-            for f in ("certificate_rows_s", "verify_s"):
+            for f in ("certificate_rows_s", "certificate_rows_ref_s", "verify_s",
+                      "verify_ref_s"):
                 side[f] = [run[f] for run in got]
             row[key] = side
             print(f"{name:<22}{key:>7}{side['family']:>8}{side['rows']:>8}"
                   f"{side['json_bytes']:>9}"
-                  f"{statistics.median(side['certificate_rows_s']):>10.5f}s"
-                  f"{statistics.median(side['verify_s']):>10.5f}s", flush=True)
+                  f"{statistics.median(side['certificate_rows_ref_s']):>10.5f}s"
+                  f"{statistics.median(side['verify_ref_s']):>10.5f}s", flush=True)
         if parent is not None:
             row["parent_over_change"] = {
                 f: round(statistics.median(row["parent"][f])
                          / statistics.median(row["change"][f]), 2)
-                for f in ("certificate_rows_s", "verify_s")}
+                for f in ("certificate_rows_ref_s", "verify_ref_s")}
         rows.append(row)
     out = ROOT / "BENCH_cert.json"
     old = json.loads(out.read_text(encoding="utf-8")) if out.is_file() else {}
@@ -442,7 +492,9 @@ def bench_certs(repeat: int, parent: Path | None) -> None:
         "what": "Certificate closure and verifier: per instance and tree, the survivors, "
                 "the certificate's family size, rows and compact JSON bytes, and the "
                 "seconds of _kernel.certificate_rows and of solver.verify_certificate "
-                "(medians of five calls in one fresh interpreter per run; distances cached).",
+                "(medians of five calls in one fresh interpreter per run; distances cached); "
+                "*_ref_s are the same medians scaled to reference speed by the probes "
+                "around the run, and the ratios use those.",
         "command": "PYTHONPATH=src python3 benchmarks/bench_kernels.py --only cert --repeat "
                    f"{repeat}" + (" --parent PARENT_TREE" if parent else ""),
         "commit": git("rev-parse", "HEAD"),
@@ -477,12 +529,15 @@ def main() -> int:
         print("compiled kernel not built; run: python3 setup.py build_ext --inplace")
         return 1
     load_kernel(ROOT)  # refuses a stale build
+    # Children inherit the affinity, so probes and children share one CPU.
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    speed = Speed()
     if args.only in (None, "walk"):
-        bench_walks(args.repeat, args.parent)
+        bench_walks(args.repeat, args.parent, speed)
     if args.only in (None, "cert"):
         if args.parent:
             load_kernel(args.parent)
-        bench_certs(args.repeat, args.parent)
+        bench_certs(args.repeat, args.parent, speed)
     if args.only not in (None, "elim"):
         return 0
     parent = load_kernel(args.parent) if args.parent else None
@@ -492,17 +547,19 @@ def main() -> int:
           f"{'matchings':>12}{'matched':>10}{'jumped':>12}")
     for cases, with_pure in ((SMALL, True), (LARGE, False)):
         for name, build, k, q in cases:
-            row = run_case(name, build, k, q, args.repeat, parent, with_pure)
+            row = run_case(name, build, k, q, args.repeat, parent, with_pure, speed)
             rows.append(row)
             med = {key: f"{statistics.median(row[key]):.4f}s" if key in row else "-"
-                   for key in ("compiled_s", "parent_compiled_s", "pure_s")}
+                   for key in ("compiled_ref_s", "parent_compiled_ref_s", "pure_ref_s")}
             w = row["work"]
-            print(f"{name:<22}{row['states']:>8}{med['compiled_s']:>11}"
-                  f"{med['parent_compiled_s']:>11}{med['pure_s']:>11}"
+            print(f"{name:<22}{row['states']:>8}{med['compiled_ref_s']:>11}"
+                  f"{med['parent_compiled_ref_s']:>11}{med['pure_ref_s']:>11}"
                   f"{w['matchings']:>12}{w['matched']:>10}{w['jumped']:>12}", flush=True)
     doc = {
         "what": "Elimination kernel wall times (seconds per run) and work counters; "
-                "on the small instances also the certificate closure of both kernels.",
+                "on the small instances also the certificate closure of both kernels. "
+                "*_ref_s are the same runs scaled to reference speed by the probes "
+                "around each call; parent_over_compiled uses those.",
         "command": "PYTHONPATH=src python3 benchmarks/bench_kernels.py --repeat "
                    f"{args.repeat}" + (" --parent PARENT_TREE" if parent else ""),
         "commit": git("rev-parse", "HEAD"),

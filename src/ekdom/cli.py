@@ -8,6 +8,14 @@ verify process runs none of the code it checks and starts up short.
 Exit codes: 0 success, 1 parse/usage error, 2 budget exceeded (bounds are
 still printed), 3 certificate rejected (malformed or invalid) or
 power-check mismatch.
+
+A process (``python -m ekdom.cli`` or the ``ekdom`` script) runs
+``run()``, which flushes stdout and stderr once ``main()`` returns and ends
+with ``os._exit``, skipping the interpreter's teardown: that costs a fresh
+process more than importing ekdom does.  The fast exit also skips
+``atexit`` handlers and finalizers (``weakref.finalize``, ``__del__``), so
+ekdom registers none, and every file it writes is closed before ``main()``
+returns.  In-process callers call ``main()``, which never calls ``os._exit``.
 """
 from __future__ import annotations
 
@@ -423,5 +431,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
 
 
+def run() -> None:
+    """Run ``main()`` as a process and end it at its last write.
+
+    A flush that fails (a full disk, a closed pipe) falls back to
+    ``sys.exit``, so the interpreter reports it as it always has: one
+    "Exception ignored" line and exit 120.  A usage error, ``-h`` and an
+    uncaught exception never get here and take the normal exit too.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -584,3 +584,109 @@ def test_pure_fallback_cli_matches_the_active_kernel(tmp_path, g, k):
     assert active.pop("kernel") == ("pure" if _ckernel is None else "compiled")
     assert pure == active and pure["certificate"] is not None
     assert certs[0] == certs[1]
+
+
+# `python -m ekdom.cli` (what the e2e benchmark times) and the `ekdom` script
+# end through cli.run()'s flush and os._exit; TEARDOWN_ENTRY keeps the
+# interpreter's teardown.  Both must print the same bytes and exit alike.
+TEARDOWN_ENTRY = "import sys, ekdom.cli; sys.exit(ekdom.cli.main(sys.argv[1:]))"
+ENTRIES = {"module": ["-m", "ekdom.cli"], "teardown": ["-c", TEARDOWN_ENTRY]}
+
+
+def _process_env():
+    """ekdom on the path, and PYTHONUNBUFFERED unset: an unbuffered stdout
+    would hide a write that was never flushed."""
+    src = str(Path(ekdom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+PROCESS_CASES = {
+    "eternal-json-certificate": (["eternal", "-k", "2", "{graph}", "--json",
+                                  "--certificate", "{out}"], 0),
+    "eternal-text": (["eternal", "-k", "2", "{graph}"], 0),
+    "budget": (["eternal", "-k", "2", "{graph}", "--max-states", "10"], 2),
+    "verify-ok": (["verify", "{good}", "{graph}"], 0),
+    "verify-tampered": (["verify", "{bad}", "{graph}"], 3),
+    "usage-error": (["eternal", "{graph}"], 1),
+    "gen-pipe": (["gen", "path", "200000"], 0),
+}
+
+
+@pytest.mark.parametrize("case", PROCESS_CASES)
+def test_module_entry_matches_the_teardown_exit(tmp_path, capsys, case):
+    graph_file, good, doc = _write_p5_certificate(tmp_path, capsys)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_replace_entry(doc, 0, [99] + doc["response"][0][1:])))
+    out_file = tmp_path / "out.json"
+    argv_template, expected_code = PROCESS_CASES[case]
+    argv = [a.format(graph=graph_file, good=good, bad=bad, out=out_file)
+            for a in argv_template]
+    seen = {}
+    for name, entry in ENTRIES.items():
+        out_file.unlink(missing_ok=True)
+        done = subprocess.run([sys.executable, *entry, *argv], capture_output=True,
+                              env=_process_env(), cwd=tmp_path, timeout=120)
+        written = out_file.read_bytes() if out_file.exists() else None
+        seen[name] = (done.returncode, done.stdout, done.stderr, written)
+    assert seen["module"] == seen["teardown"]
+    code, stdout, _, written = seen["module"]
+    assert code == expected_code
+    if case == "eternal-json-certificate":
+        assert json.loads(stdout)["gamma_eternal"] == 2 and written
+    if case == "gen-pipe":
+        assert len(stdout) > 64 * 1024  # more than a pipe holds
+
+
+def test_console_script_ends_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(ekdom.__file__).resolve().parents[2] / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("ekdom is not imported from a source checkout")
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"ekdom": "ekdom.cli:run"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_flush_keeps_the_interpreters_report(tmp_path):
+    # A full device fails the last flush: the fast exit falls back to the
+    # interpreter's own, which reports it once and exits 120.
+    graph_file = tmp_path / "p5.edges"
+    graph_file.write_text("".join(f"{i} {i + 1}\n" for i in range(4)))
+    seen = {}
+    for name, entry in ENTRIES.items():
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, *entry, "eternal", "-k", "2",
+                                   str(graph_file)], stdout=full, stderr=subprocess.PIPE,
+                                  env=_process_env(), timeout=60)
+        seen[name] = (done.returncode, done.stderr)
+    assert seen["module"] == seen["teardown"]
+    code, stderr = seen["module"]
+    assert code == 120
+    assert stderr.count(b"Exception ignored in: <_io.TextIOWrapper name='<stdout>'") == 1
+    assert b"Traceback" not in stderr
+
+
+def test_subcommands_register_no_exit_hooks(tmp_path):
+    # cli.run() ends with os._exit, which skips atexit handlers and the
+    # finalizers weakref.finalize runs through atexit.  A fresh interpreter
+    # counts them before importing ekdom, so a stdlib module that a
+    # subcommand loads and that registers one is caught as well.
+    graph_file, cert_file = tmp_path / "p5.edges", tmp_path / "cert.json"
+    graph_file.write_text("".join(f"{i} {i + 1}\n" for i in range(4)))
+    g, c = str(graph_file), str(cert_file)
+    argvs = [["eternal", "-k", "2", g, "--certificate", c], ["verify", c, g],
+             ["gamma", "-k", "1", g], ["bounds", "-k", "1", g], ["reduce", "-k", "1", g],
+             ["power-check", "-k", "1", g], ["closed-form", "mary", "2", "3", "2"],
+             ["gen", "spider", "2", "2"]]
+    code = ("import atexit; before = atexit._ncallbacks(); import ekdom.cli; "
+            f"codes = [ekdom.cli.main(argv) for argv in {argvs!r}]; "
+            "print('exit hooks', codes, before, atexit._ncallbacks())")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_process_env(), check=True, timeout=120)
+    line = next(line for line in done.stdout.splitlines() if line.startswith("exit hooks"))
+    codes, before, after = line.removeprefix("exit hooks ").rsplit(" ", 2)
+    assert codes == str([0] * len(argvs))
+    assert after == before
