@@ -14,8 +14,8 @@ same Gauss-Seidel sweeps, in the order of ``states``, with one movement
 test (a target-side prefix matcher whose failures skip every candidate
 sharing the failed prefix), and the same certificate closure, on graphs
 of any size and any number of guards, and return identical results.
-Each twin has one augmenting-path routine (``place`` in ``_ckernel.c``,
-``configs.place`` for ``pure``): the closure runs the sweep's matcher
+Each twin has one augmenting-path routine (``place`` in ``_ckernel.c``
+and in ``pure``): the closure runs the sweep's matcher
 with guards and posts swapped, which on symmetric balls finds the same
 assignment as a search from the source side.
 

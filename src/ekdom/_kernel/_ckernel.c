@@ -30,7 +30,7 @@
    below the witness are passed without a matching), or else with the
    witness table's entry, which joins the family; each response is
    matched by the sweep's matcher (place) with guards and posts swapped,
-   as the pure twin calls configs.assign, so the rows record the same
+   as the pure twin calls its assign, so the rows record the same
    assignments.  It returns the same (members, rows) as the pure twin.
 
    Whether a vertex is occupied is read off the sorted state by a merge
@@ -128,7 +128,7 @@ fill_row(Prefix *m, int t)
 }
 
 /* Place post c by an augmenting path, searched depth first on an
-   explicit stack, as configs.place searches it: each post on the path
+   explicit stack, as pure.place searches it: each post on the path
    tries the guards of its row it has not tried, in ascending order; a
    free guard ends the path, a held one continues it from its post, and a
    post with none left backs up to the step before.  On success every

@@ -39,7 +39,7 @@ point is unique, so the visiting order changes only ``rounds`` and
 Movement feasibility between two configurations is a perfect matching on
 the q x q "guard can walk there" grid.  The sweep decides it from the
 target side, with a prefix matcher: the posts of candidate j are placed
-in order, each by an augmenting path (``configs.place``), on distinct
+in order, each by an augmenting path (``place``), on distinct
 guards of i, and the matcher returns the first post t that cannot be
 placed (or success).
 
@@ -67,9 +67,9 @@ The compiled twin runs the same sweep, cursors, budget test, prefix
 matcher and skips on C arrays, so the two agree byte for byte, work
 counters included; this module is the reference the parity tests
 compare it against and the kernel in use wherever the extension was not
-built.  Two things differ in speed only: the compiled matcher reads,
-per post, the set of guards within reach as a bitmask of 64-bit words
-and tries its untried bits in the same ascending order, and a run skip
+built.  Both matchers read, per post, the set of guards within reach as
+a bitmask (an int here, 64-bit words there) and try its untried bits in
+ascending order.  One thing differs in speed only: a compiled run skip
 gallops from the cursor to the end of the run instead of bisecting the
 rest of the candidate list.
 
@@ -107,22 +107,22 @@ one step, and only when there is none with the witness from that table,
 which then joins the family; its contract is in its docstring, and the
 compiled twin returns the same ``(members, rows)``.
 
-Depth: the walk and ``configs.place``, the one augmenting-path search
-of both the sweep and the closure, keep their paths on explicit stacks,
-so, like the compiled twin, this module takes more guards than the
-interpreter's recursion limit.  The closure calls it through
-``configs.assign``, with guards and posts swapped: member i's guards
-are placed, in order, on the posts of the response.  The masks are
-symmetric, so that is step for step the source-side search in which each
-guard of i in turn tries the posts in ascending order, and the rows
-record the same assignments as that search would.
+Depth: the walk and ``place``, the one augmenting-path search of both
+the sweep and the closure, keep their paths on explicit stacks, so, like
+the compiled twin, this module takes more guards than the interpreter's
+recursion limit.  The closure calls ``place`` through ``assign``, with
+guards and posts swapped: member i's guards are placed, in order, on the
+posts of the response.  The masks are symmetric, so that is step for
+step the source-side search in which each guard of i in turn tries the
+posts in ascending order, and the rows record the same assignments as
+that search would.  ``configs.transform_assignment`` imports ``assign``
+when it runs, so this module imports nothing of ``configs``.
 """
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, insort
 
-from .. import configs  # configs imports this package: read its matcher at call time
 from . import DEFAULT_BUDGET, KernelWork
 
 
@@ -141,6 +141,73 @@ def _balls(n: int, masks: array) -> list[int]:
 def _reach(n: int, masks: array) -> list[list[int]]:
     """``reach[u][t]``: 1 when t lies in the ball of u, else 0."""
     return [[ball >> t & 1 for t in range(n)] for ball in _balls(n, masks)]
+
+
+def place(rows: list[int], c: int, holder: list[int], guard: list[int]) -> bool:
+    """Place post c on a free guard by an augmenting path.
+
+    ``rows[c]`` is the guard row of post c: the set of guards that walk
+    to it in one step, bit p for guard p.  Only the rows of posts 0..c are
+    read.  ``holder[p]`` is the post guard p holds (-1 when free) and
+    ``guard[c]`` the guard holding post c; both are updated on success,
+    and a failed search changes neither.  The path is searched depth
+    first, each post trying the guards of its row it has not tried, in
+    ascending order, on an explicit stack, so the number of guards is not
+    bounded by the interpreter's recursion limit; a step costs a few int
+    operations, not a scan of all the guards.
+    """
+    fresh = (1 << len(holder)) - 1  # the guards this search has not tried
+    path = []  # (post, guard) steps of the path so far
+    row = rows[c]
+    while True:
+        untried = row & fresh
+        if untried:
+            bit = untried & -untried
+            fresh ^= bit
+            p = bit.bit_length() - 1
+            path.append((c, p))
+            c = holder[p]
+            if c < 0:
+                for c, p in path:
+                    holder[p] = c
+                    guard[c] = p
+                return True
+            row = rows[c]
+        elif path:  # no untried guard from post c: back up to the step before
+            c, _ = path.pop()
+            row = rows[c]
+        else:
+            return False
+
+
+def _guard_row(reach: list[list[int]], guards: tuple, t: int) -> int:
+    """The guard row of vertex t: bit p set when ``guards[p]`` reaches t."""
+    row = 0
+    for p, u in enumerate(guards):
+        if reach[u][t]:
+            row |= 1 << p
+    return row
+
+
+def assign(reach, src: tuple, dst: tuple) -> list[int] | None:
+    """Match the guards of src onto the posts of dst.
+
+    ``reach[t][u]`` is true when vertex u lies within one step of post t
+    (only the rows of dst's posts are read).  Returns ``owner``, where
+    guard ``owner[c]`` of src walks to post c, or None when no perfect
+    matching exists.  Movement is symmetric, so placing the guards of
+    src, in order, on the posts (tried in ascending order) is step for
+    step the textbook source-side search in which each guard in turn
+    looks for a post, and it finds the same owners.
+    """
+    q = len(src)
+    by_vertex = {u: _guard_row(reach, dst, u) for u in set(src)}
+    rows = [by_vertex[u] for u in src]
+    owner, post = [-1] * q, [0] * q
+    for p in range(q):
+        if not place(rows, p, owner, post):
+            return None
+    return owner
 
 
 def enumerate_states(n: int, q: int, masks: array, limit: int | None = None,
@@ -255,6 +322,7 @@ def run_elimination(n: int, masks: array, states: list[tuple], wit: array,
     wit[:] = array("i", [-1]) * (S * n)
     holder = [-1] * q  # holder[p]: post of the last candidate held by guard p of i
     guard = [0] * q    # guard[c]: guard of i holding post c < placed
+    post_rows = [0] * q  # post_rows[c]: the guard row of post c < placed
 
     checks = 0
     rounds = 0
@@ -266,7 +334,8 @@ def run_elimination(n: int, masks: array, states: list[tuple], wit: array,
         for i in range(S):
             if not alive[i]:
                 continue
-            near = [reach[u] for u in states[i]]  # near[p][t]: guard p to vertex t
+            st = states[i]
+            rows = [None] * n  # rows[t]: _guard_row of t for i, once a post on t is placed
             pos_i = pos[i]
             base = i * n
             holder[:] = [-1] * q
@@ -300,7 +369,13 @@ def run_elimination(n: int, masks: array, states: list[tuple], wit: array,
                         holder[guard[d]] = -1
                     last = dst
                     placed = c
-                    while placed < q and configs.place(near, dst, placed, holder, guard):
+                    while placed < q:
+                        t = dst[placed]
+                        if rows[t] is None:
+                            rows[t] = _guard_row(reach, st, t)
+                        post_rows[placed] = rows[t]
+                        if not place(post_rows, placed, holder, guard):
+                            break
                         placed += 1
                     if placed == q:
                         matched += 1
@@ -338,9 +413,9 @@ def certificate_rows(n: int, masks: array, states: list[tuple], alive: bytearray
     member at or above it answers, the witness does and joins the
     family.  Every member is thus reached along witness edges, and the
     family is a subset of the closure that answers every attack with the
-    least reachable survivor.  Candidates are tested with
-    ``configs.assign``, and the rows record the assignment it finds for
-    the response (a state can reach itself by a non-identity assignment).
+    least reachable survivor.  Candidates are tested with ``assign``,
+    and the rows record the assignment it finds for the response (a
+    state can reach itself by a non-identity assignment).
 
     Returns ``(members, rows)``: ``members`` lists the family's state
     indices in ascending order, and ``rows[r * n + v]`` is
@@ -386,13 +461,13 @@ def certificate_rows(n: int, masks: array, states: list[tuple], alive: bytearray
             owner = None
             hv = held[v]
             for j in hv[bisect_left(hv, lo):]:
-                owner = configs.assign([reach[t] for t in states[j]], cur)
+                owner = assign(reach, cur, states[j])
                 if owner is not None:
                     break
             else:
                 if lo < S and w not in slot:  # no member answers: the witness joins
                     j = w
-                    owner = configs.assign([reach[t] for t in states[j]], cur)
+                    owner = assign(reach, cur, states[j])
             if owner is None:
                 raise ValueError(f"no live state answers attack {v} on state {i}: "
                                  "the witness table does not fit alive")

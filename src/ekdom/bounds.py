@@ -3,7 +3,8 @@
 A guard that may step distance k in G is exactly a guard that may step
 one edge in the k-th power of G, so the eternal numbers of (G, k) and
 (G^k, 1) agree, configuration for configuration.  ``power_equivalence_check``
-verifies both the numbers and the survivor sets.
+verifies both the numbers and the survivor sets and reports them in a
+``PowerEquivalenceReport``, an immutable ``NamedTuple``.
 
 Upper bounds come from two directions: any spanning tree of G only
 restricts guard movement, so its eternal number bounds the graph's; and a
@@ -23,7 +24,7 @@ min(2 gamma_k, gamma_floor(k/2)).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domination import gamma_k
 from .graph import (DisconnectedGraphError, Graph, all_pairs_distances,
@@ -33,8 +34,7 @@ from .solver import (DEFAULT_BUDGET, BudgetExceededError, eternal_number,
                      eternal_survivors)
 
 
-@dataclass(frozen=True)
-class PowerEquivalenceReport:
+class PowerEquivalenceReport(NamedTuple):
     k: int
     gamma_direct: int
     gamma_power: int

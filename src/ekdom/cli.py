@@ -7,7 +7,8 @@ verify process runs none of the code it checks and starts up short.
 
 Exit codes: 0 success, 1 parse/usage error, 2 budget exceeded (bounds are
 still printed), 3 certificate rejected (malformed or invalid) or
-power-check mismatch.
+power-check mismatch, 141 (128 + SIGPIPE, as a shell reports a filter
+whose reader went away) when the reader of stdout closed it early.
 
 A process (``python -m ekdom.cli`` or the ``ekdom`` script) runs
 ``run()``, which flushes stdout and stderr once ``main()`` returns and ends
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_BUDGET = 2
 EXIT_VERIFY = 3
+EXIT_PIPE = 141
 
 
 def _load_graph(path: str) -> Graph:
@@ -416,10 +418,22 @@ _COMMANDS = {
 }
 
 
+def _reader_gone() -> int:
+    """Point stdout, whose reader closed the pipe, at the null device, so
+    that the output still buffered is dropped without a report when the
+    process flushes; the exit code to end with, quietly."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, sys.stdout.fileno())
+    os.close(null)
+    return EXIT_PIPE
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        return _reader_gone()
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -434,16 +448,20 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """Run ``main()`` as a process and end it at its last write.
 
-    A flush that fails (a full disk, a closed pipe) falls back to
-    ``sys.exit``, so the interpreter reports it as it always has: one
-    "Exception ignored" line and exit 120.  A usage error, ``-h`` and an
-    uncaught exception never get here and take the normal exit too.
+    A closed pipe ends the process quietly with exit 141, whether the
+    write in ``main()`` or the last flush here finds it.  Any other flush
+    that fails (a full disk) falls back to ``sys.exit``, so the
+    interpreter reports it as it always has: one "Exception ignored" line
+    and exit 120.  A usage error, ``-h`` and an uncaught exception never
+    get here and take the normal exit too.
     """
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
+    except BrokenPipeError:
+        code = _reader_gone()
     except OSError:
         sys.exit(code)
     os._exit(code)

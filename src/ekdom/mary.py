@@ -14,23 +14,31 @@ that could arbitrate (m=2, d=5, k=2, 63 vertices, answer 11 or 12) the
 exact engine resolves 11 on its default budget, with a certificate that
 verifies, which sides with the recursion there; it takes about 45 s, so
 no test runs it.
+
+``MaryTreeSpec`` is a ``NamedTuple``, like every ekdom record; its
+``__new__`` refuses m < 2 and d < 0 (a ``NamedTuple`` body may not
+define one, so the fields live in a private base).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class MaryTreeSpec:
-    """Shape parameters of a perfect m-ary tree."""
+class _Shape(NamedTuple):
     m: int
     d: int
 
-    def __post_init__(self):
-        if self.m < 2 or self.d < 0:
+
+class MaryTreeSpec(_Shape):
+    """Shape parameters of a perfect m-ary tree, checked when built."""
+    __slots__ = ()
+
+    def __new__(cls, m: int, d: int) -> "MaryTreeSpec":
+        if m < 2 or d < 0:
             raise ValueError("need m >= 2 and d >= 0")
+        return super().__new__(cls, m, d)
 
     @property
     def vertex_count(self) -> int:

@@ -30,20 +30,19 @@ branch, path, eccentricity and diameter is read off the cached
 
 ``reduce_tree`` composes these greedily (cheapest tests first, smallest
 anchor vertex on ties) and converts the surviving core into two-sided
-bounds through the static domination sandwich.
+bounds through the static domination sandwich.  Its trace, each step and
+``k2_sets``'s local structure are immutable ``NamedTuple`` records.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .domination import gamma_k
 from .graph import Graph, all_pairs_distances, delete_vertices, is_tree
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     kind: str
     removed: tuple[str, ...]            # labels, in the tree they were removed from
     anchors: tuple[tuple[str, str], ...]  # (role, label) pairs
@@ -59,8 +58,7 @@ class ReductionStep:
         }
 
 
-@dataclass
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     steps: list[ReductionStep]
     core: Graph
     delta_low: int
@@ -223,8 +221,7 @@ def apply_doublebranch_trim(t: Graph, k: int) -> tuple[Graph, ReductionStep] | N
 
 # -- the k = 2 interval rule -------------------------------------------------
 
-@dataclass(frozen=True)
-class K2Sets:
+class K2Sets(NamedTuple):
     """Local structure around x for the k = 2 deletion rule.
 
     leaves_at_two: leaves at distance exactly two from x.

@@ -29,6 +29,8 @@ def test_power_equivalence_examples():
     assert r.gamma_direct == r.gamma_power == 2 and r.survivors_equal
     r = power_equivalence_check(cycle_graph(7), 1)  # G^1 = G, trivially equal
     assert r.numbers_equal and r.survivors_equal
+    with pytest.raises(AttributeError):
+        r.numbers_equal = False
 
 
 def test_power_equivalence_random_graphs():

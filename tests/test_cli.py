@@ -371,44 +371,65 @@ def test_usage_errors_exit_with_parse_code(capsys, argv):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_other_subcommands_modules_out(tmp_path):
-    # eternal and verify run without the modules only other subcommands
-    # use, without dataclasses and the inspect and ast modules it loads, and
-    # without argparse and the gettext and locale modules it loads.
-    graph_file, cert_file = tmp_path / "p5.edges", tmp_path / "cert.json"
-    graph_file.write_text("".join(f"{i} {i + 1}\n" for i in range(4)))
-    code = ("import sys, ekdom.cli; "
-            f"ekdom.cli.main(['eternal', '-k', '2', {str(graph_file)!r}, "
-            f"'--certificate', {str(cert_file)!r}]); "
-            f"ekdom.cli.main(['verify', {str(cert_file)!r}, {str(graph_file)!r}]); "
-            "print(sorted(m for m in ('ekdom.bounds', 'ekdom.closed_forms', 'ekdom.mary', "
-            "'ekdom.reductions', 'dataclasses', 'inspect', 'ast', 'argparse', 'gettext', "
-            "'locale') if m in sys.modules))")
+_KERNEL = {"ekdom._kernel", "ekdom._kernel._ckernel" if _ckernel else "ekdom._kernel.pure"}
+_SOLVER = {"ekdom.solver", "ekdom.certificate", "ekdom.configs", "ekdom.domination", *_KERNEL}
+# Each subcommand, in an order that writes the certificate before verify
+# reads it, with the ekdom modules it runs besides cli and graph.
+SUBCOMMAND_MODULES = {
+    "eternal": (["eternal", "-k", "2", "{graph}", "--certificate", "{cert}"], _SOLVER),
+    "verify": (["verify", "{cert}", "{graph}"], {"ekdom.certificate"}),
+    "gamma": (["gamma", "-k", "1", "{graph}"], {"ekdom.domination"}),
+    "reduce": (["reduce", "-k", "1", "{graph}"], {"ekdom.domination", "ekdom.reductions"}),
+    "closed-form": (["closed-form", "mary", "2", "3", "2"],
+                    {"ekdom.closed_forms", "ekdom.mary"}),
+    "power-check": (["power-check", "-k", "1", "{graph}"],
+                    _SOLVER | {"ekdom.bounds", "ekdom.reductions"}),
+    "bounds": (["bounds", "-k", "1", "{graph}"], _SOLVER | {"ekdom.bounds", "ekdom.reductions"}),
+    "gen": (["gen", "mary", "2", "3"], {"ekdom.closed_forms", "ekdom.mary"}),
+}
+# Stdlib modules no subcommand may load: dataclasses and the inspect, ast,
+# dis and tokenize modules it pulls in, and argparse with the gettext and
+# locale modules its messages load.
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext", "locale")
+
+
+def _loaded_after(code):
+    """The last line a fresh interpreter prints running ``code``."""
     src = str(Path(ekdom.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True, timeout=60)
-    lines = done.stdout.splitlines()
-    assert "certificate ok" in lines[-2]
-    assert lines[-1] == "[]"
+    return done.stdout.splitlines()[-1]
 
-    # A verify process loads the checker and none of the code it checks,
-    # and the checker module on its own loads only the graph module.
-    checked = ("ekdom.solver", "ekdom._kernel", "ekdom._kernel._ckernel", "ekdom.configs",
-               "ekdom.domination", "array")
-    code = ("import sys, ekdom.cli; "
-            f"ekdom.cli.main(['verify', {str(cert_file)!r}, {str(graph_file)!r}]); "
-            f"print(sorted(m for m in {checked!r} if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True, timeout=60)
-    assert done.stdout.splitlines()[-2:] == [
-        "certificate ok: 4 configurations of 2 guards defend at k=2", "[]"]
+
+def test_cli_import_leaves_other_subcommands_modules_out(tmp_path):
+    # Every subcommand, each in a fresh interpreter on a small input, loads
+    # the ekdom modules it runs and none of the heavy stdlib ones.  A
+    # subcommand that does not solve loads no array either: a verify
+    # process runs none of the code it checks.
+    graph_file = tmp_path / "p5.edges"
+    graph_file.write_text("".join(f"{i} {i + 1}\n" for i in range(4)))
+    names = {"graph": str(graph_file), "cert": str(tmp_path / "cert.json")}
+    for command, (argv, modules) in SUBCOMMAND_MODULES.items():
+        argv = [a.format(**names) for a in argv]
+        code = ("import contextlib, io, sys, ekdom.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = ekdom.cli.main({argv!r})\n"
+                f"print(code, sorted(m for m in sys.modules if m.startswith('ekdom.') or "
+                f"m in {HEAVY + ('array',)!r}))")
+        expected = sorted({"ekdom.cli", "ekdom.graph", *modules}
+                          | ({"array"} if "ekdom._kernel" in modules else set()))
+        assert _loaded_after(code) == f"0 {expected}", command
+
+    # The checker module on its own loads only the graph module, and the
+    # pure kernel twin nothing of ekdom outside the kernel layer.
     code = ("import sys, ekdom.certificate; "
             "print(sorted(m for m in sys.modules if m.startswith('ekdom.')))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True, timeout=60)
-    assert done.stdout.splitlines() == ["['ekdom.certificate', 'ekdom.graph']"]
+    assert _loaded_after(code) == "['ekdom.certificate', 'ekdom.graph']"
+    code = ("import sys, ekdom._kernel.pure; "
+            "print(sorted(m for m in sys.modules if m.startswith('ekdom.')))")
+    assert _loaded_after(code) == str(sorted({"ekdom._kernel.pure", "ekdom.graph", *_KERNEL}))
 
 
 def _outcome(parse, argv):
@@ -638,6 +659,39 @@ def test_module_entry_matches_the_teardown_exit(tmp_path, capsys, case):
         assert json.loads(stdout)["gamma_eternal"] == 2 and written
     if case == "gen-pipe":
         assert len(stdout) > 64 * 1024  # more than a pipe holds
+
+
+def _into_closed_pipe(entry, argv, read_first):
+    """Run an entry with stdout a real pipe whose reader closes it, having
+    read up to ``read_first`` bytes (0: before the process starts)."""
+    read_end, write_end = os.pipe()
+    if not read_first:
+        os.close(read_end)
+    with os.fdopen(write_end, "wb") as stdout:
+        proc = subprocess.Popen([sys.executable, *ENTRIES[entry], *argv], stdout=stdout,
+                                stderr=subprocess.PIPE, env=_process_env())
+    head = b""
+    if read_first:
+        head = os.read(read_end, read_first)
+        os.close(read_end)
+    _, stderr = proc.communicate(timeout=120)
+    return proc.returncode, stderr, head
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_closed_pipe_ends_quietly(entry):
+    # `ekdom gen path 200000 | head -c 10`: the write that finds the pipe
+    # closed is not a usage error.  The process ends without a word and
+    # with 141, the status a shell gives a filter killed by SIGPIPE.
+    code, stderr, head = _into_closed_pipe(entry, ["gen", "path", "200000"], 10)
+    assert (code, stderr) == (141, b"")
+    assert b"# 200000 v".startswith(head) and head
+
+
+def test_closed_pipe_at_the_last_flush_ends_quietly():
+    # A short output meets the closed pipe only at run()'s last flush,
+    # which ends the same way rather than with the interpreter's report.
+    assert _into_closed_pipe("module", ["gen", "path", "20"], 0)[:2] == (141, b"")
 
 
 def test_console_script_ends_through_run():

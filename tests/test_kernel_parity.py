@@ -90,7 +90,7 @@ def _corpus():
     yield _instance(path_graph(14), 2, 5)
 
 
-def _assert_agree(compiled, n, masks, states, budget, rows=True):
+def _assert_agree(compiled, n, masks, states, budget):
     # Different fill values: each kernel must overwrite every entry.
     wit_c = array("i", [7]) * (len(states) * n)
     wit_py = array("i", [-7]) * (len(states) * n)
@@ -104,7 +104,7 @@ def _assert_agree(compiled, n, masks, states, budget, rows=True):
     assert work_c == work_py
     probes, dead, matchings, matched, jumped = work_c
     assert probes == dead + matchings and 0 <= matched <= matchings and jumped >= 0
-    if rows and not got_c[3]:
+    if not got_c[3]:
         _assert_rows_agree(compiled, n, masks, states, got_c[0], wit_c)
     return got_c, wit_c
 
@@ -150,16 +150,21 @@ def test_kernels_agree_past_one_guard_word(compiled, q):
     # The compiled matcher keeps sets of guards in 64-bit words: 63 to 65
     # guards straddle the first word's end and 130 need three.  P5 holds
     # many guards per vertex; the 70-vertex path also needs two words per
-    # ball.  The pure closure takes seconds at 130 guards on 70 vertices,
-    # so that one case checks the sweep alone.
+    # ball.  130 guards with two holes on it leave six survivors, whose
+    # closure runs long augmenting paths through crowded posts.
     rng = random.Random(DEFAULT_SEED + q)
-    for g, holes in [(path_graph(5), 2), (path_graph(70), 70 - (q if q <= 70 else q // 2))]:
+    cases = [(path_graph(5), 2, rng, None),
+             (path_graph(70), 70 - (q if q <= 70 else q // 2), rng, None)]
+    if q == 130:
+        cases.append((path_graph(70), 2, random.Random(5), 6))
+    for g, holes, rng, survivors in cases:
         n, masks = g.n, _packed_balls(g, 1)
         states = _crowded_states(n, q, holes, rng)
         assert len(states) == 6 and {len(s) for s in states} == {q}
         for sweep in (states, states[::-1]):
             for budget in (5_000_000, 20):
-                _assert_agree(compiled, n, masks, sweep, budget, rows=n < 70 or q < 70)
+                got, _ = _assert_agree(compiled, n, masks, sweep, budget)
+                assert survivors is None or budget == 20 or sum(got[0]) == survivors
 
 
 def test_kernels_agree_when_budget_trips(compiled):

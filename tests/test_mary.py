@@ -93,3 +93,9 @@ def test_input_validation():
         mary_number_recursive(2, 3, 1)
     with pytest.raises(ValueError):
         build_perfect_mary(2, -1)
+    with pytest.raises(ValueError):
+        MaryTreeSpec(1, 3)
+    with pytest.raises(ValueError):
+        MaryTreeSpec(2, -1)
+    with pytest.raises(AttributeError):
+        MaryTreeSpec(2, 3).d = 4

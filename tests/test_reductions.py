@@ -129,6 +129,15 @@ def test_k2_sets_on_p5():
     assert sets.stems == frozenset({1, 3})
 
 
+def test_trace_records_are_immutable():
+    trace = reduce_tree(path_graph(9), 2)
+    records = [(trace, "lower_bound"), (trace.steps[0], "delta_low"),
+               (k2_sets(path_graph(5), 2), "stems")]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
 def test_k2_sets_rejects_leaves():
     with pytest.raises(ValueError):
         k2_sets(path_graph(5), 0)
