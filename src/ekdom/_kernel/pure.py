@@ -413,9 +413,10 @@ def certificate_rows(n: int, masks: array, states: list[tuple], alive: bytearray
     member at or above it answers, the witness does and joins the
     family.  Every member is thus reached along witness edges, and the
     family is a subset of the closure that answers every attack with the
-    least reachable survivor.  Candidates are tested with ``assign``,
-    and the rows record the assignment it finds for the response (a
-    state can reach itself by a non-identity assignment).
+    least reachable survivor.  Candidates are tested with ``assign``, once
+    per (member, candidate), since its guard rows and assignment depend
+    on nothing else, and the rows record the assignment it finds for the
+    response (a state can reach itself by a non-identity assignment).
 
     Returns ``(members, rows)``: ``members`` lists the family's state
     indices in ascending order, and ``rows[r * n + v]`` is
@@ -452,6 +453,7 @@ def certificate_rows(n: int, masks: array, states: list[tuple], alive: bytearray
             return None
         cur = states[i]
         out = []
+        owners = {}  # candidate -> assign(reach, cur, states[candidate])
         for v in range(n):
             if v in cur:
                 w, lo = i, 0  # i itself answers, at the latest
@@ -461,13 +463,15 @@ def certificate_rows(n: int, masks: array, states: list[tuple], alive: bytearray
             owner = None
             hv = held[v]
             for j in hv[bisect_left(hv, lo):]:
-                owner = assign(reach, cur, states[j])
+                if j not in owners:
+                    owners[j] = assign(reach, cur, states[j])
+                owner = owners[j]
                 if owner is not None:
                     break
             else:
                 if lo < S and w not in slot:  # no member answers: the witness joins
                     j = w
-                    owner = assign(reach, cur, states[j])
+                    owner = owners[j] = assign(reach, cur, states[j])
             if owner is None:
                 raise ValueError(f"no live state answers attack {v} on state {i}: "
                                  "the witness table does not fit alive")

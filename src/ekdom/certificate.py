@@ -78,38 +78,52 @@ def verify_certificate(g: Graph, cert: EternalCertificate
 
     Uses only the adjacency lists and multiset comparisons (never the
     solver or the kernels).  Checks run in stages: the format's
-    structural rules, which the JSON reader applies too; the members,
-    each tested against radius-k balls grown once; then the rows, tested
-    a column at a time (``_rows_pass``) and scanned one by one only to
-    locate a fault (``_row_fault``).  Each stage reports its first
-    violation in (member index, vertex id) scan order.  Violations are
-    return values, not exceptions.
+    structural rules (``_structure_fault``), which the JSON reader
+    applies too, then the strategy (``_strategy_violation``).  Each stage
+    reports its first violation in (member index, vertex id) scan order.
+    Violations are return values, not exceptions.
+    """
+    fault = _structure_fault(cert.family, cert.rows, cert.q, g.n)
+    if fault is not None:
+        return _violation(g, *fault)
+    return _strategy_violation(g, cert)
+
+
+def _violation(g: Graph, state: int | None, attack_id: int | None, reason: str
+               ) -> tuple[bool, CertificateViolation]:
+    attack = g.labels[attack_id] if attack_id is not None else None
+    return False, CertificateViolation(state, attack, reason)
+
+
+def _strategy_violation(g: Graph, cert: EternalCertificate
+                        ) -> tuple[bool, CertificateViolation | None]:
+    """``verify_certificate``'s stages after the structural rules, for a
+    certificate that passes them (``ekdom verify`` runs it on what the
+    reader returns, which checked them).
+
+    First q, k and the family: q and k positive, the family not empty,
+    and each member in range, sorted and tested against radius-k balls
+    grown once.  Then the rows, tested a column at a time
+    (``_rows_pass``) and scanned one by one only to locate a fault
+    (``_row_fault``).
     """
     n, q, k, family, rows = g.n, cert.q, cert.k, cert.family, cert.rows
-
-    def bad(state, attack_id, reason):
-        attack = g.labels[attack_id] if attack_id is not None else None
-        return False, CertificateViolation(state, attack, reason)
-
     if q < 1 or k < 1:
-        return bad(None, None, "q and k must be positive")
+        return _violation(g, None, None, "q and k must be positive")
     if not family:
-        return bad(None, None, "empty family")
-    fault = _structure_fault(family, rows, q, n)
-    if fault is not None:
-        return bad(*fault)
+        return _violation(g, None, None, "empty family")
     balls = _balls(g, k)
     full = (1 << n) - 1
     for i, member in enumerate(family):
         if any(not (0 <= u < n) for u in member):
-            return bad(i, None, f"member {i} names a vertex out of range")
+            return _violation(g, i, None, f"member {i} names a vertex out of range")
         if tuple(sorted(member)) != tuple(member):
-            return bad(i, None, f"member {i} is not in canonical sorted form")
+            return _violation(g, i, None, f"member {i} is not in canonical sorted form")
         if _union(balls, member) != full:
-            return bad(i, None, f"member {i} is not distance-{k} dominating")
+            return _violation(g, i, None, f"member {i} is not distance-{k} dominating")
     if _rows_pass(family, rows, q, n, balls):
         return True, None
-    return bad(*_row_fault(family, rows, k, n, balls))
+    return _violation(g, *_row_fault(family, rows, k, n, balls))
 
 
 def _rows_pass(family, rows: list, q: int, n: int, balls: list[int]) -> bool:
@@ -224,7 +238,8 @@ def _structure_fault(members, rows: list, q: int, n: int
     if len(rows) != m * n:
         return None, None, (f"'response' has {len(rows)} entries, expected "
                             f"{m} members x {n} vertices = {m * n}")
-    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {q + 1}:
+    # q + 1 is the stride of the flattened rows (an empty family may claim q = -1).
+    if q >= 0 and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {q + 1}:
         posts = list(chain.from_iterable(rows))
         if set(map(type, posts)) <= {int}:
             nexts = posts[::q + 1]
@@ -248,21 +263,27 @@ def _structure_fault(members, rows: list, q: int, n: int
 
 def _relist(rows: list, ids: list[int], listed: list[list[int]],
             family: tuple[tuple[int, ...], ...]) -> list:
-    """Rows of a document rewritten to attack order by vertex id and to
-    guards and posts in sorted order.
+    """Rows whose attack a is vertex ``ids[a]`` and whose member i lists its
+    posts as ``listed[i]``, rewritten to attack order by vertex id and to
+    guards and posts in sorted order (``family[i]`` is ``listed[i]``
+    sorted).  The reader applies it to documents, the solver to
+    certificates of its relabelled graph.
 
     Guard p of a listed member becomes the guard at that guard's place in
     the member's stable sort, and a target post becomes the first sorted
-    post on the same vertex.
+    post on the same vertex; both permutations are built once per member.
     """
     n = len(ids)
-    order = [sorted(range(len(posts)), key=posts.__getitem__) for posts in listed]
-    first = [{u: member.index(u) for u in member} for member in family]
+    # post[j][t]: the first sorted post of member j on its listed post t.
+    post = [[member.index(u) for u in posts] for member, posts in zip(family, listed)]
     out = [None] * len(rows)
-    for i, guards in enumerate(order):
-        for a, v in enumerate(ids):
-            j, *posts = rows[i * n + a]
-            out[i * n + v] = [j, *(first[j][listed[j][posts[p]]] for p in guards)]
+    for i, posts in enumerate(listed):
+        # The row items of member i's guards, in sorted order.
+        guards = [1 + p for p in sorted(range(len(posts)), key=posts.__getitem__)]
+        base = i * n
+        for row, v in zip(rows[base:base + n], ids):
+            to = post[row[0]]
+            out[base + v] = [row[0], *[to[row[c]] for c in guards]]
     return out
 
 

@@ -20,6 +20,7 @@ returns.  In-process callers call ``main()``, which never calls ``os._exit``.
 """
 from __future__ import annotations
 
+import io
 import json  # module-level: e2ebench/tracer.py swaps ekdom.cli.json
 import os
 import re
@@ -278,7 +279,9 @@ def _cmd_eternal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .certificate import certificate_from_json, verify_certificate
+    # The reader checks the format's structural rules, so only the checker's
+    # later stages run on what it returns.
+    from .certificate import _strategy_violation, certificate_from_json
 
     g = _load_graph(args.file)
     with open(args.certificate, encoding="utf-8") as fh:
@@ -292,7 +295,7 @@ def _cmd_verify(args) -> int:
     except (ValueError, KeyError) as exc:
         print(f"certificate rejected: {exc}")
         return EXIT_VERIFY
-    ok, violation = verify_certificate(g, cert)
+    ok, violation = _strategy_violation(g, cert)
     if ok:
         print(f"certificate ok: {len(cert.family)} configurations of "
               f"{cert.q} guards defend at k={cert.k}")
@@ -445,16 +448,49 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
 
 
+class _WholeWrites(io.RawIOBase):
+    """The raw file of an unbuffered stdout (``PYTHONUNBUFFERED``, ``-u``),
+    writing each block in full.
+
+    A raw write returns a short count instead of raising when the reader
+    of a pipe leaves mid-write, and the text layer of an unbuffered stdout
+    leaves the count unchecked: the output would end cut short, with exit
+    0.  Writing on after a short count makes the closed pipe raise
+    ``BrokenPipeError``, as on a buffered stdout.  Nothing is held back, so
+    a failed write (a full disk) is reported once, where it happens.
+    """
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def writable(self) -> bool:
+        return True
+
+    def fileno(self) -> int:
+        return self.raw.fileno()
+
+    def write(self, data) -> int:
+        view = memoryview(data)
+        while view:  # a non-blocking file that is full writes None: try again
+            view = view[self.raw.write(view) or 0:]
+        return len(data)
+
+
 def run() -> None:
     """Run ``main()`` as a process and end it at its last write.
 
     A closed pipe ends the process quietly with exit 141, whether the
-    write in ``main()`` or the last flush here finds it.  Any other flush
-    that fails (a full disk) falls back to ``sys.exit``, so the
-    interpreter reports it as it always has: one "Exception ignored" line
-    and exit 120.  A usage error, ``-h`` and an uncaught exception never
-    get here and take the normal exit too.
+    write in ``main()`` or the last flush here finds it; an unbuffered
+    stdout writes through ``_WholeWrites`` so that it, too, finds it.  Any
+    other flush that fails (a full disk) falls back to ``sys.exit``, so
+    the interpreter reports it as it always has: one "Exception ignored"
+    line and exit 120.  A usage error, ``-h`` and an uncaught exception
+    never get here and take the normal exit too.
     """
+    out = sys.stdout
+    if out is not None and isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        sys.stdout = io.TextIOWrapper(_WholeWrites(out.buffer), out.encoding, out.errors,
+                                      write_through=True)
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):

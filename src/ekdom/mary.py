@@ -17,7 +17,8 @@ no test runs it.
 
 ``MaryTreeSpec`` is a ``NamedTuple``, like every ekdom record; its
 ``__new__`` refuses m < 2 and d < 0 (a ``NamedTuple`` body may not
-define one, so the fields live in a private base).
+define one, so the fields live in a private base), and ``_make`` and
+``_replace`` build through it.
 """
 from __future__ import annotations
 
@@ -39,6 +40,11 @@ class MaryTreeSpec(_Shape):
         if m < 2 or d < 0:
             raise ValueError("need m >= 2 and d >= 0")
         return super().__new__(cls, m, d)
+
+    @classmethod
+    def _make(cls, iterable) -> "MaryTreeSpec":
+        # The inherited one builds the tuple directly; ``_replace`` calls this.
+        return cls(*iterable)
 
     @property
     def vertex_count(self) -> int:

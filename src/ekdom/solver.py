@@ -23,13 +23,27 @@ checker, which this module re-exports; the checker imports nothing of
 the solver, the kernels, ``configs`` or ``domination``, so solver and
 verifier form independent routes to the same claim.
 
+Solve order: every guard count is solved in one vertex order, whatever
+ids the input gives.  ``solve_order`` numbers the connected graph
+breadth-first from vertex 0, neighbours in id order (the idea behind
+Cuthill and McKee's bandwidth-reducing order, 1969), so each ball lies on
+nearby ids, the kernels' prefix skips fire early and the certificate
+family stays small.  The walk, the sweep and the closure run on the
+relabelled graph, and the survivors and the certificate are mapped back
+to the caller's ids (``certificate._relist``).  A graph already in that
+order, as ``ekdom gen`` writes paths and m-ary trees, is its own
+relabelling and is solved exactly as given.  ``gamma_k`` runs on the
+input graph.
+
 State budget: each guard count gets a configurable number of
 (configuration, attack) checks (default five million).  A guard count
 whose dominating configurations times attacked vertices already exceed
 it is refused as soon as the enumeration passes that many states;
 otherwise the elimination counts its checks against it.  When the cap
 trips, ``eternal_number`` degrades gracefully to the bracketing bounds
-established so far.
+established so far.  The refusal counts configurations, which no vertex
+order changes; the checks, rounds and prefixes are those of the solve
+order, so whether the elimination runs out of budget depends on it.
 """
 from __future__ import annotations
 
@@ -41,7 +55,8 @@ from ._kernel import KernelWork
 # The certificate names and the budget error are re-exported: callers
 # import them from here, next to the solver that produces them.
 from .certificate import (CERTIFICATE_FORMAT, CertificateViolation, EternalCertificate,
-                          certificate_from_json, certificate_to_json, verify_certificate)
+                          _relist, certificate_from_json, certificate_to_json,
+                          verify_certificate)
 from .configs import canonical, enumerate_dominating_configs
 from .domination import covers, gamma_k, graph_balls
 from .graph import (DEFAULT_BUDGET, BudgetExceededError, Graph, all_pairs_distances,
@@ -92,15 +107,75 @@ def _solve_q(g: Graph, k: int, q: int, budget: int
 
     A non-empty fixed point is closed into a certificate while the
     kernel's witness table is in scope, so the cache keeps the rows but
-    never the table.  The family grows from the lexicographically least
-    survivor: each (member, attack) is answered by the least member
-    already found that holds the attack and is reachable in one step, or,
-    when none is, by the least such survivor, which joins the family (see
+    never the table.  Each (k, q, budget) is solved once per graph, on g
+    renumbered by ``solve_order``, and the survivors and the certificate
+    are mapped back to g's ids.  The family grows from the survivor that
+    is lexicographically least in that order: each (member, attack) is
+    answered by the least member already found that holds the attack and
+    is reachable in one step, or, when none is, by the least such
+    survivor, which joins the family (see
     ``_kernel.pure.certificate_rows``).  Empty, refused and over-budget
     guard counts, and closures past ``CERTIFICATE_CAP`` members, have no
-    certificate.  Each (k, q, budget) is solved once per graph.
+    certificate.
     """
-    return memo(g, ("solve", k, q, budget), lambda: _fixed_point(g, k, q, budget))
+    return memo(g, ("solve", k, q, budget), lambda: _in_solve_order(g, k, q, budget))
+
+
+def solve_order(g: Graph) -> list[int]:
+    """The vertex order every guard count is solved in: ``order[i]`` is the
+    id of the i-th vertex of a breadth-first search from vertex 0 that
+    visits each vertex's neighbours in id order.
+
+    Raises ValueError on a disconnected graph, which the search does not
+    cover (solves split those into components first).
+    """
+    order = [0] if g.n else []
+    seen = set(order)
+    for u in order:  # grows while it is read: the search's queue
+        for v in g.adj[u]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    if len(order) != g.n:
+        raise ValueError("the solve order covers connected graphs only")
+    return order
+
+
+def _relabelled(g: Graph) -> tuple[list[int], Graph]:
+    """``solve_order(g)`` and g renumbered by it (vertex i of the result is
+    ``order[i]`` of g, with its label); g itself when the order is the
+    identity.  The renumbered graph's distances are g's, permuted, which
+    is cheaper than searching it again."""
+    order = solve_order(g)
+    if order == list(range(g.n)):
+        return order, g
+    rank = [0] * g.n
+    for i, u in enumerate(order):
+        rank[u] = i
+    h = Graph.build(g.n, [(rank[u], rank[v]) for u, v in g.edges()],
+                    [g.labels[u] for u in order])
+    dist = all_pairs_distances(g)
+    memo(h, "distances", lambda: tuple(tuple(map(dist[u].__getitem__, order)) for u in order))
+    return order, h
+
+
+def _in_solve_order(g: Graph, k: int, q: int, budget: int
+                    ) -> tuple[frozenset, QStats, EternalCertificate | None]:
+    order, h = memo(g, "order", lambda: _relabelled(g))
+    survivors, stats, cert = _fixed_point(h, k, q, budget)
+    if h is g:
+        return survivors, stats, cert
+    survivors = frozenset(tuple(sorted(map(order.__getitem__, s))) for s in survivors)
+    return survivors, stats, None if cert is None else _certificate_in(order, cert)
+
+
+def _certificate_in(order: list[int], cert: EternalCertificate) -> EternalCertificate:
+    """``cert``, a certificate of g renumbered by ``order`` (as
+    ``_relabelled`` does), in the ids of g: members keep their places, and
+    attacks, guards and posts follow ``certificate._relist``'s rule."""
+    listed = [[order[u] for u in member] for member in cert.family]
+    family = tuple(tuple(sorted(posts)) for posts in listed)
+    return cert._replace(family=family, rows=_relist(cert.rows, order, listed, family))
 
 
 def _fixed_point(g: Graph, k: int, q: int, budget: int

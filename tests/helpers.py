@@ -466,9 +466,9 @@ def reference_verify(g: Graph, cert: EternalCertificate
                      ) -> tuple[bool, CertificateViolation | None]:
     """``verify_certificate``'s verdict, one member and one row at a time.
 
-    The same stages and scan order (the shared structural rules, then
-    every member, then every row: its moves, its successor multiset, its
-    attack), with moves and domination read off ``oracle_distances``
+    The same stages and scan order (the shared structural rules, then q,
+    k and every member, then every row: its moves, its successor multiset,
+    its attack), with moves and domination read off ``oracle_distances``
     instead of radius-k balls and no column-wise shortcut.
     """
     dist = oracle_distances(g)
@@ -481,13 +481,13 @@ def reference_verify(g: Graph, cert: EternalCertificate
     def near(u, v):
         return dist[u][v] is not None and dist[u][v] <= k
 
+    fault = _structure_fault(family, rows, q, n)
+    if fault is not None:
+        return bad(*fault)
     if q < 1 or k < 1:
         return bad(None, None, "q and k must be positive")
     if not family:
         return bad(None, None, "empty family")
-    fault = _structure_fault(family, rows, q, n)
-    if fault is not None:
-        return bad(*fault)
     for i, member in enumerate(family):
         if any(not (0 <= u < n) for u in member):
             return bad(i, None, f"member {i} names a vertex out of range")

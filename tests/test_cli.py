@@ -357,6 +357,36 @@ def test_verifier_rejects_structural_faults_in_the_readers_words(tmp_path, capsy
     assert reason in violation.reason
 
 
+def test_verify_checks_the_structure_once(tmp_path, capsys, monkeypatch):
+    # The reader applies the structural rules, and `ekdom verify` runs only
+    # the checker's later stages on what it returns.
+    import ekdom.certificate
+
+    graph_file, cert_file, _ = _write_p5_certificate(tmp_path, capsys)
+    calls = []
+    check = ekdom.certificate._structure_fault
+    monkeypatch.setattr(ekdom.certificate, "_structure_fault",
+                        lambda *args: calls.append(args) or check(*args))
+    code, out, _ = run(capsys, "verify", str(cert_file), str(graph_file))
+    assert code == 0 and out.startswith("certificate ok") and len(calls) == 1
+
+
+@pytest.mark.parametrize("fields", [{"k": 0}, {"q": 0, "family": [], "response": []},
+                                    {"q": -1, "family": [], "response": []}],
+                         ids=["k-zero", "q-zero", "q-minus-one"])
+def test_verify_refuses_a_non_positive_q_or_k(tmp_path, capsys, fields):
+    # Structurally sound (an empty family has no rows), so the checker's
+    # first later stage reports it, in memory as on the command line.
+    graph_file, cert_file, doc = _write_p5_certificate(tmp_path, capsys)
+    cert_file.write_text(json.dumps(dict(doc, **fields)))
+    code, out, _ = run(capsys, "verify", str(cert_file), str(graph_file))
+    assert code == 3 and out == ("certificate invalid: state=None attack=None "
+                                 "(q and k must be positive)\n")
+    g = parse_graph(graph_file.read_text())
+    cert = certificate_from_json(dict(doc, **fields), g)
+    assert verify_certificate(g, cert)[1].reason == "q and k must be positive"
+
+
 @pytest.mark.parametrize("argv", [
     ["eternal", "g.edges"],
     ["eternal", "-k", "x", "g.edges"],
@@ -661,7 +691,7 @@ def test_module_entry_matches_the_teardown_exit(tmp_path, capsys, case):
         assert len(stdout) > 64 * 1024  # more than a pipe holds
 
 
-def _into_closed_pipe(entry, argv, read_first):
+def _into_closed_pipe(entry, argv, read_first, env=None):
     """Run an entry with stdout a real pipe whose reader closes it, having
     read up to ``read_first`` bytes (0: before the process starts)."""
     read_end, write_end = os.pipe()
@@ -669,7 +699,7 @@ def _into_closed_pipe(entry, argv, read_first):
         os.close(read_end)
     with os.fdopen(write_end, "wb") as stdout:
         proc = subprocess.Popen([sys.executable, *ENTRIES[entry], *argv], stdout=stdout,
-                                stderr=subprocess.PIPE, env=_process_env())
+                                stderr=subprocess.PIPE, env=env or _process_env())
     head = b""
     if read_first:
         head = os.read(read_end, read_first)
@@ -684,6 +714,15 @@ def test_closed_pipe_ends_quietly(entry):
     # closed is not a usage error.  The process ends without a word and
     # with 141, the status a shell gives a filter killed by SIGPIPE.
     code, stderr, head = _into_closed_pipe(entry, ["gen", "path", "200000"], 10)
+    assert (code, stderr) == (141, b"")
+    assert b"# 200000 v".startswith(head) and head
+
+
+def test_closed_pipe_ends_quietly_when_unbuffered():
+    # An unbuffered stdout hands the whole output to one raw write, whose
+    # short count when the reader leaves used to pass unnoticed (exit 0).
+    env = dict(_process_env(), PYTHONUNBUFFERED="1")
+    code, stderr, head = _into_closed_pipe("module", ["gen", "path", "200000"], 10, env)
     assert (code, stderr) == (141, b"")
     assert b"# 200000 v".startswith(head) and head
 
@@ -721,6 +760,24 @@ def test_failed_flush_keeps_the_interpreters_report(tmp_path):
     assert code == 120
     assert stderr.count(b"Exception ignored in: <_io.TextIOWrapper name='<stdout>'") == 1
     assert b"Traceback" not in stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_unbuffered_write_is_reported_once(tmp_path):
+    # Unbuffered, the write in main() fails and is reported there, once;
+    # nothing is left for the last flush to fail on.
+    graph_file = tmp_path / "p5.edges"
+    graph_file.write_text("".join(f"{i} {i + 1}\n" for i in range(4)))
+    seen = {}
+    for name, entry in ENTRIES.items():
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, *entry, "eternal", "-k", "2",
+                                   str(graph_file)], stdout=full, stderr=subprocess.PIPE,
+                                  env=dict(_process_env(), PYTHONUNBUFFERED="1"), timeout=60)
+        seen[name] = (done.returncode, done.stderr)
+    assert seen["module"] == seen["teardown"]
+    code, stderr = seen["module"]
+    assert code == 1 and stderr.startswith(b"error: ") and stderr.count(b"\n") == 1
 
 
 def test_subcommands_register_no_exit_hooks(tmp_path):

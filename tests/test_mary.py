@@ -97,5 +97,11 @@ def test_input_validation():
         MaryTreeSpec(1, 3)
     with pytest.raises(ValueError):
         MaryTreeSpec(2, -1)
+    with pytest.raises(ValueError):
+        MaryTreeSpec(2, 3)._replace(m=1)
+    with pytest.raises(ValueError):
+        MaryTreeSpec._make([2, -1])
+    assert MaryTreeSpec(2, 3)._replace(d=4) == MaryTreeSpec._make([2, 4]) == (2, 4)
+    assert type(MaryTreeSpec._make([3, 1])) is MaryTreeSpec
     with pytest.raises(AttributeError):
         MaryTreeSpec(2, 3).d = 4

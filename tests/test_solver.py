@@ -15,16 +15,16 @@ from ekdom.configs import enumerate_dominating_configs
 from ekdom.domination import gamma_k
 import ekdom._kernel
 from ekdom.graph import (CACHE_SIZE, Graph, all_pairs_distances, components, diameter,
-                         induced_subgraph, is_connected)
+                         format_edge_list, induced_subgraph, is_connected, parse_graph)
 from ekdom.mary import build_perfect_mary, mary_number_recursive
-from ekdom.solver import (BudgetExceededError, certificate_from_json,
-                          certificate_to_json, eternal_number,
-                          eternal_survivors, is_eternal_set,
+from ekdom.solver import (BudgetExceededError, _certificate_in, _relabelled,
+                          certificate_from_json, certificate_to_json, eternal_number,
+                          eternal_survivors, is_eternal_set, solve_order,
                           verify_certificate)
 
 from helpers import (DEFAULT_SEED, all_trees_exactly, delete_edge, eternal_one_tree,
-                     least_survivor_certificate, random_connected_graph, random_tree,
-                     reference_certificate, reverse_sweep_survivors, transforms)
+                     least_survivor_certificate, oracle_distances, random_connected_graph,
+                     random_tree, reference_certificate, reverse_sweep_survivors, transforms)
 
 
 def naive_survivors(g, k, q):
@@ -180,7 +180,9 @@ def test_certificate_matches_the_survivor_scan(n, extra, rng, k):
     g = random_connected_graph(n, extra, rng)
     report = eternal_number(g, k)
     q = report.gamma_eternal
-    expected = reference_certificate(g, k, q, eternal_survivors(g, k, q))
+    # The solve closes the family in solve order, then maps it back.
+    order, h = _relabelled(g)
+    expected = _certificate_in(order, reference_certificate(h, k, q, eternal_survivors(h, k, q)))
     cert = report.certificate
     assert (cert.k, cert.q, cert.family) == (expected.k, expected.q, expected.family)
     assert cert.rows == expected.rows
@@ -196,7 +198,8 @@ def test_certificate_family_is_within_the_least_survivor_closure(n, extra, rng, 
     g = random_connected_graph(n, extra, rng)
     report = eternal_number(g, k)
     q = report.gamma_eternal
-    least = least_survivor_certificate(g, k, q, eternal_survivors(g, k, q))
+    order, h = _relabelled(g)
+    least = _certificate_in(order, least_survivor_certificate(h, k, q, eternal_survivors(h, k, q)))
     assert set(report.certificate.family) <= set(least.family)
     assert verify_certificate(g, report.certificate) == (True, None)
 
@@ -248,6 +251,60 @@ def test_certificate_json_round_trip(n, extra, rng, k):
     assert shuffled.family == cert.family
     assert moves(shuffled) == moves(cert)
     assert verify_certificate(g, shuffled) == (True, None)
+
+
+def permuted(g, perm):
+    """g with vertex u renumbered ``perm[u]``, each label on its vertex."""
+    labels = [None] * g.n
+    for u, label in enumerate(g.labels):
+        labels[perm[u]] = label
+    return Graph.build(g.n, [(perm[u], perm[v]) for u, v in g.edges()], labels)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(2, 9), extra=st.floats(0.0, 0.5), rng=st.randoms(use_true_random=False),
+       k=st.integers(1, 3))
+def test_solves_agree_under_relabelling(n, extra, rng, k):
+    # Every solve runs in solve order and maps back, so the isomorphism
+    # invariants agree on any two labelings, and each labeling's survivor
+    # set and certificate are in its own ids.
+    g = random_connected_graph(n, extra, rng)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    h = permuted(g, perm)
+    a, b = eternal_number(g, k), eternal_number(h, k)
+    assert (a.gamma_eternal, a.lower_bound, a.upper_bound, a.gamma_k_value,
+            a.gamma_half_value) == (b.gamma_eternal, b.lower_bound, b.upper_bound,
+                                    b.gamma_k_value, b.gamma_half_value)
+    assert ([(s.q, s.num_configs, s.survivors, s.exceeded) for s in a.per_q]
+            == [(s.q, s.num_configs, s.survivors, s.exceeded) for s in b.per_q])
+    q = a.gamma_eternal
+    assert eternal_survivors(h, k, q) == {tuple(sorted(perm[u] for u in cfg))
+                                          for cfg in eternal_survivors(g, k, q)}
+    assert verify_certificate(g, a.certificate) == (True, None)
+    assert verify_certificate(h, b.certificate) == (True, None)
+
+
+def test_solve_order_is_breadth_first_from_vertex_0():
+    # What `ekdom gen` writes for paths and m-ary trees is read back in
+    # solve order, so those inputs are solved exactly as given.
+    for g in (path_graph(14), build_perfect_mary(2, 3), build_perfect_mary(4, 3)):
+        read = parse_graph(format_edge_list(g))
+        assert solve_order(read) == list(range(g.n))
+        assert _relabelled(read)[1] is read
+    rng = random.Random(DEFAULT_SEED)
+    for _ in range(50):
+        g = random_connected_graph(rng.randint(1, 12), 0.5, rng)
+        order, h = _relabelled(g)
+        assert sorted(order) == list(range(g.n))
+        depth = [all_pairs_distances(g)[0][u] for u in order]
+        assert depth == sorted(depth)
+        assert solve_order(h) == list(range(g.n))  # its own output is in order
+        assert [g.labels[u] for u in order] == list(h.labels)
+        # h's distances are g's permuted, not searched again.
+        assert list(map(list, all_pairs_distances(h))) == oracle_distances(h)
+    with pytest.raises(ValueError, match="connected"):
+        solve_order(Graph.build(3, [(0, 1)]))
 
 
 def test_disconnected_graphs_sum_components():
