@@ -23,11 +23,10 @@ min(2 gamma_k, gamma_floor(k/2)).
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
 from .domination import gamma_k
-from .graph import (DisconnectedGraphError, Graph, all_pairs_distances,
+from .graph import (DisconnectedGraphError, Graph, all_pairs_distances, bfs,
                     graph_power, is_connected, is_tree)
 from .reductions import reduce_tree
 from .solver import (DEFAULT_BUDGET, BudgetExceededError, eternal_number,
@@ -70,20 +69,14 @@ def power_equivalence_check(g: Graph, k: int,
 # -- spanning trees ----------------------------------------------------------
 
 def bfs_spanning_tree(g: Graph, root: int) -> Graph:
-    """Deterministic BFS tree (neighbors visited in ascending order)."""
-    parent = {root: root}
-    order = deque([root])
-    edges = []
-    while order:
-        u = order.popleft()
-        for w in g.adj[u]:
-            if w not in parent:
-                parent[w] = u
-                edges.append((u, w))
-                order.append(w)
-    if len(parent) != g.n:
-        raise ValueError("graph is disconnected")
-    return Graph.build(g.n, edges, g.labels)
+    """The tree of ``graph.bfs`` from root: each other vertex hangs from its
+    first neighbour in visiting order, which lies one level up."""
+    order = bfs(g, root)[0]
+    if len(order) != g.n:
+        raise DisconnectedGraphError("graph is disconnected")
+    rank = {u: i for i, u in enumerate(order)}
+    return Graph.build(g.n, [(min(g.adj[w], key=rank.__getitem__), w) for w in order[1:]],
+                       g.labels)
 
 
 def _tree_upper(t: Graph, k: int, budget: int) -> int:
@@ -101,7 +94,7 @@ def spanning_tree_upper_bound(g: Graph, k: int, budget: int = DEFAULT_BUDGET) ->
     itself.
     """
     if not is_connected(g):
-        raise ValueError("spanning trees need a connected graph")
+        raise DisconnectedGraphError("spanning trees need a connected graph")
     if is_tree(g):
         return _tree_upper(g, k, budget)
     return min(_tree_upper(bfs_spanning_tree(g, r), k, budget) for r in range(g.n))

@@ -1,10 +1,13 @@
 """Immutable undirected graphs with precomputed shortest-path distances.
 
 Vertices are dense integers ``0..n-1``.  Every vertex carries a text label
-so graphs read from files round-trip their original names.  Distances are
-BFS hop counts; vertices in different components sit at the
-:data:`UNREACHABLE` sentinel, chosen large enough that any ``<= k`` radius
-test against it fails.
+so graphs read from files round-trip their original names.  ``bfs`` is
+the package's one traversal, a breadth-first search that visits each
+vertex's neighbours in id order: distances, connectivity and components
+here, and the solver's vertex order and the bounds' spanning trees, are
+all read off it.  Distances are hop counts; vertices in different
+components sit at the :data:`UNREACHABLE` sentinel, chosen large enough
+that any ``<= k`` radius test against it fails.
 
 A graph is a ``typing.NamedTuple`` of its vertex count, adjacency and
 labels, so graphs and distance matrices are plain immutable values
@@ -20,7 +23,6 @@ loading the solver.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -113,18 +115,20 @@ class Graph(NamedTuple):
             raise ValueError(f"unknown vertex label {label!r}") from None
 
 
-def _bfs_row(g: Graph, src: int) -> tuple[int, ...]:
-    row = [UNREACHABLE] * g.n
-    row[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        du = row[u]
+def bfs(g: Graph, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first search from root, each vertex's neighbours visited in
+    id order: the vertices of root's component in visiting order, and
+    every vertex's depth (UNREACHABLE outside that component)."""
+    depth = [UNREACHABLE] * g.n
+    depth[root] = 0
+    order = [root]
+    for u in order:  # grows while it is read: the search's queue
+        d = depth[u] + 1
         for v in g.adj[u]:
-            if row[v] == UNREACHABLE:
-                row[v] = du + 1
-                queue.append(v)
-    return tuple(row)
+            if depth[v] == UNREACHABLE:
+                depth[v] = d
+                order.append(v)
+    return order, depth
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -146,26 +150,25 @@ def memo(g: Graph, key, make):
 
 
 def all_pairs_distances(g: Graph) -> DistMatrix:
-    """Exact hop distances from every vertex, UNREACHABLE across components."""
-    return memo(g, "distances", lambda: tuple(_bfs_row(g, s) for s in range(g.n)))
+    """Exact hop distances from every vertex, UNREACHABLE across components:
+    row s is the depths of ``bfs(g, s)``."""
+    return memo(g, "distances", lambda: tuple(tuple(bfs(g, s)[1]) for s in range(g.n)))
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return UNREACHABLE not in all_pairs_distances(g)[0]
+    """Whether one search from vertex 0 reaches every vertex."""
+    return g.n <= 1 or len(bfs(g, 0)[0]) == g.n
 
 
 def components(g: Graph) -> list[tuple[int, ...]]:
-    """Connected components as sorted vertex tuples, ordered by least vertex."""
-    dist = all_pairs_distances(g)
-    seen = [False] * g.n
+    """Connected components as sorted vertex tuples, ordered by least vertex:
+    one search from the least vertex of each."""
+    seen: set[int] = set()
     out = []
     for s in range(g.n):
-        if not seen[s]:
-            comp = tuple(v for v in range(g.n) if dist[s][v] != UNREACHABLE)
-            for v in comp:
-                seen[v] = True
+        if s not in seen:
+            comp = tuple(sorted(bfs(g, s)[0]))
+            seen.update(comp)
             out.append(comp)
     return out
 

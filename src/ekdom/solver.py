@@ -24,8 +24,9 @@ the solver, the kernels, ``configs`` or ``domination``, so solver and
 verifier form independent routes to the same claim.
 
 Solve order: every guard count is solved in one vertex order, whatever
-ids the input gives.  ``solve_order`` numbers the connected graph
-breadth-first from vertex 0, neighbours in id order (the idea behind
+ids the input gives.  ``solve_order`` numbers the connected graph in the
+visiting order of ``graph.bfs`` from vertex 0, the package's one
+breadth-first search, which takes neighbours in id order (the idea behind
 Cuthill and McKee's bandwidth-reducing order, 1969), so each ball lies on
 nearby ids, the kernels' prefix skips fire early and the certificate
 family stays small.  The walk, the sweep and the closure run on the
@@ -59,8 +60,9 @@ from .certificate import (CERTIFICATE_FORMAT, CertificateViolation, EternalCerti
                           verify_certificate)
 from .configs import canonical, enumerate_dominating_configs
 from .domination import covers, gamma_k, graph_balls
-from .graph import (DEFAULT_BUDGET, BudgetExceededError, Graph, all_pairs_distances,
-                    components, induced_subgraph, is_connected, memo)
+from .graph import (DEFAULT_BUDGET, BudgetExceededError, DisconnectedGraphError, Graph,
+                    all_pairs_distances, bfs, components, induced_subgraph,
+                    is_connected, memo)
 
 CERTIFICATE_CAP = 20_000  # larger defense families yield no certificate
 
@@ -123,21 +125,14 @@ def _solve_q(g: Graph, k: int, q: int, budget: int
 
 def solve_order(g: Graph) -> list[int]:
     """The vertex order every guard count is solved in: ``order[i]`` is the
-    id of the i-th vertex of a breadth-first search from vertex 0 that
-    visits each vertex's neighbours in id order.
+    id of the i-th vertex that ``graph.bfs`` visits from vertex 0.
 
-    Raises ValueError on a disconnected graph, which the search does not
-    cover (solves split those into components first).
+    Raises DisconnectedGraphError on a disconnected graph, which the
+    search does not cover (solves split those into components first).
     """
-    order = [0] if g.n else []
-    seen = set(order)
-    for u in order:  # grows while it is read: the search's queue
-        for v in g.adj[u]:
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
+    order = bfs(g, 0)[0] if g.n else []
     if len(order) != g.n:
-        raise ValueError("the solve order covers connected graphs only")
+        raise DisconnectedGraphError("the solve order covers connected graphs only")
     return order
 
 
@@ -214,7 +209,7 @@ def eternal_survivors(g: Graph, k: int, q: int, budget: int = DEFAULT_BUDGET) ->
     if k < 1:
         raise ValueError("k must be at least 1")
     if not is_connected(g):
-        raise ValueError("survivor sets are defined per connected graph")
+        raise DisconnectedGraphError("survivor sets are defined per connected graph")
     survivors, stats, _ = _solve_q(g, k, q, budget)
     if stats.exceeded:
         if stats.checks:

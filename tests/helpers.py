@@ -11,7 +11,11 @@ and ``least_survivor_certificate`` build certificates by plain survivor
 scans.  ``reference_parser`` is the argparse command line that
 ``ekdom.cli`` parsed with before its table-driven parser, and
 ``reference_verify`` the certificate checker as a plain row scan over
-textbook BFS distances.  ``source_side_match`` is the textbook
+textbook BFS distances.  ``reference_bfs_row``, ``reference_solve_order``
+and ``reference_bfs_spanning_tree`` are the three breadth-first searches
+the package ran before ``graph.bfs`` replaced them, kept to pin that
+search's distances, connectivity, components, solve order and spanning
+trees to theirs.  ``source_side_match`` is the textbook
 source-side augmenting-path search, which pins the assignments that
 ``transform_assignment`` and the certificate rows record.
 The graph and movement utilities that only the tests use (edge deletion,
@@ -36,8 +40,8 @@ from ekdom.cli import EXIT_PARSE
 from ekdom.closed_forms import cycle_number
 from ekdom.configs import enumerate_dominating_configs, transform_assignment
 from ekdom.domination import ball_masks
-from ekdom.graph import (Graph, all_pairs_distances, delete_vertices, diameter,
-                         is_connected, is_tree)
+from ekdom.graph import (UNREACHABLE, Graph, all_pairs_distances, delete_vertices,
+                         diameter, is_connected, is_tree)
 from ekdom.solver import DEFAULT_BUDGET, BudgetExceededError, EternalCertificate
 
 DEFAULT_SEED = 20240811
@@ -188,6 +192,53 @@ def oracle_distances(g: Graph) -> list[list[int]]:
                     queue.append(w)
         out.append(dist)
     return out
+
+
+def reference_bfs_row(g: Graph, src: int) -> tuple[int, ...]:
+    """Hop distances from src, UNREACHABLE outside its component."""
+    row = [UNREACHABLE] * g.n
+    row[src] = 0
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        du = row[u]
+        for v in g.adj[u]:
+            if row[v] == UNREACHABLE:
+                row[v] = du + 1
+                queue.append(v)
+    return tuple(row)
+
+
+def reference_solve_order(g: Graph) -> list[int]:
+    """Breadth-first visiting order from vertex 0, neighbours in id order;
+    ValueError when it misses a vertex."""
+    order = [0] if g.n else []
+    seen = set(order)
+    for u in order:  # grows while it is read: the search's queue
+        for v in g.adj[u]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    if len(order) != g.n:
+        raise ValueError("the solve order covers connected graphs only")
+    return order
+
+
+def reference_bfs_spanning_tree(g: Graph, root: int) -> Graph:
+    """Deterministic BFS tree (neighbors visited in ascending order)."""
+    parent = {root: root}
+    order = deque([root])
+    edges = []
+    while order:
+        u = order.popleft()
+        for w in g.adj[u]:
+            if w not in parent:
+                parent[w] = u
+                edges.append((u, w))
+                order.append(w)
+    if len(parent) != g.n:
+        raise ValueError("graph is disconnected")
+    return Graph.build(g.n, edges, g.labels)
 
 
 def oracle_is_dominating(g: Graph, guards, k: int, dist=None) -> bool:

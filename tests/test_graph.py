@@ -1,16 +1,23 @@
 """Graph core: parsing, distances, powers, structural queries."""
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ekdom.bounds import bfs_spanning_tree, power_equivalence_check, spanning_tree_upper_bound
+from ekdom.cli import _cmd_bounds, _parse
 from ekdom.graph import (DisconnectedGraphError, Graph, ParseError, UNREACHABLE,
-                         all_pairs_distances, delete_vertices, diameter,
+                         all_pairs_distances, components, delete_vertices, diameter,
                          eccentricity, format_dot, format_edge_list,
-                         graph_power, is_tree, parse_graph)
+                         graph_power, is_connected, is_tree, parse_graph)
 from ekdom.closed_forms import cycle_graph, path_graph, star_graph
+from ekdom.solver import eternal_survivors, solve_order
 
 from helpers import (DEFAULT_SEED, delete_edge, neighborhood_k, oracle_distances,
-                     random_connected_graph)
+                     random_connected_graph, random_graph, reference_bfs_row,
+                     reference_bfs_spanning_tree, reference_solve_order)
 
 
 def test_parse_edge_list_path():
@@ -87,6 +94,69 @@ def test_distances_match_textbook_bfs():
             for v in range(g.n):
                 assert dist[u][v] == (oracle[u][v] if oracle[u][v] is not None
                                       else UNREACHABLE)
+
+
+def _searched_graph(n, shape, extra, rng):
+    """A connected graph, two components, or a connected graph with
+    isolated vertices, on n vertices numbered in a random order."""
+    if n == 0:
+        return Graph.build(0, [])
+    core = rng.randint(1, n) if shape == "isolated" else n
+    g = random_graph(core, extra, rng, connected=shape != "two")
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return Graph.build(n, [(ids[u], ids[v]) for u, v in g.edges()])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(n=st.integers(0, 12), shape=st.sampled_from(["connected", "two", "isolated"]),
+       extra=st.floats(0.0, 0.5), rng=st.randoms(use_true_random=False))
+def test_one_search_matches_the_three_it_replaced(n, shape, extra, rng):
+    g = _searched_graph(n, shape, extra, rng)
+    dist = tuple(reference_bfs_row(g, s) for s in range(g.n))
+    assert all_pairs_distances(g) == dist
+    connected = g.n <= 1 or UNREACHABLE not in dist[0]
+    assert is_connected(g) == connected
+    assert components(g) == sorted({tuple(v for v in range(g.n) if row[v] != UNREACHABLE)
+                                    for row in dist})
+    if connected:
+        assert solve_order(g) == reference_solve_order(g)
+        assert all(bfs_spanning_tree(g, r) == reference_bfs_spanning_tree(g, r)
+                   for r in range(g.n))
+        return
+    with pytest.raises(ValueError) as ref:
+        reference_solve_order(g)
+    with pytest.raises(DisconnectedGraphError, match=f"^{re.escape(str(ref.value))}$"):
+        solve_order(g)
+    for r in range(g.n):
+        with pytest.raises(ValueError) as ref:
+            reference_bfs_spanning_tree(g, r)
+        with pytest.raises(DisconnectedGraphError, match=f"^{re.escape(str(ref.value))}$"):
+            bfs_spanning_tree(g, r)
+
+
+def _bounds_command(g, tmp_path):
+    graph_file = tmp_path / "g.edges"
+    graph_file.write_text(format_edge_list(g))
+    return _cmd_bounds(_parse(["bounds", "-k", "1", str(graph_file)]))
+
+
+@pytest.mark.parametrize("refuse,message", [
+    (lambda g, _: solve_order(g), "the solve order covers connected graphs only"),
+    (lambda g, _: bfs_spanning_tree(g, 0), "graph is disconnected"),
+    (lambda g, _: spanning_tree_upper_bound(g, 1), "spanning trees need a connected graph"),
+    (lambda g, _: eternal_survivors(g, 1, 2), "survivor sets are defined per connected graph"),
+    (lambda g, _: power_equivalence_check(g, 1),
+     "survivor sets are defined per connected graph"),
+    (lambda g, _: eccentricity(all_pairs_distances(g), 0),
+     "eccentricity is undefined on a disconnected graph"),
+    (_bounds_command, "bounds need a connected graph"),
+], ids=["solve_order", "bfs_spanning_tree", "spanning_tree_upper_bound",
+        "eternal_survivors", "power_equivalence_check", "eccentricity", "ekdom bounds"])
+def test_connected_only_entry_points_refuse_with_one_error(refuse, message, tmp_path):
+    g = Graph.build(5, [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(DisconnectedGraphError, match=f"^{re.escape(message)}$"):
+        refuse(g, tmp_path)
 
 
 def test_distance_examples():

@@ -14,6 +14,7 @@ from ekdom.closed_forms import (cycle_graph, cycle_number, path_graph,
 from ekdom.configs import enumerate_dominating_configs
 from ekdom.domination import gamma_k
 import ekdom._kernel
+from ekdom import graph
 from ekdom.graph import (CACHE_SIZE, Graph, all_pairs_distances, components, diameter,
                          format_edge_list, induced_subgraph, is_connected, parse_graph)
 from ekdom.mary import build_perfect_mary, mary_number_recursive
@@ -323,6 +324,16 @@ def test_disconnected_graphs_sum_components():
         assert verify_certificate(sub, part.certificate) == (True, None)
     assert not is_eternal_set(g, 2, [1, 4])      # second component underguarded
     assert is_eternal_set(g, 2, [1, 4, 6])
+
+
+def test_disconnected_solves_build_no_whole_graph_distances():
+    # P8 + P6: connectivity and components come from one search per
+    # component, so only the components' distances are built.  Labels no
+    # other test uses keep the graph's memo this test's own.
+    edges = [(i, i + 1) for i in range(7)] + [(i, i + 1) for i in range(8, 13)]
+    g = Graph.build(14, edges, [f"p8+p6:{i}" for i in range(14)])
+    assert eternal_number(g, 1).gamma_eternal == 7
+    assert "distances" not in graph._derived(g)
 
 
 def test_repeated_queries_reuse_one_solve(monkeypatch):
