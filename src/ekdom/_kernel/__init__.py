@@ -25,8 +25,6 @@ items, which receives the sweep's final witness table, and may pass
 (``KernelWork``); ``certificate_rows`` closes a certificate family from
 that table.  The full contracts are in ``pure``.
 """
-from __future__ import annotations
-
 from array import array
 from typing import NamedTuple
 

@@ -118,8 +118,6 @@ posts in ascending order, and the rows record the same assignments as
 that search would.  ``configs.transform_assignment`` imports ``assign``
 when it runs, so this module imports nothing of ``configs``.
 """
-from __future__ import annotations
-
 from array import array
 from bisect import bisect_left, insort
 

@@ -21,8 +21,6 @@ smaller root would have claimed v), so each cell holds a BFS tree of
 depth at most k from its root.  The decomposition bound is therefore
 min(2 gamma_k, gamma_floor(k/2)).
 """
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .domination import gamma_k

@@ -11,8 +11,6 @@ adjacency lists and tests the rows a column at a time with multiset
 arithmetic, so prover and checker are independent routes to the same
 claim.
 """
-from __future__ import annotations
-
 from itertools import chain, compress, cycle, repeat
 from operator import contains, getitem, itemgetter
 from typing import NamedTuple

@@ -4,6 +4,10 @@ Only the parser and the graph reader are loaded here; each subcommand
 imports what it needs when it runs.  ``eternal`` loads the solver and the
 kernels, and ``verify`` only the checker (``ekdom.certificate``), so a
 verify process runs none of the code it checks and starts up short.
+JSON text is read and written with ``_json``, the C codec inside the json
+package, giving ``json.loads``'s and ``json.dumps``'s values, bytes and
+errors without importing the package; only ``reduce``, whose indented
+output needs json's Python encoder, loads it.
 
 Exit codes: 0 success, 1 parse/usage error, 2 budget exceeded (bounds are
 still printed), 3 certificate rejected (malformed or invalid) or
@@ -18,14 +22,11 @@ process more than importing ekdom does.  The fast exit also skips
 ekdom registers none, and every file it writes is closed before ``main()``
 returns.  In-process callers call ``main()``, which never calls ``os._exit``.
 """
-from __future__ import annotations
-
 import io
-import json  # module-level: e2ebench/tracer.py swaps ekdom.cli.json
 import os
-import re
 import sys
 import warnings
+from _json import encode_basestring_ascii, make_encoder, make_scanner
 from types import SimpleNamespace
 
 from .graph import (DEFAULT_BUDGET, BudgetExceededError, DisconnectedGraphError, Graph,
@@ -36,6 +37,53 @@ EXIT_PARSE = 1
 EXIT_BUDGET = 2
 EXIT_VERIFY = 3
 EXIT_PIPE = 141
+
+# ``_dumps`` and ``_loads`` call ``_json`` directly because the json
+# package's modules compile six regexes at import.
+_WHITESPACE = " \t\n\r"  # what json skips around a document
+_scan = make_scanner(SimpleNamespace(
+    strict=True, object_hook=None, object_pairs_hook=None, parse_float=float, parse_int=int,
+    parse_constant={"NaN": float("nan"), "Infinity": float("inf"),
+                    "-Infinity": float("-inf")}.__getitem__))
+
+
+def _unserializable(value):
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _dumps(value, separators: tuple[str, str] = (", ", ": ")) -> str:
+    """``json.dumps(value, separators=separators)``."""
+    item, key = separators
+    encode = make_encoder({}, _unserializable, encode_basestring_ascii, None, key, item,
+                          False, False, True)
+    return "".join(encode(value, 0))
+
+
+def _decode_error(message: str, text: str, pos: int):
+    from json.decoder import JSONDecodeError
+
+    raise JSONDecodeError(message, text, pos) from None
+
+
+def _loads(text: str):
+    """``json.loads(text)``."""
+    if text.startswith("\ufeff"):
+        _decode_error("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    start = len(text) - len(text.lstrip(_WHITESPACE))
+    try:
+        value, end = _scan(text, start)
+    except StopIteration as exc:
+        _decode_error("Expecting value", text, exc.value)
+    except SystemError:
+        # Before Python 3.12 the scanner raises its JSONDecodeError only
+        # once json.decoder is loaded; the second scan fails with it.
+        import json.decoder
+
+        value, end = _scan(text, start)
+    rest = text[end:].lstrip(_WHITESPACE)
+    if rest:
+        _decode_error("Extra data", text, len(text) - len(rest))
+    return value
 
 
 def _load_graph(path: str) -> Graph:
@@ -92,7 +140,17 @@ _TABLE = {
              ("args...", int, "path/cycle: N; mary: M D; spider: LEG...; pnl: N K Z; "
                               "substar: N K")]),
 }
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, not an option, as in argparse
+
+
+def _negative(arg: str) -> bool:
+    r"""Whether argparse reads ``arg``, which starts with "-", as a negative
+    number (a value, not an option): ``^-\d+$|^-\d*\.\d+$``, where ``\d``
+    is a character that ``str.isdecimal`` accepts and ``$`` also matches
+    before one final newline."""
+    whole, dot, frac = arg[1:-1 if arg.endswith("\n") else None].partition(".")
+    if dot:
+        return frac.isdecimal() and (not whole or whole.isdecimal())
+    return whole.isdecimal()
 
 
 def _exit(command: str | None, error: str | None = None):
@@ -122,7 +180,7 @@ def _option(arg: str, flags) -> tuple[str, str | None] | None:
     """None when argparse read ``arg`` as a value (``-`` and negative numbers
     too); else the flag it names ("" for an unknown or ambiguous one) and the
     value it carries, or None.  Long flags match by unique prefix."""
-    if arg[:1] != "-" or arg == "-" or _NEGATIVE.match(arg):
+    if arg[:1] != "-" or arg == "-" or _negative(arg):
         return None
     if arg.startswith("--"):  # --qmax 3 or --qmax=3
         name, eq, value = arg.partition("=")
@@ -203,7 +261,7 @@ def _cmd_gamma(args) -> int:
     result = gamma_k(g, args.k)
     witness = [g.labels[v] for v in result.witness]
     if args.json:
-        print(json.dumps({"gamma": result.gamma, "witness": witness}))
+        print(_dumps({"gamma": result.gamma, "witness": witness}))
     else:
         print(f"gamma_{args.k} = {result.gamma}   witness: {' '.join(witness)}")
     return EXIT_OK
@@ -250,7 +308,7 @@ def _cmd_eternal(args) -> int:
                                                "responses": len(c.rows)},
     }
     if args.json:
-        print(json.dumps(payload))
+        print(_dumps(payload))
     elif report.resolved:
         print(f"eternal distance-{args.k} domination number = {report.gamma_eternal}")
         for s in report.per_q:
@@ -264,11 +322,9 @@ def _cmd_eternal(args) -> int:
         print(f"{reason}: eternal number in [{report.lower_bound}, {report.upper_bound}]")
     if args.certificate:
         if c is not None:
-            # One dumps call runs json's C encoder; dump streams the pure
-            # Python one, a write per token.
             doc = certificate_to_json(c, g)
             with open(args.certificate, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc, separators=(",", ":")))
+                fh.write(_dumps(doc, separators=(",", ":")))
             # Under --json, stdout holds the one JSON document.
             print(f"  certificate written to {args.certificate}",
                   file=sys.stderr if args.json else sys.stdout)
@@ -285,11 +341,12 @@ def _cmd_verify(args) -> int:
 
     g = _load_graph(args.file)
     with open(args.certificate, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"cannot parse {args.certificate}: JSON nested "
-                             "too deeply") from None
+        text = fh.read()
+    try:
+        doc = _loads(text)
+    except RecursionError:
+        raise ValueError(f"cannot parse {args.certificate}: JSON nested "
+                         "too deeply") from None
     try:
         cert = certificate_from_json(doc, g)
     except (ValueError, KeyError) as exc:
@@ -375,7 +432,7 @@ def _cmd_bounds(args) -> int:
                                 for r, part in cells],
     }
     if args.json:
-        print(json.dumps(payload))
+        print(_dumps(payload))
     else:
         print(f"sandwich: {low} <= eternal <= {high}")
         if report.resolved:

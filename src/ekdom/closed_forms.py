@@ -5,8 +5,6 @@ so tests can regenerate each instance from parameters alone.  The
 formulas are exact integer arithmetic; each is cross-checked against the
 game engine in the test suite.
 """
-from __future__ import annotations
-
 from typing import Sequence
 
 from .graph import Graph

@@ -14,8 +14,6 @@ source-side search.  The matcher is imported when first called: the
 kernel layer is below this module, and the pure twin imports nothing
 from it.
 """
-from __future__ import annotations
-
 from array import array
 from typing import Iterable
 

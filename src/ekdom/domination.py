@@ -19,8 +19,6 @@ that no single guard can serve two of.  Both bounds only cut branches
 that hold no solution, so the search still visits the solutions in the
 same order and returns the same witness.
 """
-from __future__ import annotations
-
 from typing import Iterable, NamedTuple, Sequence
 
 from .graph import DistMatrix, Graph, all_pairs_distances, memo

@@ -20,8 +20,6 @@ The package-wide constants and errors live here too, so the command line
 reads the budget default and catches ``BudgetExceededError`` without
 loading the solver.
 """
-from __future__ import annotations
-
 import warnings
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence

@@ -20,8 +20,6 @@ no test runs it.
 define one, so the fields live in a private base), and ``_make`` and
 ``_replace`` build through it.
 """
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .graph import Graph

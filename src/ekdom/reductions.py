@@ -33,9 +33,6 @@ anchor vertex on ties) and converts the surviving core into two-sided
 bounds through the static domination sandwich.  Its trace, each step and
 ``k2_sets``'s local structure are immutable ``NamedTuple`` records.
 """
-from __future__ import annotations
-
-import json
 from typing import Iterable, NamedTuple
 
 from .domination import gamma_k
@@ -79,6 +76,10 @@ class ReductionTrace(NamedTuple):
         }
 
     def to_json_text(self) -> str:
+        # Indented text needs json's Python encoder, so only this call
+        # imports the json package.
+        import json
+
         return json.dumps(self.to_json(), indent=2)
 
 

@@ -46,8 +46,6 @@ established so far.  The refusal counts configurations, which no vertex
 order changes; the checks, rounds and prefixes are those of the solve
 order, so whether the elimination runs out of budget depends on it.
 """
-from __future__ import annotations
-
 from array import array
 from typing import Iterable, NamedTuple
 
@@ -96,7 +94,7 @@ class SolveReport(NamedTuple):
     per_q: list[QStats]
     certificate: EternalCertificate | None
     budget_exceeded: bool
-    component_reports: list[SolveReport] | None = None
+    component_reports: "list[SolveReport] | None" = None
 
     @property
     def resolved(self) -> bool:
@@ -308,15 +306,15 @@ def is_eternal_set(g: Graph, k: int, guards: Iterable[int],
     cfg = canonical(guards)
     if any(not (0 <= u < g.n) for u in cfg):
         raise ValueError("guard position out of range")
-    if not covers(graph_balls(g, k), cfg):
-        return False
     if is_connected(g):
-        return cfg in eternal_survivors(g, k, len(cfg), budget)
+        return covers(graph_balls(g, k), cfg) and cfg in eternal_survivors(g, k, len(cfg), budget)
+    # Every component's cover is tested before any component is solved, and
+    # on its own balls: the whole graph's are never built.
+    parts = []
     for comp in components(g):
         sub, idmap = induced_subgraph(g, comp)
         part = [idmap[v] for v in cfg if v in idmap]
-        if not part:
-            return False  # unguarded component
-        if not is_eternal_set(sub, k, part, budget):
-            return False
-    return True
+        if not covers(graph_balls(sub, k), part):
+            return False  # an unguarded component too
+        parts.append((sub, part))
+    return all(is_eternal_set(sub, k, part, budget) for sub, part in parts)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import heapq
 import random
+import re
 import sys
 from array import array
 from collections import deque
@@ -610,7 +611,15 @@ def eternal_one_tree(t: Graph) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors with EXIT_PARSE instead of argparse's 2 (EXIT_BUDGET)."""
+    """Reports usage errors with EXIT_PARSE instead of argparse's 2 (EXIT_BUDGET).
+
+    Reads negative numbers by the rule of argparse in CPython 3.10-3.13.0,
+    which ``ekdom.cli._negative`` keeps, whatever a later release reads.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

@@ -2,14 +2,17 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ekdom
-from ekdom.cli import _parse, main
+from ekdom.cli import _dumps, _loads, _negative, _parse, main
 from ekdom.closed_forms import path_graph, spider_graph
 from ekdom.graph import all_pairs_distances, parse_graph
 from ekdom.mary import build_perfect_mary
@@ -340,6 +343,88 @@ def test_verify_reports_deeply_nested_json_as_unparseable(tmp_path, capsys, text
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+UNPARSEABLE = {
+    "empty": "",
+    "whitespace": " \n\t\r",
+    "bom": "\ufeff{}",
+    "truncated": '{"format": 2, "k": [1, ',
+    "trailing": '{"format": 2} {}',
+    "control": '{"k": "a\x01b"}',
+    "delimiter": '{"k" 2}',
+}
+
+
+@pytest.mark.parametrize("text", UNPARSEABLE.values(), ids=UNPARSEABLE)
+def test_verify_reports_unparseable_json_in_jsons_words(tmp_path, capsys, text):
+    # A fresh process, which has not loaded the json package when the
+    # reader fails, prints json's own message (for the text as read back,
+    # with its newlines translated).
+    graph_file, cert_file, _ = _write_p5_certificate(tmp_path, capsys)
+    cert_file.write_text(text, encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(cert_file.read_text(encoding="utf-8"))
+    done = subprocess.run([sys.executable, "-m", "ekdom.cli", "verify", str(cert_file),
+                           str(graph_file)], capture_output=True, text=True,
+                          env=_process_env(), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {expected.value}\n")
+
+
+# Any JSON value: text with control characters, lone surrogates and
+# non-ASCII letters, and NaN and the infinities among the floats.
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12)
+_SPACE = st.text(" \t\n\r", max_size=3)
+
+
+def _decoded(loads, text):
+    """The value ``loads`` reads (its repr, so that NaN equals NaN), or the
+    message and position of the JSONDecodeError it raises."""
+    try:
+        return repr(loads(text))
+    except json.JSONDecodeError as exc:
+        return type(exc), str(exc), exc.pos
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_VALUES)
+def test_codec_writes_what_json_writes(value):
+    assert _dumps(value) == json.dumps(value)
+    assert _dumps(value, separators=(",", ":")) == json.dumps(value, separators=(",", ":"))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_VALUES, st.booleans(), _SPACE, _SPACE)
+def test_codec_reads_what_json_reads(value, ascii_only, lead, trail):
+    text = lead + json.dumps(value, ensure_ascii=ascii_only) + trail
+    assert _decoded(_loads, text) == _decoded(json.loads, text)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_VALUES, _VALUES, st.sampled_from(["bom", "truncated", "trailing", "control"]),
+       _SPACE, st.characters(max_codepoint=0x1f), st.data())
+def test_codec_fails_where_json_fails(value, other, fault, space, control, data):
+    text = json.dumps(value, ensure_ascii=False)
+    if fault == "bom":
+        text = "\ufeff" + text
+    elif fault == "truncated":
+        text = space + text[:data.draw(st.integers(0, len(text) - 1))]
+    elif fault == "trailing":
+        text = text + space + json.dumps(other)
+    else:  # a raw control character inside a string
+        cut = data.draw(st.integers(1, len(text)))
+        text = json.dumps(text[:cut])[:-1] + control + json.dumps(text[cut:])[1:]
+    assert _decoded(_loads, text) == _decoded(json.loads, text)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.text(st.sampled_from("0189.\n-e \u0663\u00b2"), max_size=5))
+def test_negative_numbers_are_argparses(rest):
+    assert _negative("-" + rest) == bool(re.match(r"^-\d+$|^-\d*\.\d+$", "-" + rest))
+
+
 @pytest.mark.parametrize("mutate,reason", [p for p in MALFORMED if p.id in STRUCTURAL])
 def test_verifier_rejects_structural_faults_in_the_readers_words(tmp_path, capsys,
                                                                  mutate, reason):
@@ -421,6 +506,9 @@ SUBCOMMAND_MODULES = {
 # dis and tokenize modules it pulls in, and argparse with the gettext and
 # locale modules its messages load.
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext", "locale")
+# Loaded only where named: json by reduce, whose indented output needs the
+# package's Python encoder, and __future__ by none.
+SOMETIMES = ("array", "json", "__future__")
 
 
 def _loaded_after(code):
@@ -437,7 +525,8 @@ def test_cli_import_leaves_other_subcommands_modules_out(tmp_path):
     # Every subcommand, each in a fresh interpreter on a small input, loads
     # the ekdom modules it runs and none of the heavy stdlib ones.  A
     # subcommand that does not solve loads no array either: a verify
-    # process runs none of the code it checks.
+    # process runs none of the code it checks.  Only reduce loads json,
+    # and none loads __future__.
     graph_file = tmp_path / "p5.edges"
     graph_file.write_text("".join(f"{i} {i + 1}\n" for i in range(4)))
     names = {"graph": str(graph_file), "cert": str(tmp_path / "cert.json")}
@@ -447,9 +536,10 @@ def test_cli_import_leaves_other_subcommands_modules_out(tmp_path):
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 f"    code = ekdom.cli.main({argv!r})\n"
                 f"print(code, sorted(m for m in sys.modules if m.startswith('ekdom.') or "
-                f"m in {HEAVY + ('array',)!r}))")
+                f"m in {HEAVY + SOMETIMES!r}))")
         expected = sorted({"ekdom.cli", "ekdom.graph", *modules}
-                          | ({"array"} if "ekdom._kernel" in modules else set()))
+                          | ({"array"} if "ekdom._kernel" in modules else set())
+                          | ({"json"} if command == "reduce" else set()))
         assert _loaded_after(code) == f"0 {expected}", command
 
     # The checker module on its own loads only the graph module, and the
@@ -531,6 +621,12 @@ ARGV = [
     ["closed-form", "spider", "3"],
     ["gen", "path"],
     ["gen", "path", "x"],
+    # what argparse reads as a negative number, and what it does not
+    ["eternal", "-k", "-.5", "g.edges"],
+    ["gen", "path", "-1."],
+    ["eternal", "-k", "-1\n", "g.edges"],
+    ["gen", "path", "-\u0663"],
+    ["eternal", "-k", "-1e3", "g.edges"],
 ]
 
 

@@ -336,6 +336,21 @@ def test_disconnected_solves_build_no_whole_graph_distances():
     assert "distances" not in graph._derived(g)
 
 
+@pytest.mark.parametrize("guards,eternal", [
+    ([1, 3, 5, 7, 9, 11, 13], True),
+    ([1, 3, 5, 7, 8, 10, 12], True),
+    ([1, 3, 5, 7, 9, 11], False),  # vertex 13 uncovered
+    ([0, 1, 2, 3, 4, 5, 6, 7], False),  # P6 unguarded
+])
+def test_disconnected_membership_builds_no_whole_graph_distances(guards, eternal):
+    # P8 + P6: the cover is tested on each component's own balls, so the
+    # whole graph's memo gets neither distances nor balls.
+    edges = [(i, i + 1) for i in range(7)] + [(i, i + 1) for i in range(8, 13)]
+    g = Graph.build(14, edges, [f"member{guards}:{i}" for i in range(14)])
+    assert is_eternal_set(g, 1, guards) is eternal
+    assert "distances" not in graph._derived(g) and ("balls", 1) not in graph._derived(g)
+
+
 def test_repeated_queries_reuse_one_solve(monkeypatch):
     # Survivors and membership at the answer come from the solve that
     # found it, and no witness table outlives the solve that filled it.
