@@ -6,8 +6,8 @@ list the same states and count the same prefixes.  The three walk
 instances then run, one fresh interpreter per run, through
 ``configs.enumerate_dominating_configs`` of this tree; each run reports
 its time, states, prefixes and peak RSS.  With ``--parent DIR``, the
-same call of that tree alternates with it run by run (for an earlier
-commit, its Python walk) and must list the same states.
+same call of that tree alternates with it run by run and must list the
+same states.
 
 Elimination (``--out``, BENCH_kernel.json): runs the same
 greatest-fixed-point eliminations through the compiled
@@ -19,12 +19,11 @@ certificate rows must be identical.  The four large instances run on the
 compiled kernel only.
 
 With ``--parent DIR``, the root of another source tree whose compiled
-kernel is built (for example a ``git archive`` export of an earlier
-commit), that tree's compiled kernel runs every instance too, alternating
-with this tree's run by run, and must return the same (alive, rounds,
-checks, exceeded) and witness table.  Every kernel, here and in the
-certificate runs, gets the arguments its own signature names: ball masks,
-or k and a flat distance list for a tree from before the masks.
+kernel is built (a ``git archive`` export of ``da8f01d`` or later, whose
+three entry points all take ball masks and count their work), that
+tree's compiled kernel runs every instance too, alternating with this
+tree's run by run, and must return the same (alive, rounds, checks,
+exceeded), witness table and counters.
 
 Certificates (``BENCH_cert.json``): five instances (C26, C30 and C32 as
 the ``certify`` workload of ``e2ebench`` relabels them at seed 7, round 0,
@@ -33,22 +32,25 @@ this tree's sources, which eliminates, closes the certificate with
 ``_kernel.certificate_rows`` and re-checks it with
 ``solver.verify_certificate``, reporting the family size, rows, JSON
 bytes and both times (medians of five calls in the process; the
-verifier finds the graph's distances cached).  Every certificate must
-verify.  With ``--parent DIR`` that tree's run alternates with it run by
-run.  End-to-end pairs copied into the file from ``e2ebench/run.py``
-result lines (its ``end_to_end`` entry) are kept when it is rewritten.
+verifier finds the graph's distances cached).  Each edge list names its
+vertices first in ``solver.solve_order``, so every tree closes the
+certificate ``ekdom eternal`` closes on that file.  Every certificate
+must verify.  With ``--parent DIR`` that tree's run alternates with it
+run by run.
 
 Speed: the benchmark pins itself, and so its children, to one CPU and
-times the fixed pure-Python loop of ``e2ebench/run.py``'s ``Runner``
-(``probe``) between consecutive timed calls and children.  Each time is
-recorded raw (``compiled_s``, ``s``, ...) and scaled to reference speed,
-PROBE_REF_S over the mean of the probes just before and after it
-(``compiled_ref_s``, ``ref_s``, ...); medians and ratios are taken from
-the scaled times.
+times ``probe``, the fixed pure-Python loop of ``e2ebench/run.py``,
+between consecutive timed calls and children.  Each time is recorded raw
+(``compiled_s``, ``s``, ...) and scaled to reference speed, that
+module's PROBE_REF_S over the mean of the probes just before and after
+it (``compiled_ref_s``, ``ref_s``, ...), so both harnesses report
+seconds at one speed; medians and ratios are taken from the scaled times.
 
 Times, counters and provenance go to ``BENCH_enum.json``,
 ``BENCH_cert.json`` at the root of this tree and to ``--out``
-(BENCH_kernel.json).  ``--only`` runs one of the three sections.
+(BENCH_kernel.json); end-to-end pairs copied into a file from
+``e2ebench/run.py`` result lines (its ``end_to_end`` entry) are kept
+when it is rewritten.  ``--only`` runs one of the three sections.
 
     python3 setup.py build_ext --inplace
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeat N] [--parent DIR]
@@ -59,7 +61,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
-import inspect
 import json
 import os
 import platform
@@ -74,8 +75,9 @@ from ekdom._kernel import KernelWork, pack_masks, pure
 from ekdom.closed_forms import cycle_graph, path_graph
 from ekdom.configs import enumerate_dominating_configs
 from ekdom.domination import ball_masks
-from ekdom.graph import all_pairs_distances, format_edge_list
+from ekdom.graph import all_pairs_distances, format_edge_list, parse_graph
 from ekdom.mary import build_perfect_mary
+from ekdom.solver import solve_order
 
 try:
     from ekdom._kernel import _ckernel
@@ -83,12 +85,13 @@ except ImportError:
     _ckernel = None
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "e2ebench"))
+from run import PROBE_REF_S, probe  # noqa: E402
+from workloads import WORKLOADS, edge_list, labeling_rng  # noqa: E402
+
 KERNEL_DIR = Path("src") / "ekdom" / "_kernel"
 BUDGET = 50_000_000
 CAP = 20_000
-#: ``probe()`` time on an uncontended 2.1 GHz Xeon vCPU under CPython 3.11,
-#: as in ``e2ebench/run.py``; scaled times are seconds at that speed.
-PROBE_REF_S = 0.020
 
 SMALL = [  # both kernels, and both certificate closures
     ("P12 k=1 q=6", lambda: path_graph(12), 1, 6),
@@ -110,10 +113,9 @@ WALKS = [  # one fresh interpreter per run, alternating with --parent
     ("P20 k=2 q=7", "path_graph(20)", 2, 7),
     ("C26 k=2 q=6", "cycle_graph(26)", 2, 6),
 ]
-# One walk through the tree's configs.enumerate_dominating_configs; a tree
-# whose walk counts no prefixes reports None.
+# One walk through the tree's configs.enumerate_dominating_configs.
 WALK_CHILD = """
-import hashlib, inspect, json, resource, time
+import hashlib, json, resource, time
 from array import array
 from ekdom._kernel import active_kernel
 from ekdom.closed_forms import cycle_graph, path_graph
@@ -121,15 +123,12 @@ from ekdom.configs import enumerate_dominating_configs
 from ekdom.graph import all_pairs_distances
 from ekdom.mary import build_perfect_mary
 dist = all_pairs_distances({build})
-kwargs = {{}}
-if "work" in inspect.signature(enumerate_dominating_configs).parameters:
-    kwargs["work"] = array("q", [0])
+work = array("q", [0])
 t0 = time.perf_counter()
-states = enumerate_dominating_configs(dist, {k}, {q}, **kwargs)
+states = enumerate_dominating_configs(dist, {k}, {q}, work=work)
 seconds = time.perf_counter() - t0
 print(json.dumps({{
-    "s": round(seconds, 5), "states": len(states),
-    "prefixes": kwargs["work"][0] if kwargs else None,
+    "s": round(seconds, 5), "states": len(states), "prefixes": work[0],
     "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     "kernel": active_kernel(),
     "sha256": hashlib.sha256(repr(states).encode()).hexdigest()[:16]}}))
@@ -146,7 +145,7 @@ CERTS = [  # (name, e2e certify instance or graph builder, k, q)
 # One certificate through the tree's kernel and verifier; the edge list
 # arrives on stdin.
 CERT_CHILD = """
-import hashlib, inspect, json, sys, time
+import hashlib, json, sys, time
 from array import array
 from statistics import median
 from ekdom import _kernel
@@ -155,24 +154,17 @@ from ekdom.domination import ball_masks
 from ekdom.graph import all_pairs_distances, parse_graph
 from ekdom.solver import (CERTIFICATE_CAP, EternalCertificate, certificate_to_json,
                           verify_certificate)
-def named(fn, **given):
-    params = inspect.signature(fn).parameters
-    return {{name: value for name, value in given.items() if name in params}}
 g = parse_graph(sys.stdin.read())
 k, q, n = {k}, {q}, g.n
 dist = all_pairs_distances(g)
-geometry = dict(k=k, dist=[d for row in dist for d in row],
-                masks=_kernel.pack_masks(ball_masks(dist, k), n))
+masks = _kernel.pack_masks(ball_masks(dist, k), n)
 states = enumerate_dominating_configs(dist, k, q)
 wit = array("i", [-1]) * (len(states) * n)
-alive = _kernel.run_elimination(**named(_kernel.run_elimination, n=n, states=states, wit=wit,
-                                        budget=10 ** 9, **geometry))[0]
-close = named(_kernel.certificate_rows, n=n, states=states, alive=alive, wit=wit,
-              cap=CERTIFICATE_CAP, **geometry)
+alive = _kernel.run_elimination(n, masks, states, wit, 10 ** 9)[0]
 cert_s, verify_s = [], []
 for _ in range(5):
     t0 = time.perf_counter()
-    members, rows = _kernel.certificate_rows(**close)
+    members, rows = _kernel.certificate_rows(n, masks, states, alive, wit, CERTIFICATE_CAP)
     cert_s.append(time.perf_counter() - t0)
 cert = EternalCertificate(k, q, tuple(states[i] for i in members), rows)
 for _ in range(5):
@@ -187,15 +179,6 @@ print(json.dumps({{
     "kernel": _kernel.active_kernel(),
     "sha256": hashlib.sha256(doc.encode()).hexdigest()[:16]}}))
 """
-
-
-def probe() -> float:
-    """Seconds this CPU takes for a fixed pure-Python loop right now."""
-    t0 = time.perf_counter()
-    acc = 0
-    for i in range(300_000):
-        acc += i * i % 7
-    return time.perf_counter() - t0
 
 
 class Speed:
@@ -253,71 +236,88 @@ def host() -> dict:
     return {"cpu": cpu, "nproc": os.cpu_count(), "python": platform.python_version()}
 
 
+def write_record(out: Path, what: str, flags: str, parent: dict | None, **body) -> None:
+    """Write to ``out`` what it holds, the command that wrote it (``flags``
+    and, with a ``parent`` digest, --parent), this tree's commit and kernel
+    sources, the host, the parent's digest and run order, then ``body``,
+    keeping the ``end_to_end`` pairs the file already holds (copied in from
+    ``e2ebench/run.py`` result lines)."""
+    old = json.loads(out.read_text(encoding="utf-8")) if out.is_file() else {}
+    doc = {
+        "what": what,
+        "command": f"PYTHONPATH=src python3 benchmarks/bench_kernels.py {flags}"
+                   + (" --parent PARENT_TREE" if parent else ""),
+        "commit": git("rev-parse", "HEAD"),
+        "dirty": bool(git("status", "--porcelain", "--", "src", "benchmarks")),
+        "kernel_sha256": {f: digest(ROOT / KERNEL_DIR / f) for f in ("_ckernel.c", "pure.py")},
+        "host": host(),
+    }
+    if parent is not None:
+        doc["parent"] = {**parent, "order": "runs alternate: this tree first on even runs, "
+                                            "the parent first on odd runs"}
+    doc.update(body)
+    if "end_to_end" in old:
+        doc["end_to_end"] = old["end_to_end"]
+    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
+
+def alternate(repeat: int, sides: dict, run) -> dict:
+    """``{name: [run(side) for each of repeat runs]}`` for each ``name:
+    side`` of ``sides`` whose side is not None.  The first two are this
+    tree's and the parent's: the parent goes first on odd runs, so the two
+    alternate which runs first, and any further sides run last."""
+    parent = list(sides)[1]
+    runs = {name: [] for name, side in sides.items() if side is not None}
+    for r in range(repeat):
+        order = list(runs)
+        if r % 2 and parent in runs:
+            order[0], order[1] = order[1], order[0]
+        for name in order:
+            runs[name].append(run(sides[name]))
+    return runs
+
+
 def instance(build, k: int, q: int):
-    """n, the geometry arguments any kernel may name, and the states."""
+    """n, the packed ball masks and the states."""
     g = build()
     dist = all_pairs_distances(g)
-    geometry = {"k": k, "dist": [d for row in dist for d in row],
-                "masks": pack_masks(ball_masks(dist, k), g.n)}
-    return g.n, geometry, enumerate_dominating_configs(dist, k, q)
-
-
-def named(fn, **given) -> dict:
-    """The arguments in ``given`` that ``fn``'s signature names."""
-    params = inspect.signature(fn).parameters
-    return {name: value for name, value in given.items() if name in params}
-
-
-def eliminate(kernel, n, geometry, states):
-    """(seconds, result, witness table, work counters or None, for a
-    kernel that counts none)."""
-    wit = array("i", [0]) * (len(states) * n)
-    args = named(kernel.run_elimination, n=n, states=states, wit=wit, budget=BUDGET,
-                 work=array("q", KernelWork()), **geometry)
-    t0 = time.perf_counter()
-    result = kernel.run_elimination(**args)
-    return time.perf_counter() - t0, result, wit, args.get("work")
-
-
-def same(a, b) -> bool:
-    return bytes(a[1][0]) == bytes(b[1][0]) and a[1][1:] == b[1][1:] and a[2] == b[2]
+    return g.n, pack_masks(ball_masks(dist, k), g.n), enumerate_dominating_configs(dist, k, q)
 
 
 def run_case(name, build, k, q, repeat, parent, with_pure, speed) -> dict:
-    n, geometry, states = instance(build, k, q)
-    times = {key: [] for side in ("compiled", "parent_compiled", "pure")
-             for key in (f"{side}_s", f"{side}_ref_s")}
-    first = work = None
-    for r in range(repeat):
-        sides = [("compiled_s", _ckernel)]
-        if parent is not None:
-            sides.insert(1 - r % 2, ("parent_compiled_s", parent))
-        if with_pure:
-            sides.append(("pure_s", pure))
-        for key, kernel in sides:
-            got = eliminate(kernel, n, geometry, states)
-            times[key.removesuffix("_s") + "_ref_s"].append(round(speed.scale(got[0]), 5))
-            first = first or got
-            work = work or got[3]
-            assert same(got, first), f"{name}: {key} differs"
-            assert got[3] in (None, work), f"{name}: {key} counters differ"
-            times[key].append(round(got[0], 5))
-    _, (alive, rounds, checks, exceeded), wit, _ = first
+    n, masks, states = instance(build, k, q)
+    first = []  # the first run's (alive, rounds, checks, exceeded, wit, work)
+
+    def eliminate(kernel):
+        wit = array("i", [0]) * (len(states) * n)
+        work = array("q", KernelWork())
+        t0 = time.perf_counter()
+        result = kernel.run_elimination(n, masks, states, wit, BUDGET, work)
+        seconds = time.perf_counter() - t0
+        got = (*result, wit, work)
+        if not first:
+            first.append(got)
+        assert got == first[0], f"{name}: {kernel.__name__} differs"
+        return round(seconds, 5), round(speed.scale(seconds), 5)
+
+    runs = alternate(repeat, {"compiled": _ckernel, "parent_compiled": parent,
+                              "pure": pure if with_pure else None}, eliminate)
+    alive, rounds, checks, exceeded, wit, work = first[0]
     assert not exceeded, f"{name}: budget exceeded"
     row = {"name": name, "n": n, "k": k, "q": q, "states": len(states),
            "rounds": rounds, "checks": checks, "survivors": sum(alive),
            "work": KernelWork(*work)._asdict()}
-    for key, runs in times.items():
-        if runs:
-            row[key] = runs
+    for side, times in runs.items():
+        row[f"{side}_s"] = [s for s, _ in times]
+        row[f"{side}_ref_s"] = [ref for _, ref in times]
     if parent is not None:
-        row["parent_over_compiled"] = round(statistics.median(times["parent_compiled_ref_s"])
-                                            / statistics.median(times["compiled_ref_s"]), 2)
+        row["parent_over_compiled"] = round(statistics.median(row["parent_compiled_ref_s"])
+                                            / statistics.median(row["compiled_ref_s"]), 2)
     if with_pure:
         cert = {}
         for key, kernel in (("compiled_s", _ckernel), ("pure_s", pure)):
             t0 = time.perf_counter()
-            rows = kernel.certificate_rows(n, geometry["masks"], states, alive, wit, CAP)
+            rows = kernel.certificate_rows(n, masks, states, alive, wit, CAP)
             seconds = time.perf_counter() - t0
             cert[key] = round(seconds, 5)
             cert[key.removesuffix("_s") + "_ref_s"] = round(speed.scale(seconds), 5)
@@ -328,50 +328,72 @@ def run_case(name, build, k, q, repeat, parent, with_pure, speed) -> dict:
     return row
 
 
+def bench_elims(repeat: int, parent_tree: Path | None, out: Path, speed: Speed) -> None:
+    parent = load_kernel(parent_tree) if parent_tree else None
+    rows = []
+    print(f"{'instance':<22}{'states':>8}{'compiled':>11}{'parent':>11}{'pure':>11}"
+          f"{'matchings':>12}{'matched':>10}{'jumped':>12}")
+    for cases, with_pure in ((SMALL, True), (LARGE, False)):
+        for name, build, k, q in cases:
+            row = run_case(name, build, k, q, repeat, parent, with_pure, speed)
+            rows.append(row)
+            med = {key: f"{statistics.median(row[key]):.4f}s" if key in row else "-"
+                   for key in ("compiled_ref_s", "parent_compiled_ref_s", "pure_ref_s")}
+            w = row["work"]
+            print(f"{name:<22}{row['states']:>8}{med['compiled_ref_s']:>11}"
+                  f"{med['parent_compiled_ref_s']:>11}{med['pure_ref_s']:>11}"
+                  f"{w['matchings']:>12}{w['matched']:>10}{w['jumped']:>12}", flush=True)
+    write_record(
+        out, "Elimination kernel wall times (seconds per run) and work counters; "
+        "on the small instances also the certificate closure of both kernels. "
+        "*_ref_s are the same runs scaled to reference speed by the probes "
+        "around each call; parent_over_compiled uses those.",
+        f"--repeat {repeat}",
+        parent_tree and {"kernel_sha256": {"_ckernel.c": digest(parent_tree / KERNEL_DIR
+                                                                  / "_ckernel.c")}},
+        budget=BUDGET, instances=rows)
+    print(f"results, witness tables, counters and certificate rows identical; wrote {out}")
+
+
 def walk_small(name, build, k, q, repeat, speed) -> dict:
     """Compiled and pure walks in this process; equal states and prefixes."""
-    g = build()
-    masks = pack_masks(ball_masks(all_pairs_distances(g), k), g.n)
+    n, masks, _ = instance(build, k, q)
     times = {key: [] for key in ("compiled_s", "compiled_ref_s", "pure_s", "pure_ref_s")}
     first = None
     for _ in range(repeat):
         for key, kernel in (("compiled_s", _ckernel), ("pure_s", pure)):
             work = array("q", [0])
             t0 = time.perf_counter()
-            states = kernel.enumerate_states(g.n, q, masks, None, work)
+            states = kernel.enumerate_states(n, q, masks, None, work)
             seconds = time.perf_counter() - t0
             times[key].append(round(seconds, 6))
             times[key.removesuffix("_s") + "_ref_s"].append(round(speed.scale(seconds), 6))
             first = first or (states, work[0])
             assert (states, work[0]) == first, f"{name}: {key} walk differs"
-    return {"name": name, "n": g.n, "k": k, "q": q, "states": len(first[0]),
+    return {"name": name, "n": n, "k": k, "q": q, "states": len(first[0]),
             "prefixes": first[1], **times}
 
 
-def walk_child(tree: Path, build: str, k: int, q: int, speed: Speed) -> dict:
-    """One walk in a fresh interpreter on ``tree``'s sources."""
+def child(tree: Path, code: str, stdin: str | None = None) -> dict:
+    """The JSON line ``code`` prints in a fresh interpreter on ``tree``'s sources."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    done = subprocess.run([sys.executable, "-c", WALK_CHILD.format(build=build, k=k, q=q)],
-                          cwd=tree, env=env, capture_output=True, text=True, check=True,
-                          timeout=600)
-    row = json.loads(done.stdout)
-    row["ref_s"] = round(speed.scale(row["s"]), 5)
-    return row
+    done = subprocess.run([sys.executable, "-c", code], input=stdin, cwd=tree, env=env,
+                          capture_output=True, text=True, check=True, timeout=600)
+    return json.loads(done.stdout)
 
 
 def walk_large(name, build, k, q, repeat, parent, speed) -> dict:
-    runs = {"change": [], "parent": []}
-    for r in range(repeat):
-        sides = [("change", ROOT)]
-        if parent is not None:
-            sides.insert(1 - r % 2, ("parent", parent))
-        for key, tree in sides:
-            runs[key].append(walk_child(tree, build, k, q, speed))
+    def walk(tree):
+        row = child(tree, WALK_CHILD.format(build=build, k=k, q=q))
+        row["ref_s"] = round(speed.scale(row["s"]), 5)
+        return row
+
+    runs = alternate(repeat, {"change": ROOT, "parent": parent}, walk)
     first = runs["change"][0]
     for key, rows in runs.items():
         assert all(row["sha256"] == first["sha256"] for row in rows), f"{name}: {key} differs"
     row = {"name": name, "k": k, "q": q, "states": first["states"],
-           "prefixes": first["prefixes"], "runs": {key: rows for key, rows in runs.items() if rows}}
+           "prefixes": first["prefixes"], "runs": runs}
     if parent is not None:
         row["parent_over_change"] = round(
             statistics.median(r["ref_s"] for r in runs["parent"])
@@ -399,56 +421,30 @@ def bench_walks(repeat: int, parent: Path | None, speed: Speed) -> None:
         rss = max(r["peak_rss_mb"] for r in row["runs"]["change"])
         print(f"{name:<22}{row['states']:>8}{row['prefixes']:>11}{med['change']:>11}"
               f"{med.get('parent', '-'):>11}{rss:>9}", flush=True)
-    doc = {
-        "what": "Configuration walk: wall seconds per run of the compiled and pure "
-                "enumerate_states in one process (small instances), and of "
-                "configs.enumerate_dominating_configs in a fresh interpreter per run, "
-                "with states, prefixes visited and the process's peak RSS (walk "
-                "instances). prefixes is null for a tree whose walk counts none. "
-                "*_ref_s and ref_s are the same runs scaled to reference speed "
-                "by the probes around them; ratios use those.",
-        "command": "PYTHONPATH=src python3 benchmarks/bench_kernels.py --repeat "
-                   f"{repeat}" + (" --parent PARENT_TREE" if parent else ""),
-        "commit": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--", "src", "benchmarks")),
-        "kernel_sha256": {f: digest(ROOT / KERNEL_DIR / f) for f in ("_ckernel.c", "pure.py")},
-        "host": host(),
-        "small": small,
-        "walks": large,
-    }
-    if parent is not None:
-        doc["parent"] = {"configs_sha256": digest(parent / "src" / "ekdom" / "configs.py"),
-                         "order": "runs alternate: this tree first on even runs, "
-                                  "the parent first on odd runs"}
     out = ROOT / "BENCH_enum.json"
-    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    write_record(
+        out, "Configuration walk: wall seconds per run of the compiled and pure "
+        "enumerate_states in one process (small instances), and of "
+        "configs.enumerate_dominating_configs in a fresh interpreter per run, "
+        "with states, prefixes visited and the process's peak RSS (walk "
+        "instances). *_ref_s and ref_s are the same runs scaled to reference "
+        "speed by the probes around them; ratios use those.",
+        f"--repeat {repeat}",
+        parent and {"configs_sha256": digest(parent / "src" / "ekdom" / "configs.py")},
+        small=small, walks=large)
     print(f"walk states and prefixes identical; wrote {out}")
 
 
 def cert_edges(build) -> str:
-    """The instance's edge list: an e2e ``certify`` instance as that
-    workload relabels it at ``CERT_SEED``, round 0, or a built graph in
-    its own vertex order."""
-    if callable(build):  # listed vertices first keep the graph's own ids
+    """The instance's edge list, an e2e ``certify`` instance as that
+    workload relabels it at ``CERT_SEED``, round 0, or a built graph,
+    led by ``v`` lines that number its vertices in ``solver.solve_order``."""
+    if callable(build):
         g = build()
-        return "".join(f"v {label}\n" for label in g.labels) + format_edge_list(g)
-    sys.path.insert(0, str(ROOT / "e2ebench"))
-    from workloads import WORKLOADS, edge_list, labeling_rng
-    inst = next(i for i in WORKLOADS["certify"] if i.name == build)
-    return edge_list(inst, labeling_rng("certify", CERT_SEED, 0, inst))
-
-
-def cert_child(tree: Path, edges: str, k: int, q: int, speed: Speed) -> dict:
-    """One certificate in a fresh interpreter on ``tree``'s sources."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    done = subprocess.run([sys.executable, "-c", CERT_CHILD.format(k=k, q=q)], input=edges,
-                          cwd=tree, env=env, capture_output=True, text=True, check=True,
-                          timeout=600)
-    row = json.loads(done.stdout)
-    factor = speed.scale(1.0)
-    for f in ("certificate_rows_s", "verify_s"):
-        row[f.removesuffix("_s") + "_ref_s"] = round(row[f] * factor, 6)
-    return row
+    else:
+        inst = next(i for i in WORKLOADS["certify"] if i.name == build)
+        g = parse_graph(edge_list(inst, labeling_rng("certify", CERT_SEED, 0, inst)))
+    return "".join(f"v {g.labels[u]}\n" for u in solve_order(g)) + format_edge_list(g)
 
 
 def bench_certs(repeat: int, parent: Path | None, speed: Speed) -> None:
@@ -457,17 +453,16 @@ def bench_certs(repeat: int, parent: Path | None, speed: Speed) -> None:
     rows = []
     for name, build, k, q in CERTS:
         edges = cert_edges(build)
-        runs = {"change": [], "parent": []}
-        for r in range(repeat):
-            sides = [("change", ROOT)]
-            if parent is not None:
-                sides.insert(1 - r % 2, ("parent", parent))
-            for key, tree in sides:
-                runs[key].append(cert_child(tree, edges, k, q, speed))
+
+        def close(tree):
+            run = child(tree, CERT_CHILD.format(k=k, q=q), edges)
+            factor = speed.scale(1.0)
+            for f in ("certificate_rows_s", "verify_s"):
+                run[f.removesuffix("_s") + "_ref_s"] = round(run[f] * factor, 6)
+            return run
+
         row = {"name": name, "k": k, "q": q}
-        for key, got in runs.items():
-            if not got:
-                continue
+        for key, got in alternate(repeat, {"change": ROOT, "parent": parent}, close).items():
             first = got[0]
             assert all(run["verified"] for run in got), f"{name}: {key} certificate rejected"
             assert all(run["sha256"] == first["sha256"] for run in got), f"{name}: {key} differs"
@@ -487,30 +482,17 @@ def bench_certs(repeat: int, parent: Path | None, speed: Speed) -> None:
                 for f in ("certificate_rows_ref_s", "verify_ref_s")}
         rows.append(row)
     out = ROOT / "BENCH_cert.json"
-    old = json.loads(out.read_text(encoding="utf-8")) if out.is_file() else {}
-    doc = {
-        "what": "Certificate closure and verifier: per instance and tree, the survivors, "
-                "the certificate's family size, rows and compact JSON bytes, and the "
-                "seconds of _kernel.certificate_rows and of solver.verify_certificate "
-                "(medians of five calls in one fresh interpreter per run; distances cached); "
-                "*_ref_s are the same medians scaled to reference speed by the probes "
-                "around the run, and the ratios use those.",
-        "command": "PYTHONPATH=src python3 benchmarks/bench_kernels.py --only cert --repeat "
-                   f"{repeat}" + (" --parent PARENT_TREE" if parent else ""),
-        "commit": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--", "src", "benchmarks")),
-        "kernel_sha256": {f: digest(ROOT / KERNEL_DIR / f) for f in ("_ckernel.c", "pure.py")},
-        "host": host(),
-        "instances": rows,
-    }
-    if parent is not None:
-        doc["parent"] = {"kernel_sha256": {"_ckernel.c": digest(parent / KERNEL_DIR
-                                                                 / "_ckernel.c")},
-                         "order": "runs alternate: this tree first on even runs, "
-                                  "the parent first on odd runs"}
-    if "end_to_end" in old:
-        doc["end_to_end"] = old["end_to_end"]
-    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    write_record(
+        out, "Certificate closure and verifier: per instance and tree, the survivors, "
+        "the certificate's family size, rows and compact JSON bytes, and the "
+        "seconds of _kernel.certificate_rows and of solver.verify_certificate "
+        "(medians of five calls in one fresh interpreter per run; distances cached); "
+        "*_ref_s are the same medians scaled to reference speed by the probes "
+        "around the run, and the ratios use those.",
+        f"--only cert --repeat {repeat}",
+        parent and {"kernel_sha256": {"_ckernel.c": digest(parent / KERNEL_DIR
+                                                             / "_ckernel.c")}},
+        instances=rows)
     print(f"every certificate verified; wrote {out}")
 
 
@@ -529,54 +511,17 @@ def main() -> int:
         print("compiled kernel not built; run: python3 setup.py build_ext --inplace")
         return 1
     load_kernel(ROOT)  # refuses a stale build
+    if args.parent:
+        load_kernel(args.parent)
     # Children inherit the affinity, so probes and children share one CPU.
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     speed = Speed()
     if args.only in (None, "walk"):
         bench_walks(args.repeat, args.parent, speed)
     if args.only in (None, "cert"):
-        if args.parent:
-            load_kernel(args.parent)
         bench_certs(args.repeat, args.parent, speed)
-    if args.only not in (None, "elim"):
-        return 0
-    parent = load_kernel(args.parent) if args.parent else None
-
-    rows = []
-    print(f"{'instance':<22}{'states':>8}{'compiled':>11}{'parent':>11}{'pure':>11}"
-          f"{'matchings':>12}{'matched':>10}{'jumped':>12}")
-    for cases, with_pure in ((SMALL, True), (LARGE, False)):
-        for name, build, k, q in cases:
-            row = run_case(name, build, k, q, args.repeat, parent, with_pure, speed)
-            rows.append(row)
-            med = {key: f"{statistics.median(row[key]):.4f}s" if key in row else "-"
-                   for key in ("compiled_ref_s", "parent_compiled_ref_s", "pure_ref_s")}
-            w = row["work"]
-            print(f"{name:<22}{row['states']:>8}{med['compiled_ref_s']:>11}"
-                  f"{med['parent_compiled_ref_s']:>11}{med['pure_ref_s']:>11}"
-                  f"{w['matchings']:>12}{w['matched']:>10}{w['jumped']:>12}", flush=True)
-    doc = {
-        "what": "Elimination kernel wall times (seconds per run) and work counters; "
-                "on the small instances also the certificate closure of both kernels. "
-                "*_ref_s are the same runs scaled to reference speed by the probes "
-                "around each call; parent_over_compiled uses those.",
-        "command": "PYTHONPATH=src python3 benchmarks/bench_kernels.py --repeat "
-                   f"{args.repeat}" + (" --parent PARENT_TREE" if parent else ""),
-        "commit": git("rev-parse", "HEAD"),
-        "dirty": bool(git("status", "--porcelain", "--", "src", "benchmarks")),
-        "kernel_sha256": {f: digest(ROOT / KERNEL_DIR / f) for f in ("_ckernel.c", "pure.py")},
-        "host": host(),
-        "budget": BUDGET,
-        "instances": rows,
-    }
-    if parent is not None:
-        doc["parent"] = {"kernel_sha256": {"_ckernel.c": digest(args.parent / KERNEL_DIR
-                                                                 / "_ckernel.c")},
-                         "order": "runs alternate: this tree first on even runs, "
-                                  "the parent first on odd runs"}
-    args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    print(f"results, witness tables, counters and certificate rows identical; "
-          f"wrote {args.out}")
+    if args.only in (None, "elim"):
+        bench_elims(args.repeat, args.parent, args.out, speed)
     return 0
 
 

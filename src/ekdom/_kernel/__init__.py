@@ -19,16 +19,17 @@ and in ``pure``): the closure runs the sweep's matcher
 with guards and posts swapped, which on symmetric balls finds the same
 assignment as a search from the source side.
 
-The caller passes ``wit``, an ``array('i')`` of ``len(states) * n``
-items, which receives the sweep's final witness table, and may pass
-``work``, an ``array('q')`` of 5 items, which receives its work counters
-(``KernelWork``); ``certificate_rows`` closes a certificate family from
-that table.  The full contracts are in ``pure``.
+The caller passes ``run_elimination`` its check ``budget`` (the layer
+imports nothing else of ekdom, so it has no default) and ``wit``, an
+``array('i')`` of ``len(states) * n`` items, which receives the sweep's
+final witness table, and may pass ``work``, an ``array('q')`` of 5
+items, which receives its work counters (``KernelWork``);
+``certificate_rows`` closes a certificate family from that table.  The
+full contracts are in ``pure``.
 """
 from array import array
 from typing import NamedTuple
 
-from ..graph import DEFAULT_BUDGET  # checks per elimination; the C kernel's default too
 _WORD = (1 << 64) - 1
 
 

@@ -591,7 +591,7 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "masks", "states", "wit", "budget", "work", NULL};
     Py_ssize_t n, S, q, i, v;
-    long long budget = 5000000, checks = 0, work[WORK_ITEMS] = {0};
+    long long budget, checks = 0, work[WORK_ITEMS] = {0};
     PyObject *masks_obj, *states_obj, *wit_obj, *work_obj = Py_None, *result = NULL;
     Py_buffer view = {0}, wview = {0};
     Instance in = {0};
@@ -603,7 +603,7 @@ run_elimination(PyObject *self, PyObject *args, PyObject *kwargs)
     int changed = 1, exceeded = 0;
     Py_ssize_t rounds = 0;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nOOO|LO:run_elimination", kwlist,
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nOOOL|O:run_elimination", kwlist,
                                      &n, &masks_obj, &states_obj, &wit_obj, &budget,
                                      &work_obj))
         return NULL;
@@ -917,7 +917,7 @@ static PyMethodDef methods[] = {
      "visited in work, an array('q') of 1 item (see ekdom._kernel.pure)."},
     {"run_elimination", (PyCFunction)(void (*)(void))run_elimination,
      METH_VARARGS | METH_KEYWORDS,
-     "run_elimination($module, /, n, masks, states, wit, budget=5000000, work=None)\n"
+     "run_elimination($module, /, n, masks, states, wit, budget, work=None)\n"
      "--\n\n"
      "Greatest-fixed-point elimination on the balls in masks (as enumerate_states\n"
      "reads them); returns (alive, rounds, checks, exceeded), leaves the witness\n"

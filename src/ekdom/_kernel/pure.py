@@ -121,7 +121,7 @@ when it runs, so this module imports nothing of ``configs``.
 from array import array
 from bisect import bisect_left, insort
 
-from . import DEFAULT_BUDGET, KernelWork
+from . import KernelWork
 
 
 def _balls(n: int, masks: array) -> list[int]:
@@ -297,7 +297,7 @@ def _skip_table(states: list[tuple], q: int) -> list[int]:
 
 
 def run_elimination(n: int, masks: array, states: list[tuple], wit: array,
-                    budget: int = DEFAULT_BUDGET, work: array | None = None):
+                    budget: int, work: array | None = None):
     """Gauss-Seidel elimination: deletions take effect within the pass."""
     reach = _reach(n, masks)
     S = len(states)

@@ -489,8 +489,8 @@ def _reader_gone() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
-    try:
+    try:  # -h writes too, so a reader gone by then ends quietly as well
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         return _reader_gone()

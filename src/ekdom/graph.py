@@ -32,7 +32,7 @@ UNREACHABLE = 1 << 30
 CACHE_SIZE = 64
 
 #: (configuration, attack) checks each guard count may spend unless the
-#: caller sets a budget; the kernels' and the command line's default.
+#: caller sets a budget; the solver's and the command line's default.
 DEFAULT_BUDGET = 5_000_000
 
 DistMatrix = tuple  # tuple[tuple[int, ...], ...], symmetric, zero diagonal
@@ -268,6 +268,17 @@ class _GraphAccumulator:
         return Graph.build(len(self.labels), self.edges, self.labels)
 
 
+#: Characters of an offending line or token that a parse error quotes.
+_QUOTE_CHARS = 40
+
+
+def _quote(text: str) -> str:
+    """``text`` as ``repr`` shows it, cut to its first ``_QUOTE_CHARS``
+    characters and "..." when longer: a parse error stays one short line
+    whatever the input (a certificate passed as the graph, say)."""
+    return repr(text) if len(text) <= _QUOTE_CHARS else f"{text[:_QUOTE_CHARS]!r}..."
+
+
 def _parse_edge_list(text: str) -> Graph:
     acc = _GraphAccumulator()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -280,7 +291,7 @@ def _parse_edge_list(text: str) -> Graph:
         elif len(tokens) == 2:
             acc.edge(tokens[0], tokens[1], lineno)
         else:
-            raise ParseError(f"expected 'A B' or 'v A', got {raw.strip()!r}", lineno)
+            raise ParseError(f"expected 'A B' or 'v A', got {_quote(raw.strip())}", lineno)
     return acc.graph()
 
 
@@ -304,7 +315,7 @@ def _parse_dot(text: str) -> Graph:
         nonlocal i
         if i >= len(tokens) or tokens[i][0] != want:
             got, line = tokens[i] if i < len(tokens) else ("end of input", tokens[-1][1])
-            raise ParseError(f"expected {want!r}, got {got!r}", line)
+            raise ParseError(f"expected {want!r}, got {_quote(got)}", line)
         i += 1
 
     expect("graph")
@@ -314,7 +325,7 @@ def _parse_dot(text: str) -> Graph:
     while i < len(tokens) and tokens[i][0] != "}":
         tok, line = tokens[i]
         if tok in ("--", ";"):
-            raise ParseError(f"unexpected {tok!r}", line)
+            raise ParseError(f"unexpected {_quote(tok)}", line)
         prev = tok
         acc.vertex(prev)
         i += 1
@@ -330,7 +341,7 @@ def _parse_dot(text: str) -> Graph:
             i += 1
     expect("}")
     if i != len(tokens):
-        raise ParseError(f"trailing input {tokens[i][0]!r}", tokens[i][1])
+        raise ParseError(f"trailing input {_quote(tokens[i][0])}", tokens[i][1])
     return acc.graph()
 
 

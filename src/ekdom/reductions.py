@@ -23,10 +23,12 @@ distance two from some leaf, deleting those leaves together with the
 qualifying neighbors changes the number by zero or one, and both outcomes
 really occur; the slack is resolved by the game engine where feasible.
 
-The rules walk nothing themselves: a tree has unique paths, so a
-connected subtree has the same distances as the whole tree, and every
-branch, path, eccentricity and diameter is read off the cached
-``all_pairs_distances(t)``.
+endpath walks ``t.adj`` from each leaf through degree-two vertices and
+reads no distances; kpath finds its connecting paths the same way.
+Every branch, eccentricity and diameter that kpath, the two branch rules
+and the interval rule test is read off the cached
+``all_pairs_distances(t)``: a tree has unique paths, so a connected
+subtree has the same distances as the whole tree.
 
 ``reduce_tree`` composes these greedily (cheapest tests first, smallest
 anchor vertex on ties) and converts the surviving core into two-sided

@@ -389,7 +389,7 @@ def reverse_sweep_survivors(g: Graph, k: int, q: int) -> frozenset:
     states = enumerate_dominating_configs(dist, k, q)[::-1]
     alive, _, checks, exceeded = run_elimination(
         g.n, pack_masks(ball_masks(dist, k), g.n), states,
-        array("i", [0]) * (len(states) * g.n))
+        array("i", [0]) * (len(states) * g.n), DEFAULT_BUDGET)
     if exceeded:
         raise BudgetExceededError(f"q={q}: {checks} checks exceeded the budget")
     return frozenset(st for st, live in zip(states, alive) if live)

@@ -233,7 +233,11 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
     bad.write_text("a b c d\n")
     code, _, err = run(capsys, "gamma", "-k", "2", str(bad))
-    assert code == 1 and "line 1" in err
+    assert (code, err) == (1, "parse error: line 1: expected 'A B' or 'v A', got 'a b c d'\n")
+    # A long line, such as a certificate passed as the graph, is quoted in part.
+    bad.write_text("a b c " + "d" * 5000 + "\n")
+    code, _, err = run(capsys, "gamma", "-k", "2", str(bad))
+    assert code == 1 and len(err.encode()) < 200 and err.endswith("ddd'...\n")
 
 
 def _write_p5_certificate(tmp_path, capsys):
@@ -543,13 +547,13 @@ def test_cli_import_leaves_other_subcommands_modules_out(tmp_path):
         assert _loaded_after(code) == f"0 {expected}", command
 
     # The checker module on its own loads only the graph module, and the
-    # pure kernel twin nothing of ekdom outside the kernel layer.
+    # pure kernel twin nothing of ekdom but the package and the kernel layer.
     code = ("import sys, ekdom.certificate; "
             "print(sorted(m for m in sys.modules if m.startswith('ekdom.')))")
     assert _loaded_after(code) == "['ekdom.certificate', 'ekdom.graph']"
     code = ("import sys, ekdom._kernel.pure; "
-            "print(sorted(m for m in sys.modules if m.startswith('ekdom.')))")
-    assert _loaded_after(code) == str(sorted({"ekdom._kernel.pure", "ekdom.graph", *_KERNEL}))
+            "print(sorted(m for m in sys.modules if m.startswith('ekdom')))")
+    assert _loaded_after(code) == str(sorted({"ekdom", "ekdom._kernel.pure", *_KERNEL}))
 
 
 def _outcome(parse, argv):
@@ -821,6 +825,16 @@ def test_closed_pipe_ends_quietly_when_unbuffered():
     code, stderr, head = _into_closed_pipe("module", ["gen", "path", "200000"], 10, env)
     assert (code, stderr) == (141, b"")
     assert b"# 200000 v".startswith(head) and head
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "-h"]], ids=["help", "verify-help"])
+def test_closed_pipe_during_help_ends_quietly(entry, argv):
+    # `PYTHONUNBUFFERED=1 ekdom verify -h | head -1`: the help text meets
+    # the closed pipe while the command line is still being read, which
+    # used to end in a BrokenPipeError traceback and exit 1.
+    env = dict(_process_env(), PYTHONUNBUFFERED="1")
+    assert _into_closed_pipe(entry, argv, 0, env)[:2] == (141, b"")
 
 
 def test_closed_pipe_at_the_last_flush_ends_quietly():

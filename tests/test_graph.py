@@ -66,6 +66,19 @@ def test_parse_errors_carry_line_numbers():
     assert "self-loop" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("graph g a -- b }", "line 1: expected '{', got 'a'"),
+    ("graph { -- b }", "line 1: unexpected '--'"),
+    ("graph { a -- b } c", "line 1: trailing input 'c'"),
+    ("graph g " + "x" * 5000, "line 1: expected '{', got '" + "x" * 40 + "'..."),
+    ("graph { a -- b } " + "c" * 5000, "line 1: trailing input '" + "c" * 40 + "'..."),
+])
+def test_dot_errors_quote_at_most_a_few_dozen_characters(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
 def test_duplicate_edge_warns_and_dedupes():
     with pytest.warns(UserWarning, match="duplicate"):
         g = parse_graph("a b\nb a")

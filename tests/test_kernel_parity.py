@@ -28,7 +28,7 @@ from ekdom._kernel import KernelWork, pack_masks, pure
 from ekdom.closed_forms import cycle_graph, path_graph
 from ekdom.configs import enumerate_dominating_configs
 from ekdom.domination import ball_masks, gamma_k
-from ekdom.graph import Graph, all_pairs_distances
+from ekdom.graph import DEFAULT_BUDGET, Graph, all_pairs_distances
 from ekdom.mary import build_perfect_mary
 
 from helpers import (DEFAULT_SEED, least_survivor_certificate, oracle_dominating_multisets,
@@ -202,7 +202,7 @@ def test_certificate_rows_match_the_survivor_scan(compiled, n, extra, rng, k, ex
     q = gamma_k(g, k).gamma + extra_guard
     n, masks, states = _instance(g, k, q)
     wit = array("i", [0]) * (len(states) * n)
-    alive, _, _, exceeded = pure.run_elimination(n, masks, states, wit)
+    alive, _, _, exceeded = pure.run_elimination(n, masks, states, wit, DEFAULT_BUDGET)
     assert not exceeded
     got = _assert_rows_agree(compiled, n, masks, states, alive, wit)
     survivors = frozenset(st for st, live in zip(states, alive) if live)
@@ -226,7 +226,7 @@ def test_certificate_rows_fit_a_cap_the_least_survivor_closure_passes(compiled):
     g = cycle_graph(30)
     n, masks, states = _instance(g, 3, 5)
     wit = array("i", [0]) * (len(states) * n)
-    alive, _, _, exceeded = compiled.run_elimination(n, masks, states, wit)
+    alive, _, _, exceeded = compiled.run_elimination(n, masks, states, wit, DEFAULT_BUDGET)
     assert not exceeded and sum(alive) == len(states) == 756
     survivors = frozenset(states)
     assert len(least_survivor_certificate(g, 3, 5, survivors).family) == 464
@@ -254,7 +254,7 @@ def test_compiled_kernel_rejects_malformed_input(compiled):
     for kernel in (compiled, pure):
         for error, bad in _bad_masks(masks):
             with pytest.raises(error):
-                kernel.run_elimination(n, bad, states, array("i", [0]) * size)
+                kernel.run_elimination(n, bad, states, array("i", [0]) * size, DEFAULT_BUDGET)
     bad = [
         (ValueError, states + [(0, 1, 2)]),        # states differ in size
         (ValueError, [(0, n)]),                    # vertex out of range
@@ -263,7 +263,8 @@ def test_compiled_kernel_rejects_malformed_input(compiled):
     ]
     for error, sts in bad:
         with pytest.raises(error):
-            compiled.run_elimination(n, masks, sts, array("i", [0]) * (len(sts) * n))
+            compiled.run_elimination(n, masks, sts, array("i", [0]) * (len(sts) * n),
+                                     DEFAULT_BUDGET)
     # A sentinel tail past a short table shows nothing is written out of bounds.
     short = array("i", [5]) * (size + 8)
     view = memoryview(short)[:size - 1]
@@ -275,7 +276,7 @@ def test_compiled_kernel_rejects_malformed_input(compiled):
     ]
     for error, wit in bad_wit:
         with pytest.raises(error):
-            compiled.run_elimination(n, masks, states, wit)
+            compiled.run_elimination(n, masks, states, wit, DEFAULT_BUDGET)
     view.release()
     assert short == array("i", [5]) * (size + 8)
     wit = array("i", [0]) * size
@@ -287,9 +288,9 @@ def test_compiled_kernel_rejects_malformed_input(compiled):
     ]
     for error, work in bad_work:
         with pytest.raises(error):
-            compiled.run_elimination(n, masks, states, wit, work=work)
+            compiled.run_elimination(n, masks, states, wit, DEFAULT_BUDGET, work)
     with pytest.raises(ValueError):
-        pure.run_elimination(n, masks, states, wit, work=array("q", [0]) * 4)
+        pure.run_elimination(n, masks, states, wit, DEFAULT_BUDGET, array("q", [0]) * 4)
     # The walk.
     args = dict(n=5, q=2, masks=masks, limit=None)
     bad_walk = [
@@ -405,7 +406,7 @@ def test_certificate_rows_reject_malformed_input(compiled):
     n, masks, states = _instance(path_graph(5), 2, 2)
     size = len(states) * n
     wit = array("i", [0]) * size
-    alive, _, _, _ = pure.run_elimination(n, masks, states, wit)
+    alive, _, _, _ = pure.run_elimination(n, masks, states, wit, DEFAULT_BUDGET)
     both = [
         (ValueError, alive[:-1], wit),                     # alive one flag short
         (ValueError, alive + b"\x01", wit),                 # alive one flag long

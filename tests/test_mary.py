@@ -1,10 +1,11 @@
 """Perfect m-ary trees: shapes, recursion, and the boundary discrepancy."""
 import pytest
 
+from ekdom._kernel import active_kernel
 from ekdom.closed_forms import star_graph
 from ekdom.mary import (MaryTreeSpec, build_perfect_mary,
                         mary_number_piecewise, mary_number_recursive)
-from ekdom.solver import eternal_number
+from ekdom.solver import eternal_number, verify_certificate
 
 
 def test_tree_shapes():
@@ -60,6 +61,18 @@ def test_piecewise_values_and_flags():
     value, consistent = mary_number_piecewise(2, 5, 2)
     assert value == 12 and not consistent
     assert mary_number_recursive(2, 5, 2) == 11
+
+
+@pytest.mark.skipif(active_kernel() != "compiled",
+                    reason="the pure twin's configuration walk alone takes about 26 s")
+def test_engine_arbitrates_the_smallest_boundary_tree():
+    # m = 2, d = 5, k = 2 (63 vertices): the recursion says 11, the printed
+    # closed form 12.  The exact engine sides with the recursion, and its
+    # certificate verifies.
+    g = build_perfect_mary(2, 5)
+    report = eternal_number(g, 2)
+    assert report.gamma_eternal == mary_number_recursive(2, 5, 2) == 11
+    assert verify_certificate(g, report.certificate) == (True, None)
 
 
 def test_forms_agree_away_from_the_boundary():
