@@ -16,13 +16,14 @@
    two therefore return byte-for-byte equal (alive, rounds, checks,
    exceeded), leave equal witness tables and count the same work; see
    pure.py for the algorithm notes, the skip and reuse rules, and the
-   meaning of the table and the counters.  Two things differ in how, not
-   in what: the matcher reads guard rows (the guards of the swept state
-   within reach of a post, as a bitmask over the guards) and walks their
-   unvisited bits word by word, in the ascending guard order of the pure
-   twin; and a run skip gallops from the cursor (steps of 1, 2, 4, ...,
-   then a bisection of the last step) instead of bisecting the rest of
-   the candidate list, since most runs are short.
+   meaning of the table and the counters.  What differs is how, not
+   what: a guard row (the guards of the swept state within reach of a
+   post) is an array of 64-bit words here and a Python int there, walked
+   in the same ascending guard order; and three searches take shortcuts
+   that return what the pure code returns: a run skip gallops from the
+   cursor instead of bisecting the rest of the candidate list, place ends
+   a one-step path at once, and it clears word 0 of its seen set on its
+   own.  Each shortcut stays for the time it saves, measured beside it.
 
    certificate_rows: the same breadth-first family from the least
    survivor, answering each attack with the least member found so far
@@ -145,7 +146,8 @@ place(Prefix *m, int c)
 
     /* Word 0 on its own: below 65 guards the loop then never runs, and a
        compiler may turn it into a memset call that costs more than a
-       short search. */
+       short search: one loop from word 0 made the sweep 1.3-1.4x slower
+       on P14-P20 and the depth-5 binary tree (12 alternating runs). */
     seen[0] = 0;
     for (w = 1; w < gw; w++)
         seen[w] = 0;
@@ -155,7 +157,10 @@ place(Prefix *m, int c)
             w++;
         if (open != 0) {
             int p = 64 * w + lowest(open);
-            if (depth == 0 && holder[p] < 0) {  /* a free guard of c: a one-step path */
+            /* A free guard of c: a one-step path, off the stack.  Without
+               it the sweep took 1.01-1.07x as long on P14-P20 (longer in
+               14-16 of 20 alternating pairs). */
+            if (depth == 0 && holder[p] < 0) {
                 holder[p] = c;
                 m->own[p] = row;
                 m->guard[c] = p;
@@ -570,7 +575,9 @@ bisect(const int *cv, int lo, int hi, int stop)
 /* What bisect returns, found by galloping from lo: probe lo, lo + 1,
    lo + 3, lo + 7, ... until a state >= stop or hi brackets the answer,
    then bisect the last step.  A run of r states costs about 2 log2(r)
-   probes, not log2 of the rest of the list. */
+   probes near the cursor, not log2 of the rest of the list: bisecting
+   the rest, as pure.py does, made the sweep 1.25-1.47x slower on P14-P20
+   and the depth-5 binary tree (9 of 9 pairs each, BENCH_gallop.json). */
 static int
 gallop(const int *cv, int lo, int hi, int stop)
 {

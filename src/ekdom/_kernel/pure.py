@@ -69,9 +69,10 @@ counters included; this module is the reference the parity tests
 compare it against and the kernel in use wherever the extension was not
 built.  Both matchers read, per post, the set of guards within reach as
 a bitmask (an int here, 64-bit words there) and try its untried bits in
-ascending order.  One thing differs in speed only: a compiled run skip
-gallops from the cursor to the end of the run instead of bisecting the
-rest of the candidate list.
+ascending order.  That representation is the difference; the compiled
+twin's search shortcuts (its run skip gallops from the cursor to the
+index the bisection here finds) return what this module returns and
+stay there for the time they measurably save.
 
 Both kernels return ``(alive, rounds, checks, exceeded)`` where ``alive``
 is a bytearray of 0/1 flags over the input configurations, ``rounds``

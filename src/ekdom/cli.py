@@ -111,37 +111,6 @@ def _at_least(low: int):
     return convert
 
 
-# The command line, one entry per subcommand: (help, options, positionals).
-# An option is (flag and metavar as usage shows them, converter or None for a
-# plain flag, default, help); default ``...`` marks it required.  A positional
-# is (name, converter or a tuple of choices, help); "args..." takes the rest.
-_K = ("-k K", int, ..., "guard movement radius")
-_BUDGET = ("--max-states N", _at_least(0), DEFAULT_BUDGET,
-           "(configuration, attack) check budget per guard count")
-_JSON = ("--json", None, False, "print the result as JSON")
-_FILE = ("file", str, "edge-list or DOT-subset file ('-' for stdin)")
-_TABLE = {
-    "gamma": ("static distance-k domination number", [_K, _JSON], [_FILE]),
-    "eternal": ("eternal distance-k domination number", [
-        _K, _BUDGET, ("--qmax N", _at_least(1), None, "stop after this guard count"),
-        ("--certificate OUT.json", str, None, "write the defense certificate here"), _JSON],
-        [_FILE]),
-    "verify": ("check a certificate against a graph", [],
-               [("certificate", str, "certificate JSON file"), ("file", str, "graph file")]),
-    "reduce": ("tree reduction trace as JSON", [_K], [_FILE]),
-    "closed-form": ("formula values for named families", [],
-                    [("family", ("path", "cycle", "mary"), "named family"),
-                     ("args...", int, "path/cycle: N K; mary: M D K")]),
-    "power-check": ("compare (G, k) against (G^k, 1)", [_K, _BUDGET], [_FILE]),
-    "bounds": ("sandwich, spanning-tree and decomposition bounds", [_K, _BUDGET, _JSON],
-               [_FILE]),
-    "gen": ("emit a named family as an edge list", [("--dot", None, False, "emit DOT instead")],
-            [("family", ("path", "cycle", "mary", "spider", "pnl", "substar"), "named family"),
-             ("args...", int, "path/cycle: N; mary: M D; spider: LEG...; pnl: N K Z; "
-                              "substar: N K")]),
-}
-
-
 def _negative(arg: str) -> bool:
     r"""Whether argparse reads ``arg``, which starts with "-", as a negative
     number (a value, not an option): ``^-\d+$|^-\d*\.\d+$``, where ``\d``
@@ -159,9 +128,9 @@ def _exit(command: str | None, error: str | None = None):
     if command is None:
         prog, words = "ekdom", ["COMMAND ..."]
         about = "Exact eternal distance-k domination: numbers, bounds, certificates."
-        rows = [(name, entry[0]) for name, entry in _TABLE.items()]
+        rows = [(name, entry[1]) for name, entry in _TABLE.items()]
     else:
-        prog, (about, options, positionals) = f"ekdom {command}", _TABLE[command]
+        prog, (_, about, options, positionals) = f"ekdom {command}", _TABLE[command]
         words = [o[0] if o[2] is ... else f"[{o[0]}]" for o in options]
         words += [p[0] for p in positionals]
         rows = [(o[0], o[3]) for o in options] + [
@@ -199,7 +168,7 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     if command not in _TABLE:
         _exit(None, "a command is required" if command is None
               else f"invalid command: {command!r}")
-    _, options, positionals = _TABLE[command]
+    _, _, options, positionals = _TABLE[command]
     spec = {o[0].split()[0]: o for o in options}
     dest = {flag: flag.lstrip("-").replace("-", "_") for flag in spec}
     args = SimpleNamespace(command=command, **{dest[f]: o[2] for f, o in spec.items()})
@@ -399,10 +368,8 @@ def _cmd_power_check(args) -> int:
 
     g = _load_graph(args.file)
     report = power_equivalence_check(g, args.k, budget=args.max_states)
-    verdict = "equal" if report.numbers_equal else "DIFFER"
-    print(f"{verdict}: {report.gamma_direct} = {report.gamma_power}"
-          if report.numbers_equal else
-          f"{verdict}: {report.gamma_direct} vs {report.gamma_power}")
+    print(f"equal: {report.gamma_direct} = {report.gamma_power}" if report.numbers_equal
+          else f"DIFFER: {report.gamma_direct} vs {report.gamma_power}")
     if report.numbers_equal and not report.survivors_equal:
         print(f"survivor sets differ at {report.first_mismatch}")
         return EXIT_VERIFY
@@ -449,32 +416,46 @@ def _cmd_gen(args) -> int:
                                path_graph, spider_graph)
     from .mary import build_perfect_mary
 
-    family, params = args.family, args.args
-    if family == "path":
-        g = path_graph(*params)
-    elif family == "cycle":
-        g = cycle_graph(*params)
-    elif family == "mary":
-        g = build_perfect_mary(*params)
-    elif family == "spider":
-        g = spider_graph(params)
-    elif family == "pnl":
-        g = build_p_n_ell(*params)
+    if args.family == "spider":
+        g = spider_graph(args.args)
     else:
-        g = build_subdivided_star(*params)
+        g = {"path": path_graph, "cycle": cycle_graph, "mary": build_perfect_mary,
+             "pnl": build_p_n_ell, "substar": build_subdivided_star}[args.family](*args.args)
     sys.stdout.write(format_dot(g) if args.dot else format_edge_list(g))
     return EXIT_OK
 
 
-_COMMANDS = {
-    "gamma": _cmd_gamma,
-    "eternal": _cmd_eternal,
-    "verify": _cmd_verify,
-    "reduce": _cmd_reduce,
-    "closed-form": _cmd_closed_form,
-    "power-check": _cmd_power_check,
-    "bounds": _cmd_bounds,
-    "gen": _cmd_gen,
+# The command line, one entry per subcommand: (handler, help, options,
+# positionals).  An option is (flag and metavar as usage shows them, converter
+# or None for a plain flag, default, help); default ``...`` marks it required.
+# A positional is (name, converter or a tuple of choices, help); "args..."
+# takes the rest.
+_K = ("-k K", int, ..., "guard movement radius")
+_BUDGET = ("--max-states N", _at_least(0), DEFAULT_BUDGET,
+           "(configuration, attack) check budget per guard count")
+_JSON = ("--json", None, False, "print the result as JSON")
+_FILE = ("file", str, "edge-list or DOT-subset file ('-' for stdin)")
+_TABLE = {
+    "gamma": (_cmd_gamma, "static distance-k domination number", [_K, _JSON], [_FILE]),
+    "eternal": (_cmd_eternal, "eternal distance-k domination number", [
+        _K, _BUDGET, ("--qmax N", _at_least(1), None, "stop after this guard count"),
+        ("--certificate OUT.json", str, None, "write the defense certificate here"), _JSON],
+        [_FILE]),
+    "verify": (_cmd_verify, "check a certificate against a graph", [],
+               [("certificate", str, "certificate JSON file"), ("file", str, "graph file")]),
+    "reduce": (_cmd_reduce, "tree reduction trace as JSON", [_K], [_FILE]),
+    "closed-form": (_cmd_closed_form, "formula values for named families", [],
+                    [("family", ("path", "cycle", "mary"), "named family"),
+                     ("args...", int, "path/cycle: N K; mary: M D K")]),
+    "power-check": (_cmd_power_check, "compare (G, k) against (G^k, 1)", [_K, _BUDGET],
+                    [_FILE]),
+    "bounds": (_cmd_bounds, "sandwich, spanning-tree and decomposition bounds",
+               [_K, _BUDGET, _JSON], [_FILE]),
+    "gen": (_cmd_gen, "emit a named family as an edge list",
+            [("--dot", None, False, "emit DOT instead")],
+            [("family", ("path", "cycle", "mary", "spider", "pnl", "substar"), "named family"),
+             ("args...", int, "path/cycle: N; mary: M D; spider: LEG...; pnl: N K Z; "
+                              "substar: N K")]),
 }
 
 
@@ -491,7 +472,9 @@ def _reader_gone() -> int:
 def main(argv: list[str] | None = None) -> int:
     try:  # -h writes too, so a reader gone by then ends quietly as well
         args = _parse(sys.argv[1:] if argv is None else argv)
-        return _COMMANDS[args.command](args)
+        return _TABLE[args.command][0](args)
+    except SystemExit as exc:  # -h or a usage error: the parser's exit code
+        return exc.code
     except BrokenPipeError:
         return _reader_gone()
     except ParseError as exc:
@@ -541,8 +524,8 @@ def run() -> None:
     stdout writes through ``_WholeWrites`` so that it, too, finds it.  Any
     other flush that fails (a full disk) falls back to ``sys.exit``, so
     the interpreter reports it as it always has: one "Exception ignored"
-    line and exit 120.  A usage error, ``-h`` and an uncaught exception
-    never get here and take the normal exit too.
+    line and exit 120.  An uncaught exception never gets here and takes the
+    normal exit too.
     """
     out = sys.stdout
     if out is not None and isinstance(getattr(out, "buffer", None), io.RawIOBase):

@@ -255,11 +255,12 @@ class _GraphAccumulator:
 
     def edge(self, a: str, b: str, line: int) -> None:
         if a == b:
-            raise ParseError(f"self-loop at '{a}'", line)
+            raise ParseError(f"self-loop at {_quote(a)}", line)
         u, v = self.vertex(a), self.vertex(b)
         key = (min(u, v), max(u, v))
         if key in self._seen:
-            warnings.warn(f"line {line}: duplicate edge {a} {b} ignored", stacklevel=4)
+            warnings.warn(f"line {line}: duplicate edge {_quote(a)} {_quote(b)} ignored",
+                          stacklevel=4)
             return
         self._seen.add(key)
         self.edges.append(key)

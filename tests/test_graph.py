@@ -72,11 +72,21 @@ def test_parse_errors_carry_line_numbers():
     ("graph { a -- b } c", "line 1: trailing input 'c'"),
     ("graph g " + "x" * 5000, "line 1: expected '{', got '" + "x" * 40 + "'..."),
     ("graph { a -- b } " + "c" * 5000, "line 1: trailing input '" + "c" * 40 + "'..."),
+    ("graph { " + "x" * 5000 + " -- " + "x" * 5000 + " }",
+     "line 1: self-loop at '" + "x" * 40 + "'..."),
 ])
 def test_dot_errors_quote_at_most_a_few_dozen_characters(text, message):
     with pytest.raises(ParseError) as err:
         parse_graph(text)
     assert str(err.value) == message
+
+
+def test_duplicate_edge_warning_quotes_at_most_a_few_dozen_characters():
+    long = "x" * 5000
+    with pytest.warns(UserWarning) as caught:
+        parse_graph(f"{long} b\nb {long}")
+    assert [str(w.message) for w in caught] == [
+        "line 2: duplicate edge 'b' '" + "x" * 40 + "'... ignored"]
 
 
 def test_duplicate_edge_warns_and_dedupes():

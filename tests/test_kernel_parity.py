@@ -88,6 +88,9 @@ def _corpus():
     # augmenting paths run through several guards.
     yield _instance(path_graph(12), 1, 6)
     yield _instance(path_graph(14), 2, 5)
+    # The elim workload's largest level (1,344 states), with its longest
+    # run skips.
+    yield _instance(path_graph(14), 1, 7)
 
 
 def _assert_agree(compiled, n, masks, states, budget):
