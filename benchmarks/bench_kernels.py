@@ -90,6 +90,7 @@ from run import PROBE_REF_S, probe  # noqa: E402
 from workloads import WORKLOADS, edge_list, labeling_rng  # noqa: E402
 
 KERNEL_DIR = Path("src") / "ekdom" / "_kernel"
+DEFAULT_OUT = ROOT / "BENCH_kernel.json"
 BUDGET = 50_000_000
 CAP = 20_000
 
@@ -236,17 +237,29 @@ def host() -> dict:
     return {"cpu": cpu, "nproc": os.cpu_count(), "python": platform.python_version()}
 
 
-def write_record(out: Path, what: str, flags: str, parent: dict | None, **body) -> None:
-    """Write to ``out`` what it holds, the command that wrote it (``flags``
-    and, with a ``parent`` digest, --parent), this tree's commit and kernel
-    sources, the host, the parent's digest and run order, then ``body``,
-    keeping the ``end_to_end`` pairs the file already holds (copied in from
-    ``e2ebench/run.py`` result lines)."""
+def run_command(args: argparse.Namespace) -> str:
+    """The command line of this run, as records name it: every flag it had,
+    with --out relative to this tree's root and --parent's tree as
+    PARENT_TREE."""
+    flags = [f"--only {args.only}"] if args.only else []
+    flags.append(f"--repeat {args.repeat}")
+    out = args.out.resolve()
+    if out != DEFAULT_OUT:
+        flags.append(f"--out {out.relative_to(ROOT) if out.is_relative_to(ROOT) else out}")
+    if args.parent:
+        flags.append("--parent PARENT_TREE")
+    return " ".join(["PYTHONPATH=src python3 benchmarks/bench_kernels.py", *flags])
+
+
+def write_record(out: Path, what: str, command: str, parent: dict | None, **body) -> None:
+    """Write to ``out`` what it holds, the command that wrote it, this
+    tree's commit and kernel sources, the host, the parent's digest and run
+    order, then ``body``, keeping the ``end_to_end`` pairs the file already
+    holds (copied in from ``e2ebench/run.py`` result lines)."""
     old = json.loads(out.read_text(encoding="utf-8")) if out.is_file() else {}
     doc = {
         "what": what,
-        "command": f"PYTHONPATH=src python3 benchmarks/bench_kernels.py {flags}"
-                   + (" --parent PARENT_TREE" if parent else ""),
+        "command": command,
         "commit": git("rev-parse", "HEAD"),
         "dirty": bool(git("status", "--porcelain", "--", "src", "benchmarks")),
         "kernel_sha256": {f: digest(ROOT / KERNEL_DIR / f) for f in ("_ckernel.c", "pure.py")},
@@ -328,7 +341,8 @@ def run_case(name, build, k, q, repeat, parent, with_pure, speed) -> dict:
     return row
 
 
-def bench_elims(repeat: int, parent_tree: Path | None, out: Path, speed: Speed) -> None:
+def bench_elims(repeat: int, parent_tree: Path | None, out: Path, speed: Speed,
+                command: str) -> None:
     parent = load_kernel(parent_tree) if parent_tree else None
     rows = []
     print(f"{'instance':<22}{'states':>8}{'compiled':>11}{'parent':>11}{'pure':>11}"
@@ -348,7 +362,7 @@ def bench_elims(repeat: int, parent_tree: Path | None, out: Path, speed: Speed) 
         "on the small instances also the certificate closure of both kernels. "
         "*_ref_s are the same runs scaled to reference speed by the probes "
         "around each call; parent_over_compiled uses those.",
-        f"--repeat {repeat}",
+        command,
         parent_tree and {"kernel_sha256": {"_ckernel.c": digest(parent_tree / KERNEL_DIR
                                                                   / "_ckernel.c")}},
         budget=BUDGET, instances=rows)
@@ -401,7 +415,7 @@ def walk_large(name, build, k, q, repeat, parent, speed) -> dict:
     return row
 
 
-def bench_walks(repeat: int, parent: Path | None, speed: Speed) -> None:
+def bench_walks(repeat: int, parent: Path | None, speed: Speed, command: str) -> None:
     print(f"{'walk':<22}{'states':>8}{'prefixes':>11}{'compiled':>11}{'pure':>11}")
     small = []
     for name, build, k, q in SMALL:
@@ -429,7 +443,7 @@ def bench_walks(repeat: int, parent: Path | None, speed: Speed) -> None:
         "with states, prefixes visited and the process's peak RSS (walk "
         "instances). *_ref_s and ref_s are the same runs scaled to reference "
         "speed by the probes around them; ratios use those.",
-        f"--repeat {repeat}",
+        command,
         parent and {"configs_sha256": digest(parent / "src" / "ekdom" / "configs.py")},
         small=small, walks=large)
     print(f"walk states and prefixes identical; wrote {out}")
@@ -447,7 +461,7 @@ def cert_edges(build) -> str:
     return "".join(f"v {g.labels[u]}\n" for u in solve_order(g)) + format_edge_list(g)
 
 
-def bench_certs(repeat: int, parent: Path | None, speed: Speed) -> None:
+def bench_certs(repeat: int, parent: Path | None, speed: Speed, command: str) -> None:
     print(f"{'certificate':<22}{'side':>7}{'family':>8}{'rows':>8}{'bytes':>9}"
           f"{'closure':>11}{'verify':>11}")
     rows = []
@@ -489,7 +503,7 @@ def bench_certs(repeat: int, parent: Path | None, speed: Speed) -> None:
         "(medians of five calls in one fresh interpreter per run; distances cached); "
         "*_ref_s are the same medians scaled to reference speed by the probes "
         "around the run, and the ratios use those.",
-        f"--only cert --repeat {repeat}",
+        command,
         parent and {"kernel_sha256": {"_ckernel.c": digest(parent / KERNEL_DIR
                                                              / "_ckernel.c")}},
         instances=rows)
@@ -502,7 +516,7 @@ def main() -> int:
                         help="runs per kernel and instance (alternating with --parent)")
     parser.add_argument("--parent", type=Path,
                         help="source tree whose compiled kernel to time alongside")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_kernel.json")
+    parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     parser.add_argument("--only", choices=("walk", "elim", "cert"),
                         help="run one section instead of all three")
     args = parser.parse_args()
@@ -516,12 +530,13 @@ def main() -> int:
     # Children inherit the affinity, so probes and children share one CPU.
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     speed = Speed()
+    command = run_command(args)
     if args.only in (None, "walk"):
-        bench_walks(args.repeat, args.parent, speed)
+        bench_walks(args.repeat, args.parent, speed, command)
     if args.only in (None, "cert"):
-        bench_certs(args.repeat, args.parent, speed)
+        bench_certs(args.repeat, args.parent, speed, command)
     if args.only in (None, "elim"):
-        bench_elims(args.repeat, args.parent, args.out, speed)
+        bench_elims(args.repeat, args.parent, args.out, speed, command)
     return 0
 
 

@@ -20,20 +20,22 @@ with guards and posts swapped, which on symmetric balls finds the same
 assignment as a search from the source side.
 
 The caller passes ``run_elimination`` its check ``budget`` (the layer
-imports nothing else of ekdom, so it has no default) and ``wit``, an
-``array('i')`` of ``len(states) * n`` items, which receives the sweep's
-final witness table, and may pass ``work``, an ``array('q')`` of 5
-items, which receives its work counters (``KernelWork``);
+imports nothing of ekdom but the package's ``Record``, so it has no
+default) and ``wit``, an ``array('i')`` of ``len(states) * n`` items,
+which receives the sweep's final witness table, and may pass ``work``,
+an ``array('q')`` of 5 items, which receives its work counters
+(``KernelWork``);
 ``certificate_rows`` closes a certificate family from that table.  The
 full contracts are in ``pure``.
 """
 from array import array
-from typing import NamedTuple
+
+from .. import Record
 
 _WORD = (1 << 64) - 1
 
 
-class KernelWork(NamedTuple):
+class KernelWork(Record):
     """The work counters ``run_elimination`` leaves in ``work``, in order.
 
     ``array("q", KernelWork())`` is a zeroed buffer to pass, and

@@ -4,7 +4,7 @@ A guard that may step distance k in G is exactly a guard that may step
 one edge in the k-th power of G, so the eternal numbers of (G, k) and
 (G^k, 1) agree, configuration for configuration.  ``power_equivalence_check``
 verifies both the numbers and the survivor sets and reports them in a
-``PowerEquivalenceReport``, an immutable ``NamedTuple``.
+``PowerEquivalenceReport``, an immutable ``Record``.
 
 Upper bounds come from two directions: any spanning tree of G only
 restricts guard movement, so its eternal number bounds the graph's; and a
@@ -21,8 +21,7 @@ smaller root would have claimed v), so each cell holds a BFS tree of
 depth at most k from its root.  The decomposition bound is therefore
 min(2 gamma_k, gamma_floor(k/2)).
 """
-from typing import NamedTuple
-
+from . import Record
 from .domination import gamma_k
 from .graph import (DisconnectedGraphError, Graph, all_pairs_distances, bfs,
                     graph_power, is_connected, is_tree)
@@ -31,7 +30,7 @@ from .solver import (DEFAULT_BUDGET, BudgetExceededError, eternal_number,
                      eternal_survivors)
 
 
-class PowerEquivalenceReport(NamedTuple):
+class PowerEquivalenceReport(Record):
     k: int
     gamma_direct: int
     gamma_power: int

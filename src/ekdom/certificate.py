@@ -4,23 +4,22 @@ A certificate is a family of configurations plus, for every (family
 member, attacked vertex) pair, one row naming a successor member that
 contains the attack and the post each guard walks to.  The solver builds
 certificates (``solver._solve_q``); this module reads, writes and checks
-them, and imports nothing else from ekdom but ``graph``, so ``ekdom
-verify`` runs without the solver, the kernels, ``configs`` or
-``domination``.  The checker grows its own radius-k balls from the
-adjacency lists and tests the rows a column at a time with multiset
-arithmetic, so prover and checker are independent routes to the same
-claim.
+them, and imports nothing else from ekdom but ``graph`` and the
+package's ``Record``, so ``ekdom verify`` runs without the solver, the
+kernels, ``configs`` or ``domination``.  The checker grows its own
+radius-k balls from the adjacency lists and tests the rows a column at a
+time with multiset arithmetic, so prover and checker are independent
+routes to the same claim.
 """
 from itertools import chain, compress, cycle, repeat
 from operator import contains, getitem, itemgetter
-from typing import NamedTuple
-
+from . import Record
 from .graph import Graph
 
 CERTIFICATE_FORMAT = 2  # the one JSON layout certificate_from_json reads
 
 
-class EternalCertificate(NamedTuple):
+class EternalCertificate(Record):
     """Explicit defense strategy at guard count q.
 
     ``family`` lists the members as sorted posts.  ``rows[i * n + v]``
@@ -40,7 +39,7 @@ class EternalCertificate(NamedTuple):
     rows: list
 
 
-class CertificateViolation(NamedTuple):
+class CertificateViolation(Record):
     state: int | None
     attack: str | None
     reason: str

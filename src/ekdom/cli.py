@@ -52,9 +52,11 @@ def _unserializable(value):
 
 
 def _dumps(value, separators: tuple[str, str] = (", ", ": ")) -> str:
-    """``json.dumps(value, separators=separators)``."""
+    """``json.dumps(value, separators=separators, check_circular=False)``:
+    ekdom writes only documents it built, which cannot hold themselves, so
+    the encoder keeps no table of the lists and dicts it is inside."""
     item, key = separators
-    encode = make_encoder({}, _unserializable, encode_basestring_ascii, None, key, item,
+    encode = make_encoder(None, _unserializable, encode_basestring_ascii, None, key, item,
                           False, False, True)
     return "".join(encode(value, 0))
 

@@ -5,7 +5,7 @@ so tests can regenerate each instance from parameters alone.  The
 formulas are exact integer arithmetic; each is cross-checked against the
 game engine in the test suite.
 """
-from typing import Sequence
+from collections.abc import Sequence
 
 from .graph import Graph
 

@@ -15,7 +15,7 @@ kernel layer is below this module, and the pure twin imports nothing
 from it.
 """
 from array import array
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import _kernel
 from .domination import ball_masks

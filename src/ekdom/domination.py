@@ -19,12 +19,13 @@ that no single guard can serve two of.  Both bounds only cut branches
 that hold no solution, so the search still visits the solutions in the
 same order and returns the same witness.
 """
-from typing import Iterable, NamedTuple, Sequence
+from collections.abc import Iterable, Sequence
 
+from . import Record
 from .graph import DistMatrix, Graph, all_pairs_distances, memo
 
 
-class DominationResult(NamedTuple):
+class DominationResult(Record):
     gamma: int
     witness: tuple[int, ...]
 

@@ -9,20 +9,23 @@ all read off it.  Distances are hop counts; vertices in different
 components sit at the :data:`UNREACHABLE` sentinel, chosen large enough
 that any ``<= k`` radius test against it fails.
 
-A graph is a ``typing.NamedTuple`` of its vertex count, adjacency and
-labels, so graphs and distance matrices are plain immutable values
-(tuples all the way down), hashable with value equality, and safe to
-share between threads.  Everything in this module is a pure function of
-its inputs.  ``memo`` keeps what the package derives from a graph in one
-dict per graph, so a graph's distances, balls and solves stay or go together.
+A graph is a record (``ekdom.Record``, a named tuple) of its vertex
+count, adjacency and labels, so graphs and distance matrices are plain
+immutable values (tuples all the way down), hashable with value
+equality, and safe to share between threads.  Everything in this
+module is a pure function of its inputs.  ``memo`` keeps what the
+package derives from a graph in one dict per graph, so a graph's
+distances, balls and solves stay or go together.
 
 The package-wide constants and errors live here too, so the command line
 reads the budget default and catches ``BudgetExceededError`` without
 loading the solver.
 """
 import warnings
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+
+from . import Record
 
 #: Distance reported between vertices in different components.
 UNREACHABLE = 1 << 30
@@ -56,7 +59,7 @@ class DisconnectedGraphError(ValueError):
     """Raised by operations that are only defined on connected graphs."""
 
 
-class Graph(NamedTuple):
+class Graph(Record):
     """Simple undirected graph: no loops, no multi-edges, symmetric adjacency,
     distinct labels."""
 

@@ -16,34 +16,23 @@ verifies, which sides with the recursion there.  That takes about 1.5 s
 with the compiled kernel, where ``tests/test_mary.py`` runs it; the pure
 twin's configuration walk alone takes about 26 s.
 
-``MaryTreeSpec`` is a ``NamedTuple``, like every ekdom record; its
-``__new__`` refuses m < 2 and d < 0 (a ``NamedTuple`` body may not
-define one, so the fields live in a private base), and ``_make`` and
-``_replace`` build through it.
+``MaryTreeSpec`` is a ``Record``, like every ekdom record; its
+``__new__`` refuses m < 2 and d < 0, and ``_make`` and ``_replace``
+build through it.
 """
-from typing import NamedTuple
-
+from . import Record
 from .graph import Graph
 
 
-class _Shape(NamedTuple):
+class MaryTreeSpec(Record):
+    """Shape parameters of a perfect m-ary tree, checked when built."""
     m: int
     d: int
-
-
-class MaryTreeSpec(_Shape):
-    """Shape parameters of a perfect m-ary tree, checked when built."""
-    __slots__ = ()
 
     def __new__(cls, m: int, d: int) -> "MaryTreeSpec":
         if m < 2 or d < 0:
             raise ValueError("need m >= 2 and d >= 0")
         return super().__new__(cls, m, d)
-
-    @classmethod
-    def _make(cls, iterable) -> "MaryTreeSpec":
-        # The inherited one builds the tuple directly; ``_replace`` calls this.
-        return cls(*iterable)
 
     @property
     def vertex_count(self) -> int:

@@ -33,15 +33,16 @@ subtree has the same distances as the whole tree.
 ``reduce_tree`` composes these greedily (cheapest tests first, smallest
 anchor vertex on ties) and converts the surviving core into two-sided
 bounds through the static domination sandwich.  Its trace, each step and
-``k2_sets``'s local structure are immutable ``NamedTuple`` records.
+``k2_sets``'s local structure are immutable records (``ekdom.Record``).
 """
-from typing import Iterable, NamedTuple
+from collections.abc import Iterable
 
+from . import Record
 from .domination import gamma_k
 from .graph import Graph, all_pairs_distances, delete_vertices, is_tree
 
 
-class ReductionStep(NamedTuple):
+class ReductionStep(Record):
     kind: str
     removed: tuple[str, ...]            # labels, in the tree they were removed from
     anchors: tuple[tuple[str, str], ...]  # (role, label) pairs
@@ -57,7 +58,7 @@ class ReductionStep(NamedTuple):
         }
 
 
-class ReductionTrace(NamedTuple):
+class ReductionTrace(Record):
     steps: list[ReductionStep]
     core: Graph
     delta_low: int
@@ -224,7 +225,7 @@ def apply_doublebranch_trim(t: Graph, k: int) -> tuple[Graph, ReductionStep] | N
 
 # -- the k = 2 interval rule -------------------------------------------------
 
-class K2Sets(NamedTuple):
+class K2Sets(Record):
     """Local structure around x for the k = 2 deletion rule.
 
     leaves_at_two: leaves at distance exactly two from x.

@@ -30,11 +30,13 @@ breadth-first search, which takes neighbours in id order (the idea behind
 Cuthill and McKee's bandwidth-reducing order, 1969), so each ball lies on
 nearby ids, the kernels' prefix skips fire early and the certificate
 family stays small.  The walk, the sweep and the closure run on the
-relabelled graph, and the survivors and the certificate are mapped back
-to the caller's ids (``certificate._relist``).  A graph already in that
-order, as ``ekdom gen`` writes paths and m-ary trees, is its own
-relabelling and is solved exactly as given.  ``gamma_k`` runs on the
-input graph.
+relabelled graph, and the certificate is mapped back to the caller's ids
+(``certificate._relist``).  The cached survivors stay in solve order,
+where ``eternal_number`` reads only whether there are any;
+``eternal_survivors`` maps them back, once per guard count.  A graph
+already in that order, as ``ekdom gen`` writes paths and m-ary trees, is
+its own relabelling and is solved exactly as given.  ``gamma_k`` runs on
+the input graph.
 
 State budget: each guard count gets a configurable number of
 (configuration, attack) checks (default five million).  A guard count
@@ -47,9 +49,9 @@ order changes; the checks, rounds and prefixes are those of the solve
 order, so whether the elimination runs out of budget depends on it.
 """
 from array import array
-from typing import Iterable, NamedTuple
+from collections.abc import Iterable
 
-from . import _kernel
+from . import Record, _kernel
 from ._kernel import KernelWork
 # The certificate names and the budget error are re-exported: callers
 # import them from here, next to the solver that produces them.
@@ -65,7 +67,7 @@ from .graph import (DEFAULT_BUDGET, BudgetExceededError, DisconnectedGraphError,
 CERTIFICATE_CAP = 20_000  # larger defense families yield no certificate
 
 
-class QStats(NamedTuple):
+class QStats(Record):
     """Elimination statistics for one guard count.
 
     ``exceeded`` marks a guard count the budget refused or stopped; its
@@ -84,7 +86,7 @@ class QStats(NamedTuple):
     prefixes: int = 0
 
 
-class SolveReport(NamedTuple):
+class SolveReport(Record):
     k: int
     gamma_eternal: int | None
     lower_bound: int
@@ -108,9 +110,10 @@ def _solve_q(g: Graph, k: int, q: int, budget: int
     A non-empty fixed point is closed into a certificate while the
     kernel's witness table is in scope, so the cache keeps the rows but
     never the table.  Each (k, q, budget) is solved once per graph, on g
-    renumbered by ``solve_order``, and the survivors and the certificate
-    are mapped back to g's ids.  The family grows from the survivor that
-    is lexicographically least in that order: each (member, attack) is
+    renumbered by ``solve_order``; the certificate is mapped back to g's
+    ids, and the survivors are left in solve order (``_in_ids`` maps
+    them back).  The family grows from the survivor that is
+    lexicographically least in that order: each (member, attack) is
     answered by the least member already found that holds the attack and
     is reachable in one step, or, when none is, by the least such
     survivor, which joins the family (see
@@ -156,10 +159,17 @@ def _in_solve_order(g: Graph, k: int, q: int, budget: int
                     ) -> tuple[frozenset, QStats, EternalCertificate | None]:
     order, h = memo(g, "order", lambda: _relabelled(g))
     survivors, stats, cert = _fixed_point(h, k, q, budget)
-    if h is g:
+    if h is g or cert is None:
         return survivors, stats, cert
-    survivors = frozenset(tuple(sorted(map(order.__getitem__, s))) for s in survivors)
-    return survivors, stats, None if cert is None else _certificate_in(order, cert)
+    return survivors, stats, _certificate_in(order, cert)
+
+
+def _in_ids(g: Graph, survivors: frozenset) -> frozenset:
+    """Survivors of g solved in ``solve_order``, in g's ids."""
+    order, h = memo(g, "order", lambda: _relabelled(g))
+    if h is g:
+        return survivors
+    return frozenset(tuple(sorted(map(order.__getitem__, s))) for s in survivors)
 
 
 def _certificate_in(order: list[int], cert: EternalCertificate) -> EternalCertificate:
@@ -216,7 +226,7 @@ def eternal_survivors(g: Graph, k: int, q: int, budget: int = DEFAULT_BUDGET) ->
         raise BudgetExceededError(
             f"q={q}: more than {budget // g.n} dominating configurations "
             f"x {g.n} attacks exceeds budget {budget}")
-    return survivors
+    return memo(g, ("survivors", k, q, budget), lambda: _in_ids(g, survivors))
 
 
 def eternal_number(g: Graph, k: int, q_max: int | None = None,

@@ -513,12 +513,13 @@ HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettex
 SOMETIMES = ("array", "json", "__future__")
 
 
-def _loaded_after(code):
-    """The last line a fresh interpreter prints running ``code``."""
+def _loaded_after(code, *flags):
+    """The last line a fresh interpreter started with ``flags`` prints
+    running ``code``."""
     src = str(Path(ekdom.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                           env=env, check=True, timeout=60)
     return done.stdout.splitlines()[-1]
 
@@ -528,21 +529,23 @@ def test_cli_import_leaves_other_subcommands_modules_out(tmp_path):
     # the ekdom modules it runs and none of the heavy stdlib ones.  A
     # subcommand that does not solve loads no array either: a verify
     # process runs none of the code it checks.  Only reduce loads json,
-    # and none loads __future__.
+    # and none loads __future__.  Under -S, where no site module has
+    # loaded typing before ekdom starts, none loads typing either.
     graph_file = tmp_path / "p5.edges"
     graph_file.write_text("".join(f"{i} {i + 1}\n" for i in range(4)))
     names = {"graph": str(graph_file), "cert": str(tmp_path / "cert.json")}
     for command, (argv, modules) in SUBCOMMAND_MODULES.items():
         argv = [a.format(**names) for a in argv]
-        code = ("import contextlib, io, sys, ekdom.cli\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                f"    code = ekdom.cli.main({argv!r})\n"
-                f"print(code, sorted(m for m in sys.modules if m.startswith('ekdom.') or "
-                f"m in {HEAVY + SOMETIMES!r}))")
         expected = sorted({"ekdom.cli", "ekdom.graph", *modules}
                           | ({"array"} if "ekdom._kernel" in modules else set())
                           | ({"json"} if command == "reduce" else set()))
-        assert _loaded_after(code) == f"0 {expected}", command
+        for flags, watched in (((), HEAVY + SOMETIMES), (("-S",), HEAVY + SOMETIMES + ("typing",))):
+            code = ("import contextlib, io, sys, ekdom.cli\n"
+                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"    code = ekdom.cli.main({argv!r})\n"
+                    f"print(code, sorted(m for m in sys.modules if m.startswith('ekdom.') or "
+                    f"m in {watched!r}))")
+            assert _loaded_after(code, *flags) == f"0 {expected}", (command, flags)
 
     # The checker module on its own loads only the graph module, and the
     # pure kernel twin nothing of ekdom but the package and the kernel layer.
